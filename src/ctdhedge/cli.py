@@ -49,7 +49,7 @@ from .hedging import (
     synthetic_replication_pnl,
 )
 from .instruments import par_rate
-from .montecarlo import SimulationPlan, simulate
+from .montecarlo import SimulationPlan, block_workers, simulate
 from .reporting import fmt, atomic_write_text, svg_line_chart, write_csv
 from .sensitivity import sensitivity_profile
 from .spread_model import ModelValidationError, mean_under_piecewise_theta, theta_piecewise
@@ -73,6 +73,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        block_workers()  # reject a malformed CTD_THREADS before any work
         cfg = load_config(args.config)
         cfg.command = args.command
         for item in args.set:

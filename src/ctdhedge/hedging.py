@@ -475,19 +475,11 @@ def stochastic_strategy(
 # pathwise revaluation
 # ---------------------------------------------------------------------------
 
-def _conditional_domestic_bond(model, t, T, u0):
-    """P(t, T | r_0 displacement u0) under the Hull-White dynamics."""
-    spec = model.domestic
+def _conditional_bond(spec, t, T, u):
+    """P(t, T | displacement u) of one Hull-White process (domestic or spread)."""
     load = (1.0 - math.exp(-spec.kappa * (T - t))) / spec.kappa
     base = -spec.mean_curve.integral(t, T) + 0.5 * integral_covariance(spec, spec, 1.0, t, T)
-    return np.exp(base - load * u0)
-
-
-def _conditional_spread_factor(model, i, t, T, ui):
-    spec = model.spread(i)
-    load = (1.0 - math.exp(-spec.kappa * (T - t))) / spec.kappa
-    base = -spec.mean_curve.integral(t, T) + 0.5 * integral_covariance(spec, spec, 1.0, t, T)
-    return np.exp(base - load * ui)
+    return np.exp(base - load * u)
 
 
 @dataclass(frozen=True)
@@ -533,7 +525,7 @@ def evaluate_portfolio_paths(
         t = float(t)
         u = bundle.displacements(t)
         u0 = bundle.values[:, k, 0] - model.domestic.mean_curve(t)
-        pdom = _conditional_domestic_bond(model, t, maturity, u0)
+        pdom = _conditional_bond(model.domestic, t, maturity, u0)
         if t < maturity:
             anchor = int(np.argmin(np.abs(table.anchor_times - t)))
             choice = table.evaluate(anchor, u) * pdom
@@ -541,7 +533,7 @@ def evaluate_portfolio_paths(
             choice = np.ones(n_paths)
         bonds = {0: pdom}
         for i in range(1, model.n_spreads + 1):
-            bonds[i] = _conditional_spread_factor(model, i, t, maturity, u[:, i - 1]) * pdom
+            bonds[i] = _conditional_bond(model.spread(i), t, maturity, u[:, i - 1]) * pdom
         bank = bundle.bank_factor(bundle.plan.t0, t)
         for p in portfolios:
             acc = p.cash * bank
@@ -554,7 +546,7 @@ def evaluate_portfolio_paths(
                     if t >= pos.delivery:
                         acc = acc + pos.units * bonds[pos.currency]
                     else:
-                        pdel = _conditional_domestic_bond(model, t, pos.delivery, u0)
+                        pdel = _conditional_bond(model.domestic, t, pos.delivery, u0)
                         acc = acc + pos.units * bonds[pos.currency] / pdel
             values[p.name][:, k] = acc
     for p in portfolios:
@@ -655,18 +647,18 @@ def synthetic_replication_pnl(
         # record fixings at period starts
         for s, e_, tau in periods:
             if abs(t - s) < 1e-9:
-                p_end = _conditional_domestic_bond(model, t, e_, u0)
+                p_end = _conditional_bond(model.domestic, t, e_, u0)
                 fixings[s] = (1.0 / p_end - 1.0) / tau
         # mark the un-hedged residue sum_{T_k > t} (CTD_cond - C_j) * leg_k
         pi = np.zeros(n_paths)
         for (s, e_, tau) in periods:
             if e_ <= t + 1e-12:
                 continue
-            p_end = _conditional_domestic_bond(model, t, e_, u0)
+            p_end = _conditional_bond(model.domestic, t, e_, u0)
             if t >= s - 1e-9:
                 ell = fixings[s]
             else:
-                p_start = _conditional_domestic_bond(model, t, s, u0)
+                p_start = _conditional_bond(model.domestic, t, s, u0)
                 ell = (p_start / p_end - 1.0) / tau
             leg = sign * swap.notional * tau * p_end * (ell - swap.fixed_rate)
             tk_idx = tables[e_].anchor_times

@@ -6,11 +6,20 @@ components, so path marginals carry no discretization error; only the
 pathwise time integrals (trapezoidal on the step grid) do.  The resulting
 bundles back every semi-analytic quantity in the package with an unbiased
 statistical estimate.
+
+Paths advance in fixed-size blocks, each with its own counter-based random
+stream.  A block keeps its state process-major ([process, path]) in buffers
+reused across steps and is transposed into the (path, observation, process)
+bundle layout only at observation nodes.  Blocks run concurrently on
+`CTD_THREADS` worker threads (default: the CPUs this process may use);
+numpy releases the interpreter lock inside the random fills and array
+loops, and the results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,8 +157,11 @@ def simulate(model: MarketModel, plan: SimulationPlan) -> PathBundle:
 
     Returns a bundle with states and running integrals at the plan's
     observation times.  Identical plans (same seed) give bitwise-identical
-    results; antithetic sampling pairs path p with path p + n/2.
+    results at any `CTD_THREADS`.  Paths advance in blocks of 16384;
+    antithetic sampling pairs, within each block of n_b paths, path p with
+    path p + n_b/2.
     """
+    workers = block_workers()
     grid = plan.step_grid()
     obs = plan.observation_grid()
     obs_set = {round(float(t), 12) for t in obs}
@@ -181,24 +193,50 @@ def simulate(model: MarketModel, plan: SimulationPlan) -> PathBundle:
     out_max = np.empty((n_paths, obs.size))
 
     # paths advance in fixed-size blocks, each with its own counter-based
-    # stream keyed on (seed, block); blocks stay cache-resident and results
-    # are independent of scheduling
-    for block, lo in enumerate(range(0, n_paths, _PATH_BLOCK)):
+    # stream keyed on (seed, block) and its own output rows, so the blocks
+    # run concurrently and results are independent of scheduling
+    def run(block: int) -> None:
+        lo = block * _PATH_BLOCK
         hi = min(lo + _PATH_BLOCK, n_paths)
         _simulate_block(
             plan, grid, obs.size, record_step, means_grid, cache, stoch_idx, block,
             out_values[lo:hi], out_integrals[lo:hi], out_max[lo:hi],
         )
+
+    from concurrent.futures import ThreadPoolExecutor
+
+    blocks = range((n_paths + _PATH_BLOCK - 1) // _PATH_BLOCK)
+    with ThreadPoolExecutor(min(len(blocks), workers)) as pool:
+        list(pool.map(run, blocks))
     return PathBundle(model, plan, obs, out_values, out_integrals, out_max)
 
 
 _PATH_BLOCK = 16384
 
 
+def block_workers() -> int:
+    """Simulation block workers: `CTD_THREADS`, else the CPUs this process may use."""
+    raw = os.environ.get("CTD_THREADS")
+    if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ModelValidationError(f"CTD_THREADS must be a positive integer, got {raw!r}")
+    return workers
+
+
 def _simulate_block(
     plan, grid, n_obs, record_step, means_grid, cache, stoch_idx, block,
     out_values, out_integrals, out_max,
 ):
+    # State is process-major ([proc, paths]) in buffers reused across steps;
+    # every update is the row-major scheme's arithmetic, element for element,
+    # so the paths are bitwise those of a (paths, proc) layout.
     n = out_values.shape[0]
     n_proc = means_grid.shape[1]
     rng = np.random.Generator(
@@ -207,49 +245,63 @@ def _simulate_block(
     draw = n // 2 if plan.antithetic else n
     n_stoch = stoch_idx.size
 
-    u = np.zeros((n, n_stoch))
-    level = np.tile(means_grid[0], (n, 1))
-    integrals = np.zeros((n, n_proc))
+    u = np.zeros((n_stoch, n))
+    z = np.empty((draw, n_stoch))
+    shock = np.empty((draw, n_stoch))
+    level = np.empty((n_proc, n))
+    prev_level = np.empty((n_proc, n))
+    integrals = np.zeros((n_proc, n))
+    scaled = np.empty((n_proc, n))
     max_int = np.zeros(n)
-    prev_max = np.maximum(0.0, level[:, 1:].max(axis=1))
-    prev_level = level
-    buf = np.empty((n, n_proc))
+    cur_max = np.empty(n)
+    prev_max = np.empty(n)
+
+    def floored_max(lv, out):
+        np.copyto(out, lv[1])
+        for j in range(2, n_proc):
+            np.maximum(out, lv[j], out=out)
+        np.maximum(0.0, out, out=out)
+
+    prev_level[:] = means_grid[0][:, None]
+    floored_max(prev_level, prev_max)
     cursor = 0
     if record_step[0]:
-        out_values[:, 0] = prev_level
-        out_integrals[:, 0] = integrals
+        out_values[:, 0] = prev_level.T
+        out_integrals[:, 0] = integrals.T
         out_max[:, 0] = max_int
         cursor = 1
 
     for k in range(grid.size - 1):
         dt = float(grid[k + 1] - grid[k])
+        half = 0.5 * dt
         decay, chol = cache[round(dt, 12)]
         if n_stoch:
-            z = rng.standard_normal((draw, n_stoch))
-        integrals += (0.5 * dt) * prev_level
-        max_int += (0.5 * dt) * prev_max
-        np.copyto(buf, means_grid[k + 1][None, :])
-        level = buf
+            rng.standard_normal(out=z)
+        np.multiply(half, prev_level, out=scaled)
+        integrals += scaled
+        np.multiply(half, prev_max, out=scaled[0])
+        max_int += scaled[0]
         if n_stoch:
-            u *= decay[None, :]
+            u *= decay[:, None]
+            np.matmul(z, chol.T, out=shock)
             if plan.antithetic:
-                shock = z @ chol.T
-                u[:draw] += shock
-                u[draw:] -= shock
+                u[:, :draw] += shock.T
+                u[:, draw:] -= shock.T
             else:
-                u += z @ chol.T
-            if n_stoch == n_proc:
-                level += u
-            else:
-                level[:, stoch_idx] += u
-        cur_max = np.maximum(0.0, level[:, 1:].max(axis=1))
-        integrals += (0.5 * dt) * level
-        max_int += (0.5 * dt) * cur_max
-        prev_level = level  # safe: consumed before the buffer is rewritten
-        prev_max = cur_max
+                u += shock.T
+        level[:] = means_grid[k + 1][:, None]
+        for r, j in enumerate(stoch_idx):
+            level[j] += u[r]
+        floored_max(level, cur_max)
+        np.multiply(half, level, out=scaled)
+        integrals += scaled
+        np.multiply(half, cur_max, out=scaled[0])
+        max_int += scaled[0]
+        level, prev_level = prev_level, level
+        prev_max, cur_max = cur_max, prev_max
         if record_step[k + 1]:
-            out_values[:, cursor] = prev_level
-            out_integrals[:, cursor] = integrals
+            out_values[:, cursor] = prev_level.T
+            out_integrals[:, cursor] = integrals.T
             out_max[:, cursor] = max_int
             cursor += 1
     if cursor != n_obs:

@@ -138,6 +138,12 @@ class TestCli:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_malformed_thread_cap_exit_code(self, tmp_path, monkeypatch, capsys):
+        cfg = self._write(tmp_path)
+        monkeypatch.setenv("CTD_THREADS", "abc")
+        assert main(["price", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "CTD_THREADS" in capsys.readouterr().err
+
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = self._write(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -13,6 +13,7 @@ from ctdhedge import (
     joint_bond_moment,
     spread_cross_covariance,
 )
+from ctdhedge import montecarlo
 from ctdhedge.montecarlo import SimulationPlan, dump_paths, mc_covariance, mc_ctd, mc_expectation, simulate
 from ctdhedge.spread_model import ModelValidationError
 
@@ -23,6 +24,83 @@ def _model(xi0=0.006):
     s1 = HullWhiteSpec(0.0078, 0.0018, SpreadCurve.constant(0.014, 0.0, h))
     s2 = HullWhiteSpec(0.0076, 0.0023, SpreadCurve.constant(0.0133, 0.0, h))
     return MarketModel(dom, [s1, s2], CorrelationMatrix.from_single(0.3))
+
+
+def _wide_model(n_spreads, xi0):
+    h = 12.0
+    dom = HullWhiteSpec(0.03, xi0, SpreadCurve.constant(0.02, 0.0, h))
+    spreads = [
+        HullWhiteSpec(0.006 + 0.002 * i, 0.0015 + 0.0004 * i,
+                      SpreadCurve.linear(0.0, h, 0.012 + 0.001 * i, 0.015 - 0.0008 * i))
+        for i in range(n_spreads)
+    ]
+    n = n_spreads + 1
+    return MarketModel(dom, spreads, CorrelationMatrix(0.7 * np.eye(n) + 0.3 * np.ones((n, n))))
+
+
+def _row_major_simulate(model, plan):
+    """Reference: the row-major (paths, proc) block loop, run block after block."""
+    grid, obs = plan.step_grid(), plan.observation_grid()
+    obs_set = {round(float(t), 12) for t in obs}
+    specs = [model.domestic] + list(model.spreads)
+    n_proc, n_paths = len(specs), plan.n_paths
+    means_grid = np.stack([s.mean_curve(grid) for s in specs], axis=1)
+    stoch_idx = np.array([j for j, s in enumerate(specs) if s.xi > 0.0], dtype=int)
+    record = [round(float(t), 12) in obs_set for t in grid]
+    cache = {}  # step coefficients, keyed on the rounded step size
+    values = np.empty((n_paths, obs.size, n_proc))
+    integrals_out = np.empty((n_paths, obs.size, n_proc))
+    max_out = np.empty((n_paths, obs.size))
+    for block, lo in enumerate(range(0, n_paths, montecarlo._PATH_BLOCK)):
+        hi = min(lo + montecarlo._PATH_BLOCK, n_paths)
+        n = hi - lo
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([plan.seed % 2**64, block], dtype=np.uint64)))
+        draw = n // 2 if plan.antithetic else n
+        u = np.zeros((n, stoch_idx.size))
+        level = np.tile(means_grid[0], (n, 1))
+        integrals = np.zeros((n, n_proc))
+        max_int = np.zeros(n)
+        prev_max = np.maximum(0.0, level[:, 1:].max(axis=1))
+        cursor = 0
+        if record[0]:
+            values[lo:hi, 0], integrals_out[lo:hi, 0], max_out[lo:hi, 0] = level, integrals, max_int
+            cursor = 1
+        for k in range(grid.size - 1):
+            dt = float(grid[k + 1] - grid[k])
+            key = round(dt, 12)
+            if key not in cache:
+                cache[key] = (
+                    np.exp(-np.array([specs[j].kappa for j in stoch_idx]) * dt),
+                    montecarlo._safe_cholesky(montecarlo._step_covariance(model, dt, stoch_idx)),
+                )
+            decay, chol = cache[key]
+            z = rng.standard_normal((draw, stoch_idx.size))
+            integrals += (0.5 * dt) * level
+            max_int += (0.5 * dt) * prev_max
+            u *= decay[None, :]
+            if plan.antithetic:
+                shock = z @ chol.T
+                u[:draw] += shock
+                u[draw:] -= shock
+            else:
+                u += z @ chol.T
+            level = np.tile(means_grid[k + 1], (n, 1))
+            level[:, stoch_idx] += u
+            prev_max = np.maximum(0.0, level[:, 1:].max(axis=1))
+            integrals += (0.5 * dt) * level
+            max_int += (0.5 * dt) * prev_max
+            if record[k + 1]:
+                values[lo:hi, cursor] = level
+                integrals_out[lo:hi, cursor] = integrals
+                max_out[lo:hi, cursor] = max_int
+                cursor += 1
+    return values, integrals_out, max_out
+
+
+def _same_bytes(bundle, reference):
+    got = (bundle.values, bundle.integrals, bundle.max_integral)
+    return all(a.tobytes() == b.tobytes() for a, b in zip(got, reference))
 
 
 class TestPlan:
@@ -91,10 +169,59 @@ class TestSimulate:
         assert abs(e0 - e1) < 4 * math.hypot(s0, s1)
 
     def test_antithetic_pairs_mirror(self):
+        # pairs are formed within each path block: p with p + n_b/2
         model = _model()
-        bundle = simulate(model, SimulationPlan(1000, 4, 2.0, seed=3, antithetic=True))
-        u = bundle.values[:, -1, 0] - model.domestic.mean_curve(2.0)
-        assert np.allclose(u[:500], -u[500:], atol=1e-15)
+        block = montecarlo._PATH_BLOCK
+        for n_paths, blocks in ((1000, [(0, 1000)]),
+                                (block + 600, [(0, block), (block, block + 600)])):
+            bundle = simulate(model, SimulationPlan(n_paths, 4, 2.0, seed=3, antithetic=True))
+            u = bundle.values[:, -1, 0] - model.domestic.mean_curve(2.0)
+            for lo, hi in blocks:
+                half = (hi - lo) // 2
+                assert np.allclose(u[lo:lo + half], -u[lo + half:hi], atol=1e-15)
+        # a mirror across the whole bundle would pair different paths
+        assert not np.allclose(u[:300], -u[n_paths // 2:n_paths // 2 + 300])
+
+
+class TestProcessMajorLayout:
+    """The block loop reproduces the row-major reference byte for byte."""
+
+    @pytest.mark.parametrize(
+        "n_spreads, xi0, antithetic",
+        [(1, 0.0, False), (4, 0.006, False), (4, 0.0, True), (1, 0.006, True)],
+    )
+    def test_matches_row_major_reference(self, n_spreads, xi0, antithetic):
+        model = _wide_model(n_spreads, xi0)
+        # two blocks (one partial) and off-grid observations, so step sizes differ
+        plan = SimulationPlan(montecarlo._PATH_BLOCK + 600, 4, 3.0, seed=2024,
+                              antithetic=antithetic, observation_times=(0.3, 1.1, 2.55))
+        assert len({round(float(d), 12) for d in np.diff(plan.step_grid())}) > 1
+        assert _same_bytes(simulate(model, plan), _row_major_simulate(model, plan))
+
+    def test_zero_volatility_model_matches_reference(self):
+        model = MarketModel(
+            HullWhiteSpec(0.03, 0.0, SpreadCurve.constant(0.02, 0.0, 12.0)),
+            [HullWhiteSpec(0.0078, 0.0, SpreadCurve.linear(0.0, 12.0, 0.014, -0.002))],
+            CorrelationMatrix(np.eye(2)),
+        )
+        plan = SimulationPlan(64, 12, 10.0, seed=1, observation_times=(2.5,))
+        assert _same_bytes(simulate(model, plan), _row_major_simulate(model, plan))
+
+    def test_independent_of_worker_count(self, monkeypatch):
+        model = _wide_model(2, 0.006)
+        plan = SimulationPlan(3 * montecarlo._PATH_BLOCK + 10, 6, 2.0, seed=5,
+                              observation_times=(0.7,))
+        monkeypatch.setenv("CTD_THREADS", "1")
+        one = simulate(model, plan)
+        for workers in ("2", "4"):  # four blocks: one worker each, more workers than cores
+            monkeypatch.setenv("CTD_THREADS", workers)
+            assert _same_bytes(simulate(model, plan), (one.values, one.integrals, one.max_integral))
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", ""])
+    def test_malformed_thread_count_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("CTD_THREADS", raw)
+        with pytest.raises(ModelValidationError, match="CTD_THREADS"):
+            simulate(_model(), SimulationPlan(100, 2, 1.0, seed=1))
 
 
 class TestEstimators:
