@@ -17,17 +17,9 @@ its own output directory.  Exit codes: 0 success, 2 configuration error,
 
 from __future__ import annotations
 
-import os
-import sys
-
-# honor the thread cap before any numerical library spins up its pools
-if "CTD_THREADS" in os.environ:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, os.environ["CTD_THREADS"])
-
 import argparse
 import math
+import sys
 from pathlib import Path
 
 import numpy as np

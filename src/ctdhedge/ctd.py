@@ -11,7 +11,11 @@ Two pricing routes are implemented:
 
 The same machinery prices the shifted maximum exp(-int max(q_i, q_1+q_i,
 ..., q_N+q_i)) needed by the hedging covariances, and conditional factors
-re-anchored at a simulated market state for portfolio revaluation.
+re-anchored at a simulated market state for portfolio revaluation.  One
+panel kernel (`_panel_moments`) integrates the moments of the maximum and
+the pivot covariances, and one pipeline (`_cf_pipeline`: grid, snapshots,
+gamma, moments, Psi, value) serves every stochastic factor; the public
+pricers are thin wrappers around it.
 """
 
 from __future__ import annotations
@@ -99,51 +103,19 @@ class GaussianVectorSnapshot:
         return self.means.size
 
 
-def _golden_section(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Scalar golden-section minimizer on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def fit_gamma(snapshot: GaussianVectorSnapshot) -> float:
     """
     Common-factor loading replicating the covariance structure best.
 
     For a single spread there is nothing to share and gamma is 0.  With two
-    spreads the single off-diagonal entry can be matched exactly whenever
-    it is nonnegative and not larger than the smallest marginal variance;
-    outside that range the value is clamped into [0, 1).  With three or
-    more spreads gamma minimizes the Frobenius distance between the
-    implied and the exact covariance matrix (golden-section search).
+    or more spreads gamma minimizes the Frobenius distance between the
+    implied and the exact covariance matrix; with two spreads that matches
+    the single off-diagonal entry exactly whenever it is nonnegative and not
+    larger than the smallest marginal variance.  Outside [0, 1) the value is
+    clamped.
     """
-    n = snapshot.size
-    if n == 1:
-        return 0.0
-    cov = snapshot.covariance
-    sig_min_sq = float(np.min(np.diag(cov)))
-    if sig_min_sq <= 0.0:
-        return 0.0
-    off = cov[~np.eye(n, dtype=bool)]
-    if n == 2:
-        return float(np.clip(off[0] / sig_min_sq, 0.0, _GAMMA_CAP))
-
-    def frob(gamma: float) -> float:
-        return float(np.sum((gamma * sig_min_sq - off) ** 2))
-
-    return _golden_section(frob, 0.0, _GAMMA_CAP)
+    gamma, _ = _fit_gamma_batch(snapshot.covariance[None])
+    return float(gamma[0])
 
 
 @dataclass(frozen=True)
@@ -253,13 +225,7 @@ def max_cdf(state: CommonFactorState, x) -> float | np.ndarray:
         half = 8.0 * s_c
         z = half * _CONV_X  # nodes of the common factor
         w = half * _CONV_W * _phi(z / s_c) / s_c
-        y = arr[:, None] - z[None, :]
-        g = np.ones_like(y)
-        for mu, sd in zip(state.component_means, sds):
-            if sd > 0.0:
-                g *= ndtr((y - mu) / sd)
-            else:
-                g *= y >= mu
+        g = _inner_max_cdf(arr[:, None] - z[None, :], state.component_means, sds)
         vals = np.sum(g * w[None, :], axis=1)
         vals = np.clip(vals, 0.0, 1.0)
     if state.floor_at_zero:
@@ -277,212 +243,199 @@ _MOMENT_CHUNK = 4096
 _PANEL_X64, _PANEL_W64 = _gauss_legendre(64)
 
 
-def _batched_moments(
+def _floor_values(y, sc):
+    """
+    h(y) for the functions of D = max_i A_i whose expectations the kernel
+    accumulates: y, y^2, the lower tails E[(C + y)^-] and E[((C + y)^-)^2]
+    for C ~ N(0, s_C^2), and Phi(y / s_C).
+    """
+    t = y / sc
+    nt = ndtr(-t)
+    pt = _phi(t)
+    return y, y * y, sc * pt - y * nt, (sc * sc + y * y) * nt - sc * y * pt, ndtr(t)
+
+
+def _floor_slopes(y, sc):
+    """h'(y) for the functions of `_floor_values`, one array at a time."""
+    t = y / sc
+    nt = ndtr(-t)
+    pt = _phi(t)
+    yield np.ones_like(y)
+    yield 2.0 * y
+    yield -nt
+    yield 2.0 * y * nt - 2.0 * sc * pt
+    yield pt / sc
+
+
+def _fold_floor(hard, m0, mu_cdf, sd_cdf, sc, px, pw):
+    """
+    What the hard floor m0 of the `hard` rows adds to the expectations of
+    the functions in `_floor_values` over the stochastic maximum D_S, and
+    their values at m0.
+
+    E[h(max(D_S, m0))] = E[h(D_S)] + int_{-inf}^{m0} h'(y) G_S(y) dy, with
+    G_S the cdf of D_S: quadrature over the window where G_S rises, closed
+    form h(m0) - h(y_hi) above it.  A row without any stochastic component
+    has D == m0 exactly, so it adds h(m0) itself.
+    """
+    at_m0 = _floor_values(m0, sc[:, 0])
+    lo = (mu_cdf - _PANEL_HALF_WIDTH * sd_cdf).max(axis=1)
+    fold = hard & (lo > -np.inf)
+    terms = [np.where(hard & ~fold, h0, 0.0) for h0 in at_m0]
+    if fold.any():
+        hi = (mu_cdf + _PANEL_HALF_WIDTH * sd_cdf).max(axis=1)
+        y_lo = np.where(fold, np.minimum(lo, m0), 0.0)
+        y_hi = np.where(fold, np.maximum(np.minimum(hi, m0), y_lo), 0.0)
+        width = (y_hi - y_lo)[:, None]
+        yf = y_lo[:, None] + width * 0.5 * (px[None, :] + 1.0)
+        gs = np.ones_like(yf)
+        for j in range(mu_cdf.shape[1]):
+            gs *= ndtr((yf - mu_cdf[:, j][:, None]) / sd_cdf[:, j][:, None])
+        wf = 0.5 * width * pw[None, :] * gs
+        at_hi = _floor_values(y_hi, sc[:, 0])
+        for term, h0, h1, dh in zip(terms, at_m0, at_hi, _floor_slopes(yf, sc)):
+            term += np.where(fold, np.sum(wf * dh, axis=1) + (h0 - h1), 0.0)
+    return terms, at_m0
+
+
+def _panel_moments(
     mu: np.ndarray,
     idio_var: np.ndarray,
     common_var: np.ndarray,
     floored: bool,
     panel: tuple[np.ndarray, np.ndarray] | None = None,
+    pivots: Sequence[int] = (),
 ):
     """
-    Moment driver: splits the batch into the regular case (every component
-    stochastic, nondegenerate common factor) served by a lean kernel, and
-    the degenerate remainder served by the general kernel, in chunks.
+    Mean and variance of M = max(0?, C + max_i A_i) for a batch of states,
+    and Cov[C + A_p, M] for every 0-based pivot p (floored states only).
+
+    mu, idio_var: [m, k]; common_var: [m].  Returns mean [m], variance [m]
+    and covariances [len(pivots), m].  Regular rows (every component
+    stochastic and, when floored, a nondegenerate common factor) and the
+    rest run in separate chunks of the same kernel, so regular chunks skip
+    the hard-floor work.
     """
     mu = np.asarray(mu, dtype=float)
     idio_var = np.asarray(idio_var, dtype=float)
     common_var = np.asarray(common_var, dtype=float)
-    px, pw = panel if panel is not None else (_PANEL_X, _PANEL_W)
     m = mu.shape[0]
     mean = np.empty(m)
     var = np.empty(m)
-    simple = np.all(idio_var > 0.0, axis=1)
+    cov = np.empty((len(pivots), m))
+    regular = np.all(idio_var > 0.0, axis=1)
     if floored:
-        simple &= common_var > 0.0
-    idx_s = np.flatnonzero(simple)
-    idx_g = np.flatnonzero(~simple)
-    for lo in range(0, idx_s.size, _MOMENT_CHUNK):
-        sel = idx_s[lo : lo + _MOMENT_CHUNK]
-        mean[sel], var[sel] = _moments_fast(
-            mu[sel], idio_var[sel], common_var[sel], floored, px, pw
-        )
-    for lo in range(0, idx_g.size, _MOMENT_CHUNK):
-        sel = idx_g[lo : lo + _MOMENT_CHUNK]
-        mean[sel], var[sel] = _batched_moments_core(
-            mu[sel], idio_var[sel], common_var[sel], floored
-        )
-    return mean, var
+        regular &= common_var > 0.0
+    for rows in (np.flatnonzero(regular), np.flatnonzero(~regular)):
+        for lo in range(0, rows.size, _MOMENT_CHUNK):
+            sel = rows[lo : lo + _MOMENT_CHUNK]
+            mean[sel], var[sel], cov[:, sel] = _panel_chunk(
+                mu[sel], idio_var[sel], common_var[sel], floored, panel, pivots
+            )
+    return mean, var, cov
 
 
-def _moments_fast(mu, idio_var, common_var, floored, px, pw):
-    """Lean kernel: all components stochastic, common factor nondegenerate."""
+def _panel_chunk(mu, idio_var, common_var, floored, panel, pivots):
+    """
+    One chunk of `_panel_moments`.
+
+    Conditioning on C, every expectation is integrated against each
+    stochastic component's own Gaussian panel y_i = mu_i + sigma_i x,
+    weighted by the other components' cdfs at y_i, so accuracy is uniform
+    down to the sigma -> 0 limit.  With C nondegenerate the zero floor
+    enters through closed-form lower-tail corrections, and conditioning on
+    the inner maximum gives E[C M] = s_C^2 E[Phi(D / s_C)].  Components with
+    zero variance, and the zero floor when C is degenerate, form a hard
+    floor m0 that is folded in exactly.  The pivot part decomposes over
+    which component attains the maximum, with every conditional expectation
+    a closed Gaussian form on the same panels.
+    """
     m, k = mu.shape
+    px, pw = panel if panel is not None else (_PANEL_X, _PANEL_W)
     sd = np.sqrt(idio_var)
-    x = px * _PANEL_HALF_WIDTH
-    wx = pw * _PANEL_HALF_WIDTH * _phi(x)
-    e1 = np.zeros(m)
-    e2 = np.zeros(m)
-    l1 = np.zeros(m)
-    l2 = np.zeros(m)
-    s_c = np.sqrt(common_var)[:, None]
-    with np.errstate(under="ignore"):
-        for i in range(k):
+    stoch = sd > 0.0
+    sc_pos = common_var > 0.0
+    sc = np.where(sc_pos, np.sqrt(common_var), 1.0)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
+        m0 = np.where(stoch, -np.inf, mu).max(axis=1)
+        if floored:
+            m0 = np.where(sc_pos, m0, np.maximum(m0, 0.0))
+        hard = np.isfinite(m0)
+        folds = bool(hard.any())
+        m0f = np.where(hard, m0, 0.0)
+        # a zero-variance component lives in m0, so its cdf factor is 1: mean -inf, sd 1
+        mu_cdf = np.where(stoch, mu, -np.inf)
+        sd_cdf = np.where(stoch, sd, 1.0)
+
+        # E[D], E[D^2], the two lower tails, E[Phi(D / s_C)]
+        acc = [np.zeros(m) for _ in range(5)]
+        e_am = np.zeros((len(pivots), m))  # E[A_p M]
+        if folds:  # before the panels, so the two never hold [m, g] arrays at once
+            floor_terms, at_m0 = _fold_floor(hard, m0f, mu_cdf, sd_cdf, sc, px, pw)
+        x = px * _PANEL_HALF_WIDTH
+        wx = pw * _PANEL_HALF_WIDTH * _phi(x)
+        for i in np.flatnonzero(np.any(stoch, axis=0)):
             y = mu[:, i][:, None] + sd[:, i][:, None] * x[None, :]  # [m,g]
             w = np.tile(wx, (m, 1))
             for j in range(k):
                 if j != i:
-                    w *= ndtr((y - mu[:, j][:, None]) / sd[:, j][:, None])
-            e1 += np.sum(w * y, axis=1)
-            e2 += np.sum(w * y * y, axis=1)
-            if floored:
-                t = y / s_c
-                nt = ndtr(-t)
-                pt = _phi(t)
-                l1 += np.sum(w * (s_c * pt - y * nt), axis=1)
-                l2 += np.sum(w * ((s_c * s_c + y * y) * nt - s_c * y * pt), axis=1)
-    mean = e1 + l1
-    second = common_var + e2 - l2
-    if floored:
-        mean = np.maximum(mean, 0.0)
-    return mean, np.maximum(second - mean * mean, 0.0)
+                    w *= ndtr((y - mu_cdf[:, j][:, None]) / sd_cdf[:, j][:, None])
+            if folds:
+                w[~stoch[:, i]] = 0.0
+            acc[0] += np.sum(w * y, axis=1)
+            acc[1] += np.sum(w * y * y, axis=1)
+            if not floored:
+                continue
+            # the lower tails, as in _floor_values; inline, so that no more
+            # [m, g] temporaries are alive at once than the expressions need
+            t = y / sc
+            nt = ndtr(-t)
+            pt = _phi(t)
+            acc[2] += np.sum(w * (sc * pt - y * nt), axis=1)
+            acc[3] += np.sum(w * ((sc * sc + y * y) * nt - sc * y * pt), axis=1)
+            if not pivots:
+                continue
+            cdf_t = ndtr(t)
+            acc[4] += np.sum(w * cdf_t, axis=1)
+            g = y * cdf_t + sc * pt  # E[(C + y)^+]
+            if folds:
+                g = np.where(sc_pos[:, None], g, np.maximum(y, 0.0))
+                w = w * (y >= m0[:, None])  # below the hard floor i cannot attain D
+            for n, p in enumerate(pivots):
+                if p == i:
+                    e_am[n] += np.sum(w * (y * g), axis=1)
+                else:
+                    zp = (y - mu[:, p][:, None]) / sd_cdf[:, p][:, None]
+                    lower = mu[:, p][:, None] * ndtr(zp) - sd_cdf[:, p][:, None] * _phi(zp)
+                    e_am[n] += np.sum(w * (lower * g), axis=1)
 
-
-def _batched_moments_core(
-    mu: np.ndarray,
-    idio_var: np.ndarray,
-    common_var: np.ndarray,
-    floored: bool,
-):
-    """
-    First two moments of max(0?, C + max_i A_i) for a batch of states.
-
-    mu, idio_var: [m, k]; common_var: [m].  Moments of the inner maximum are
-    integrated against one component's Gaussian density times the cdfs of
-    the others, with each panel centred and scaled on its own component, so
-    accuracy is uniform down to the sigma -> 0 limit.  Components with zero
-    variance act as a hard floor and are folded in exactly; with a
-    degenerate common factor the zero floor joins that fold, otherwise it
-    enters through closed-form Gaussian lower-tail corrections.
-    """
-    m, k = mu.shape
-    sd = np.sqrt(idio_var)
-    s_c = np.sqrt(common_var)
-    stoch = sd > 0.0
-
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
-        det_mu = np.where(stoch, -np.inf, mu)
-        has_det = ~np.all(stoch, axis=1)
-        m0 = np.where(has_det, det_mu.max(axis=1), -np.inf)
-        # with no common factor the zero floor is just one more hard floor
-        zero_common = s_c == 0.0
-        tail = floored & ~zero_common  # nodes using the Gaussian tail corrections
-        if floored:
-            m0 = np.where(zero_common, np.maximum(m0, 0.0), m0)
-        has_floor = np.isfinite(m0)
-        sc_safe = np.where(zero_common, 1.0, s_c)
-
-        e1 = np.zeros(m)
-        e2 = np.zeros(m)
-        l1 = np.zeros(m)
-        l2 = np.zeros(m)
-
-        any_stoch = np.any(stoch, axis=1)
-
-        if np.any(any_stoch):
-            x = _PANEL_X * _PANEL_HALF_WIDTH
-            wx = _PANEL_W * _PANEL_HALF_WIDTH * _phi(x)  # [g]
-            y = mu[:, :, None] + sd[:, :, None] * x[None, None, :]  # [m,k,g]
-            prod = np.ones((m, k, x.size))
-            for j in range(k):
-                mu_j = mu[:, j][:, None, None]
-                sd_j = np.where(stoch[:, j], sd[:, j], 1.0)[:, None, None]
-                f_j = np.where(
-                    stoch[:, j][:, None, None],
-                    ndtr((y - mu_j) / sd_j),
-                    1.0,  # zero-variance components live in the floor m0
+        if folds:
+            for a, term in zip(acc, floor_terms):
+                a += term
+            if pivots:  # the hard floor attains the maximum
+                cdf0 = ndtr((m0f[:, None] - mu_cdf) / sd_cdf)
+                g0 = np.where(
+                    sc_pos, m0f * at_m0[4] + sc[:, 0] * _phi(m0f / sc[:, 0]), np.maximum(m0f, 0.0)
                 )
-                f_j[:, j, :] = 1.0  # own density carries the panel, not its cdf
-                prod = prod * f_j
-            weight = np.where(stoch[:, :, None], prod, 0.0) * wx[None, None, :]
-            e1 += np.sum(weight * y, axis=(1, 2))
-            e2 += np.sum(weight * y * y, axis=(1, 2))
-            if np.any(tail):
-                s3 = sc_safe[:, None, None]
-                w_tail = np.where(tail[:, None, None], weight, 0.0)
-                t = -y / s3
-                gm = -y * ndtr(t) + s3 * _phi(t)  # E[((-y) - C)^+]
-                hm = (s3 * s3 + y * y) * ndtr(t) - s3 * y * _phi(t)
-                l1 += np.sum(w_tail * gm, axis=(1, 2))
-                l2 += np.sum(w_tail * hm, axis=(1, 2))
+                for n, p in enumerate(pivots):
+                    z0 = (m0f - mu[:, p]) / sd_cdf[:, p]
+                    lower0 = mu[:, p] * ndtr(z0) - sd_cdf[:, p] * _phi(z0)
+                    others = np.prod(np.delete(cdf0, p, axis=1), axis=1)
+                    e_am[n] += np.where(hard, lower0 * others * g0, 0.0)
 
-            # fold the hard floor m0 into the stochastic maximum:
-            # E[f(max(D_S, m0))] = E[f(D_S)] + int_{-inf}^{m0} f'(y) G_S(y) dy.
-            # Above the transition window of G_S the integrand is exactly f',
-            # integrated in closed form; quadrature covers only the window.
-            fold = has_floor & any_stoch
-            if np.any(fold):
-                lo_cand = np.where(stoch, mu - _PANEL_HALF_WIDTH * sd, -np.inf)
-                hi_cand = np.where(stoch, mu + _PANEL_HALF_WIDTH * sd, -np.inf)
-                y_lo = np.minimum(lo_cand.max(axis=1), m0)
-                y_hi = np.minimum(hi_cand.max(axis=1), m0)
-                y_hi = np.maximum(y_hi, y_lo)
-                width = np.where(fold, y_hi - y_lo, 0.0)
-                base = np.where(fold, y_lo, 0.0)
-                yf = base[:, None] + width[:, None] * 0.5 * (_PANEL_X[None, :] + 1.0)
-                gs = np.ones_like(yf)
-                for j in range(k):
-                    sd_j = np.where(stoch[:, j], sd[:, j], 1.0)[:, None]
-                    f_j = np.where(
-                        stoch[:, j][:, None],
-                        ndtr((yf - mu[:, j][:, None]) / sd_j),
-                        1.0,
-                    )
-                    gs = gs * f_j
-                wf = 0.5 * width[:, None] * _PANEL_W[None, :] * gs
-                flat = np.where(fold, m0 - y_hi, 0.0)  # region where G_S == 1
-                m0f = np.where(fold, m0, 0.0)
-                yhf = np.where(fold, y_hi, 0.0)
-                e1 += np.sum(wf, axis=1) + flat
-                e2 += np.sum(wf * 2.0 * yf, axis=1) + np.where(fold, m0f**2 - yhf**2, 0.0)
-                tf_nodes = fold & tail
-                if np.any(tf_nodes):
-                    scf = sc_safe[:, None]
-                    wt = np.where(tf_nodes[:, None], wf, 0.0)
-                    tf = yf / scf
-                    l1 += np.sum(wt * (-ndtr(-tf)), axis=1)
-                    l2 += np.sum(wt * (2.0 * yf * ndtr(-tf) - 2.0 * scf * _phi(tf)), axis=1)
-                    # closed flat parts: g(-y) and h(y) differences
-                    t_m0 = m0f / sc_safe
-                    t_yh = yhf / sc_safe
-                    g_diff = (-m0f * ndtr(-t_m0) + sc_safe * _phi(t_m0)) - (
-                        -yhf * ndtr(-t_yh) + sc_safe * _phi(t_yh)
-                    )
-                    h_diff = (
-                        (sc_safe**2 + m0f**2) * ndtr(-t_m0) - sc_safe * m0f * _phi(t_m0)
-                    ) - ((sc_safe**2 + yhf**2) * ndtr(-t_yh) - sc_safe * yhf * _phi(t_yh))
-                    l1 += np.where(tf_nodes, g_diff, 0.0)
-                    l2 += np.where(tf_nodes, h_diff, 0.0)
-
-        # states whose every component is deterministic: D == m0 exactly
-        pure = ~any_stoch
-        if np.any(pure):
-            d = np.where(pure & np.isfinite(m0), m0, 0.0)
-            e1 = np.where(pure, d, e1)
-            e2 = np.where(pure, d * d, e2)
-            pure_tail = pure & tail
-            if np.any(pure_tail):
-                t = -d / sc_safe
-                g_val = -d * ndtr(t) + sc_safe * _phi(t)
-                h_val = (sc_safe**2 + d * d) * ndtr(t) - sc_safe * d * _phi(t)
-                l1 = np.where(pure_tail, g_val, l1)
-                l2 = np.where(pure_tail, h_val, l2)
-
-        mean = e1 + l1
-        second = common_var + e2 - l2
+        tail = sc_pos if floored else np.zeros(m, dtype=bool)
+        e1, e2, l1, l2, e_fd = acc
+        mean = e1 + np.where(tail, l1, 0.0)
+        second = common_var + e2 - np.where(tail, l2, 0.0)
         if floored:
             mean = np.maximum(mean, 0.0)
         var = np.maximum(second - mean * mean, 0.0)
-    return mean, var
+        cov = np.empty((len(pivots), m))
+        for n, p in enumerate(pivots):
+            cov[n] = np.where(sc_pos, common_var * e_fd, 0.0) + np.where(
+                stoch[:, p], e_am[n] - mu[:, p] * mean, 0.0
+            )
+    return mean, var, cov
 
 
 def max_moments(state: CommonFactorState) -> tuple[float, float]:
@@ -495,7 +448,7 @@ def max_moments(state: CommonFactorState) -> tuple[float, float]:
     common factor.  Equivalent to integrating the survival function of
     `max_cdf` but uniformly accurate for vanishing volatilities.
     """
-    mean, var = _batched_moments(
+    mean, var, _ = _panel_moments(
         state.component_means[None, :],
         state.component_vars[None, :],
         np.asarray([state.common_var]),
@@ -636,46 +589,103 @@ def _spread_snapshot_arrays(model: MarketModel, times: np.ndarray, anchor: float
 
 
 def _fit_gamma_batch(cov: np.ndarray) -> tuple[np.ndarray, int]:
-    """Per-node gamma for covariance stacks [m, k, k]; counts clamps."""
+    """
+    Per-node gamma for covariance stacks [m, k, k]; counts clamps.
+
+    The Frobenius objective sum_{i != j} (gamma sigma_min^2 - c_ij)^2 is a
+    convex quadratic in gamma, so its minimizer is exactly
+    mean(c_ij) / sigma_min^2, clamped into [0, 1).
+    """
     m, k, _ = cov.shape
     if k == 1:
         return np.zeros(m), 0
-    diag = np.diagonal(cov, axis1=1, axis2=2)
-    sig_min_sq = diag.min(axis=1)
-    clamped = 0
-    if k == 2:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = np.where(sig_min_sq > 0.0, cov[:, 0, 1] / np.where(sig_min_sq > 0, sig_min_sq, 1.0), 0.0)
-        clamped = int(np.sum((raw < 0.0) | (raw > _GAMMA_CAP)))
-        return np.clip(raw, 0.0, _GAMMA_CAP), clamped
-    out = np.empty(m)
-    mask = ~np.eye(k, dtype=bool)
-    for node in range(m):
-        smin = sig_min_sq[node]
-        if smin <= 0.0:
-            out[node] = 0.0
-            continue
-        off = cov[node][mask]
-
-        def frob(g: float) -> float:
-            return float(np.sum((g * smin - off) ** 2))
-
-        out[node] = _golden_section(frob, 0.0, _GAMMA_CAP)
-        unconstrained = float(np.mean(off)) / smin
-        if unconstrained < 0.0 or unconstrained > _GAMMA_CAP:
-            clamped += 1
-    return out, clamped
+    sig_min_sq = np.diagonal(cov, axis1=1, axis2=2).min(axis=1)
+    off = cov[:, ~np.eye(k, dtype=bool)].mean(axis=1)
+    pos = sig_min_sq > 0.0
+    raw = np.where(pos, off / np.where(pos, sig_min_sq, 1.0), 0.0)
+    clamped = int(np.sum((raw < 0.0) | (raw > _GAMMA_CAP)))
+    return np.clip(raw, 0.0, _GAMMA_CAP), clamped
 
 
-def _moment_curves(mu: np.ndarray, cov: np.ndarray, floored: bool, panel=None):
-    """Per-node maximum moments for mean/covariance stacks."""
+def _cf_pipeline(
+    model: MarketModel,
+    t: float,
+    T: float,
+    nodes_per_year: int,
+    displacements: np.ndarray | None = None,
+    pivots: Sequence[int] = (),
+    panel: tuple[np.ndarray, np.ndarray] | None = None,
+):
+    """
+    The common-factor route behind every stochastic CTD factor.
+
+    Builds the kink-aware grid and the spread snapshots anchored at t (the
+    forecasts shifted by the decaying displacements, one state per row, when
+    given), fits gamma, integrates the moments of the floored maximum M with
+    the panel kernel and returns
+
+        (value, psi, moments, gamma, gamma_clamped, shifted)
+
+    with value = exp(-int E[M]) (1 + Psi / 2).  value and psi are floats
+    without displacements and per-state arrays with them.  `shifted` holds
+    the factor of the shifted maximum q_p + M for each 1-based pivot p: its
+    mean is E[q_p] + E[M] and its variance takes the kernel's Cov[q_p, M].
+    """
+    if displacements is not None:
+        u = np.atleast_2d(np.asarray(displacements, dtype=float))
+        if u.shape[1] != model.n_spreads:
+            raise ModelValidationError("one displacement per spread is required")
+    for p in pivots:
+        if not 1 <= p <= model.n_spreads:
+            raise ModelValidationError(f"pivot {p} out of range 1..{model.n_spreads}")
+    if T < t:
+        raise ModelValidationError("need T >= t")
+    if T == t:
+        empty = MaxMoments(np.asarray([t]), np.zeros(1), np.zeros(1))
+        value = 1.0 if displacements is None else np.ones(u.shape[0])
+        return value, 0.0, empty, np.zeros(1), 0, [1.0] * len(pivots)
+    times = _model_time_grid(model, t, T, nodes_per_year)
+    mu, cov = _spread_snapshot_arrays(model, times, anchor=t)
+    if displacements is None:
+        mu = mu[None, :, :]
+    else:
+        decay = np.exp(-np.array([s.kappa for s in model.spreads]) * (times - t)[:, None])
+        mu = mu[None, :, :] + u[:, None, :] * decay[None, :, :]
     gamma, clamped = _fit_gamma_batch(cov)
     diag = np.diagonal(cov, axis1=1, axis2=2)
-    sig_min_sq = diag.min(axis=1)
-    common = gamma * sig_min_sq
+    common = gamma * diag.min(axis=1)
     idio = np.maximum(diag - common[:, None], 0.0)
-    mean, var = _batched_moments(mu, idio, common, floored, panel=panel)
-    return mean, var, gamma, clamped
+    states, ns, n = mu.shape
+    mean, var, cov_pm = _panel_moments(
+        mu.reshape(states * ns, n),
+        np.broadcast_to(idio, (states, ns, n)).reshape(states * ns, n),
+        np.broadcast_to(common, (states, ns)).reshape(states * ns),
+        True,
+        panel,
+        [p - 1 for p in pivots],
+    )
+    mean = mean.reshape(states, ns)
+    var = var.reshape(states, ns)
+
+    def factor(e, v):
+        integral = np.trapezoid(e, times, axis=1)
+        psi = integral_variance_estimator(times, v, t, T)
+        if displacements is None:
+            psi = float(psi[0])
+            return math.exp(-float(integral[0])) * (1.0 + 0.5 * psi), psi
+        return np.exp(-integral) * (1.0 + 0.5 * psi), psi
+
+    value, psi = factor(mean, var)
+    shifted = [
+        factor(
+            mu[:, :, p - 1] + mean,
+            np.maximum(diag[:, p - 1] + var + 2.0 * c.reshape(states, ns), 0.0),
+        )[0]
+        for p, c in zip(pivots, cov_pm)
+    ]
+    if displacements is None:
+        mean, var = mean[0], var[0]
+    return value, psi, MaxMoments(times, mean, var), gamma, clamped, shifted
 
 
 def ctd_common_factor_detailed(
@@ -685,17 +695,7 @@ def ctd_common_factor_detailed(
     nodes_per_year: int = 48,
 ) -> CommonFactorResult:
     """Stochastic CTD factor with its intermediate curves exposed."""
-    if T < t0:
-        raise ModelValidationError("need T >= t0")
-    if T == t0:
-        empty = MaxMoments(np.asarray([t0]), np.zeros(1), np.zeros(1))
-        return CommonFactorResult(1.0, empty, 0.0, np.zeros(1), 0, True)
-    times = _model_time_grid(model, t0, T, nodes_per_year)
-    mu, cov = _spread_snapshot_arrays(model, times, anchor=t0)
-    mean, var, gamma, clamped = _moment_curves(mu, cov, floored=True)
-    moments = MaxMoments(times, mean, var)
-    psi = float(integral_variance_estimator(times, var, t0, T))
-    value = math.exp(-float(np.trapezoid(mean, times))) * (1.0 + 0.5 * psi)
+    value, psi, moments, gamma, clamped, _ = _cf_pipeline(model, t0, T, nodes_per_year)
     return CommonFactorResult(value, moments, psi, gamma, clamped, True)
 
 
@@ -707,139 +707,6 @@ def ctd_common_factor(
     exp(-int E[max]) * (1 + Psi / 2).
     """
     return ctd_common_factor_detailed(model, t0, T, nodes_per_year).value
-
-
-def _pivot_max_covariance(
-    mu: np.ndarray,
-    idio_var: np.ndarray,
-    common_var: np.ndarray,
-    e_max: np.ndarray,
-    pivot: int,
-):
-    """
-    Cov[C + A_p, max(0, C + max_j A_j)] per node, within the decomposition.
-
-    Both contributions are semi-analytic: conditioning on the inner maximum
-    gives E[C (C+d)^+] = s_C^2 Phi(d/s_C) for the shared factor, and the
-    own-factor part decomposes over which component attains the maximum,
-    with every conditional expectation a closed Gaussian form evaluated on
-    the same per-component panels as the moments.
-    """
-    m, k = mu.shape
-    sd = np.sqrt(idio_var)
-    s_c = np.sqrt(common_var)
-    stoch = sd > 0.0
-    p_stoch = stoch[:, pivot]
-    mu_p = mu[:, pivot]
-    sd_p = np.where(p_stoch, sd[:, pivot], 1.0)
-
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
-        det_mu = np.where(stoch, -np.inf, mu)
-        has_det = ~np.all(stoch, axis=1)
-        m0 = np.where(has_det, det_mu.max(axis=1), -np.inf)
-        any_stoch = np.any(stoch, axis=1)
-        sc_pos = s_c > 0.0
-        sc_safe = np.where(sc_pos, s_c, 1.0)
-
-        def g_plus(y):
-            """E[(C + y)^+]; collapses to y^+ without a common factor."""
-            t = y / sc_safe[:, None] if y.ndim == 2 else y / sc_safe
-            smooth = y * ndtr(t) + (sc_safe[:, None] if y.ndim == 2 else sc_safe) * _phi(t)
-            hard = np.maximum(y, 0.0)
-            mask = sc_pos[:, None] if y.ndim == 2 else sc_pos
-            return np.where(mask, smooth, hard)
-
-        x = _PANEL_X * _PANEL_HALF_WIDTH
-        wx = _PANEL_W * _PANEL_HALF_WIDTH * _phi(x)
-        e_am = np.zeros(m)  # E[A_p * max(0, C + D)]
-        e_fd = np.zeros(m)  # E[Phi(D_S / s_C)] over the stochastic maximum
-        for j in range(k):
-            y = mu[:, j][:, None] + sd[:, j][:, None] * x[None, :]
-            w = np.tile(wx, (m, 1))
-            for kk in range(k):
-                if kk == j:
-                    continue
-                sd_kk = np.where(stoch[:, kk], sd[:, kk], 1.0)[:, None]
-                f_kk = np.where(
-                    stoch[:, kk][:, None],
-                    ndtr((y - mu[:, kk][:, None]) / sd_kk),
-                    1.0,
-                )
-                w *= f_kk
-            w = np.where(stoch[:, j][:, None], w, 0.0)
-            g_y = g_plus(y)
-            w_tr = w * (y >= m0[:, None])  # below the hard floor j cannot attain D
-            if j == pivot:
-                integrand = y * g_y
-            else:
-                zp = (y - mu_p[:, None]) / sd_p[:, None]
-                lower_mean = np.where(
-                    p_stoch[:, None],
-                    mu_p[:, None] * ndtr(zp) - sd_p[:, None] * _phi(zp),
-                    mu_p[:, None] * (mu_p[:, None] <= y),
-                )
-                integrand = lower_mean * g_y
-            e_am += np.sum(w_tr * integrand, axis=1)
-            e_fd += np.sum(w * ndtr(y / sc_safe[:, None]), axis=1)
-
-        # term where the deterministic floor attains the maximum
-        if np.any(has_det):
-            gs_m0 = np.ones(m)
-            prod_no_p = np.ones(m)
-            for kk in range(k):
-                f_kk = np.where(
-                    stoch[:, kk],
-                    ndtr((m0 - mu[:, kk]) / np.where(stoch[:, kk], sd[:, kk], 1.0)),
-                    1.0,
-                )
-                gs_m0 *= np.where(np.isfinite(m0), f_kk, 1.0)
-                if kk != pivot:
-                    prod_no_p *= np.where(np.isfinite(m0), f_kk, 1.0)
-            zp0 = (m0 - mu_p) / sd_p
-            lower_p = np.where(p_stoch, mu_p * ndtr(zp0) - sd_p * _phi(zp0), mu_p)
-            g_m0 = np.where(
-                sc_pos, m0 * ndtr(m0 / sc_safe) + sc_safe * _phi(m0 / sc_safe), np.maximum(m0, 0.0)
-            )
-            floor_term = np.where(
-                has_det & np.isfinite(m0), lower_p * prod_no_p * g_m0, 0.0
-            )
-            e_am += floor_term
-
-            # fold the floor into E[Phi(D / s_C)]
-            fold = has_det & any_stoch & sc_pos
-            if np.any(fold):
-                lo_cand = np.where(stoch, mu - _PANEL_HALF_WIDTH * sd, -np.inf)
-                hi_cand = np.where(stoch, mu + _PANEL_HALF_WIDTH * sd, -np.inf)
-                y_lo = np.minimum(lo_cand.max(axis=1), m0)
-                y_hi = np.maximum(np.minimum(hi_cand.max(axis=1), m0), y_lo)
-                width = np.where(fold, y_hi - y_lo, 0.0)
-                base = np.where(fold, y_lo, 0.0)
-                yf = base[:, None] + width[:, None] * 0.5 * (_PANEL_X[None, :] + 1.0)
-                gs = np.ones_like(yf)
-                for kk in range(k):
-                    sd_kk = np.where(stoch[:, kk], sd[:, kk], 1.0)[:, None]
-                    gs *= np.where(
-                        stoch[:, kk][:, None],
-                        ndtr((yf - mu[:, kk][:, None]) / sd_kk),
-                        1.0,
-                    )
-                wf = 0.5 * width[:, None] * _PANEL_W[None, :] * gs
-                e_fd += np.sum(wf * _phi(yf / sc_safe[:, None]) / sc_safe[:, None], axis=1)
-                flat_gain = np.where(
-                    fold,
-                    ndtr(np.where(fold, m0, 0.0) / sc_safe) - ndtr(np.where(fold, y_hi, 0.0) / sc_safe),
-                    0.0,
-                )
-                e_fd += flat_gain
-
-        # states with no stochastic component at all: D == m0 exactly
-        pure = ~any_stoch
-        if np.any(pure):
-            e_fd = np.where(pure & np.isfinite(m0), ndtr(np.where(pure, m0, 0.0) / sc_safe), e_fd)
-
-        cov_c = np.where(sc_pos, common_var * e_fd, 0.0)
-        cov_a = np.where(p_stoch, e_am - mu_p * e_max, 0.0)
-    return cov_c + cov_a
 
 
 def shifted_max_ctd(
@@ -860,25 +727,7 @@ def shifted_max_ctd(
     is then the usual second-order approximation with the diffusion-based
     integral variance.
     """
-    if not 1 <= pivot <= model.n_spreads:
-        raise ModelValidationError(f"pivot {pivot} out of range 1..{model.n_spreads}")
-    if T < t0:
-        raise ModelValidationError("need T >= t0")
-    if T == t0:
-        return 1.0
-    times = _model_time_grid(model, t0, T, nodes_per_year)
-    mu, cov = _spread_snapshot_arrays(model, times, anchor=t0)
-    gamma, _ = _fit_gamma_batch(cov)
-    diag = np.diagonal(cov, axis1=1, axis2=2)
-    common = gamma * diag.min(axis=1)
-    idio = np.maximum(diag - common[:, None], 0.0)
-    e_max, var_max = _batched_moments(mu, idio, common, True)
-    p = pivot - 1
-    cov_pm = _pivot_max_covariance(mu, idio, common, e_max, p)
-    e_sm = mu[:, p] + e_max
-    var_sm = np.maximum(diag[:, p] + var_max + 2.0 * cov_pm, 0.0)
-    psi = float(integral_variance_estimator(times, var_sm, t0, T))
-    return math.exp(-float(np.trapezoid(e_sm, times))) * (1.0 + 0.5 * psi)
+    return _cf_pipeline(model, t0, T, nodes_per_year, pivots=(pivot,))[5][0]
 
 
 # ---------------------------------------------------------------------------
@@ -899,40 +748,11 @@ def ctd_common_factor_conditional(
     `displacements` holds the centred Ornstein-Uhlenbeck offsets u_i(t) of
     every spread, one row per state.  Conditional forecast curves are the
     initial curves plus the offsets decaying at each spread's mean-reversion
-    speed; conditional variances restart from zero at t.
+    speed; conditional variances restart from zero at t.  `fast_panel`
+    integrates on 64-node panels instead of 96, for the revaluation tables.
     """
-    u = np.atleast_2d(np.asarray(displacements, dtype=float))
-    n = model.n_spreads
-    if u.shape[1] != n:
-        raise ModelValidationError("one displacement per spread is required")
-    if T < t:
-        raise ModelValidationError("need T >= t")
-    if T == t:
-        return np.ones(u.shape[0])
-    times = _model_time_grid(model, t, T, nodes_per_year)
-    base_mu, cov = _spread_snapshot_arrays(model, times, anchor=t)
-    ns = times.size
-    decay = np.empty((ns, n))
-    for i in range(1, n + 1):
-        decay[:, i - 1] = np.exp(-model.spread(i).kappa * (times - t))
-    nu = u.shape[0]
-    mu = base_mu[None, :, :] + u[:, None, :] * decay[None, :, :]  # [nu, ns, n]
-    gamma, _ = _fit_gamma_batch(cov)
-    diag = np.diagonal(cov, axis1=1, axis2=2)
-    common = gamma * diag.min(axis=1)
-    idio = np.maximum(diag - common[:, None], 0.0)
-    mean, var = _batched_moments(
-        mu.reshape(nu * ns, n),
-        np.broadcast_to(idio, (nu, ns, n)).reshape(nu * ns, n),
-        np.broadcast_to(common, (nu, ns)).reshape(nu * ns),
-        True,
-        panel=(_PANEL_X64, _PANEL_W64) if fast_panel else None,
-    )
-    mean = mean.reshape(nu, ns)
-    var = var.reshape(nu, ns)
-    integral = np.trapezoid(mean, times, axis=1)
-    psi = integral_variance_estimator(times, var, t, T)
-    return np.exp(-integral) * (1.0 + 0.5 * np.asarray(psi))
+    panel = (_PANEL_X64, _PANEL_W64) if fast_panel else None
+    return _cf_pipeline(model, t, T, nodes_per_year, displacements, panel=panel)[0]
 
 
 class ConditionalCtdTable:

@@ -29,14 +29,20 @@ import numpy as np
 
 from .ctd import (
     ConditionalCtdTable,
+    _cf_pipeline,
     ctd_common_factor,
     ctd_deterministic,
-    shifted_max_ctd,
 )
 from .curves import SpreadCurve, max_curve_breakpoints
 from .instruments import ForwardBondContract, SwapSpec, forward_bond, zcb_domestic, zcb_foreign
 from .montecarlo import PathBundle
-from .spread_model import MarketModel, ModelValidationError, bond_moment, integral_covariance
+from .spread_model import (
+    MarketModel,
+    ModelValidationError,
+    bond_moment,
+    integral_covariance,
+    joint_bond_moment,
+)
 
 __all__ = [
     "QuadraticForm",
@@ -146,26 +152,14 @@ def assemble_quadratic(
             elif i == 0:
                 joint = e[j]
             else:
-                mu = -(
-                    model.spread(i).mean_curve.integral(t0, T)
-                    + model.spread(j).mean_curve.integral(t0, T)
-                )
-                v = (
-                    integral_covariance(model.spread(i), model.spread(i), 1.0, t0, T)
-                    + integral_covariance(model.spread(j), model.spread(j), 1.0, t0, T)
-                    + 2.0
-                    * integral_covariance(
-                        model.spread(i), model.spread(j), model.rho(i, j), t0, T
-                    )
-                )
-                joint = math.exp(mu + 0.5 * v)
+                joint = joint_bond_moment(model.spread(i), model.spread(j), model.rho(i, j), t0, T)
             q[i, j] = q[j, i] = joint * r2 - e[i] * e[j] * r1 * r1
-    ctd = ctd_common_factor(model, t0, T, nodes_per_year)
+    # the plain factor and every shifted factor from one pipeline pass
+    ctd, _, _, _, _, shifted = _cf_pipeline(model, t0, T, nodes_per_year, pivots=range(1, n + 1))
     b = np.empty(n + 1)
     b[0] = ctd * (r2 - r1 * r1)
     for i in range(1, n + 1):
-        sm = shifted_max_ctd(model, i, t0, T, nodes_per_year)
-        b[i] = sm * r2 - ctd * e[i] * r1 * r1
+        b[i] = shifted[i - 1] * r2 - ctd * e[i] * r1 * r1
     return QuadraticForm(q, b, pc_variance)
 
 

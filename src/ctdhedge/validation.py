@@ -498,12 +498,15 @@ def _a10() -> CaseResult:
     ]
     ok = True
     msgs = []
+    # the children import this very checkout, whatever the caller's path
+    src_root = str(Path(__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, (src_root, os.environ.get("PYTHONPATH"))))
     with tempfile.TemporaryDirectory() as tmp:
         for cmd, extra in jobs:
             digests = []
             for run_idx, threads in enumerate(("1", "2", "1")):
                 out = Path(tmp) / f"{cmd}-{run_idx}"
-                env = dict(os.environ, CTD_THREADS=threads)
+                env = dict(os.environ, CTD_THREADS=threads, PYTHONPATH=pythonpath)
                 proc = subprocess.run(
                     [sys.executable, "-m", "ctdhedge.cli", cmd, *extra, "--out", str(out)],
                     capture_output=True, text=True, env=env,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from ctdhedge import (
     CommonFactorState,
@@ -19,7 +20,18 @@ from ctdhedge import (
     max_moments,
     shifted_max_ctd,
 )
-from ctdhedge.ctd import ConditionalCtdTable, ctd_common_factor_conditional
+from ctdhedge.ctd import (
+    _PANEL_HALF_WIDTH,
+    _PANEL_W,
+    _PANEL_W64,
+    _PANEL_X,
+    _PANEL_X64,
+    ConditionalCtdTable,
+    _cf_pipeline,
+    _panel_moments,
+    _phi,
+    ctd_common_factor_conditional,
+)
 from ctdhedge.spread_model import ModelValidationError
 
 
@@ -37,6 +49,336 @@ def _state(means, total_vars, gamma, floored=True):
         common_var=common,
         floor_at_zero=floored,
     )
+
+
+def _random_model(n, negative, seed):
+    """n spreads with every correlation pair nonnegative or every pair negative."""
+    rng = np.random.default_rng(seed)
+    h = 12.0
+    dom = HullWhiteSpec(0.05, 0.0, SpreadCurve.constant(0.0, 0.0, h))
+    spreads = [
+        HullWhiteSpec(
+            float(rng.uniform(0.01, 0.5)),
+            float(rng.uniform(5e-4, 1e-2)),
+            SpreadCurve([0.0, float(rng.uniform(1.0, 11.0)), h], rng.uniform(-0.02, 0.02, 3)),
+        )
+        for _ in range(n)
+    ]
+    a = rng.uniform(0.2, 1.0, n)
+    block = (-0.9 / max(n - 1, 1) if negative else 0.8) * np.outer(a, a)
+    corr = np.eye(n + 1)
+    corr[1:, 1:] = block
+    np.fill_diagonal(corr, 1.0)
+    return MarketModel(dom, spreads, CorrelationMatrix(corr))
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the two moment routines and the pivot
+# covariance that the single panel kernel replaced, verbatim
+# ---------------------------------------------------------------------------
+
+def _moments_fast(mu, idio_var, common_var, floored, px, pw):
+    """Lean kernel: all components stochastic, common factor nondegenerate."""
+    m, k = mu.shape
+    sd = np.sqrt(idio_var)
+    x = px * _PANEL_HALF_WIDTH
+    wx = pw * _PANEL_HALF_WIDTH * _phi(x)
+    e1 = np.zeros(m)
+    e2 = np.zeros(m)
+    l1 = np.zeros(m)
+    l2 = np.zeros(m)
+    s_c = np.sqrt(common_var)[:, None]
+    with np.errstate(under="ignore"):
+        for i in range(k):
+            y = mu[:, i][:, None] + sd[:, i][:, None] * x[None, :]  # [m,g]
+            w = np.tile(wx, (m, 1))
+            for j in range(k):
+                if j != i:
+                    w *= ndtr((y - mu[:, j][:, None]) / sd[:, j][:, None])
+            e1 += np.sum(w * y, axis=1)
+            e2 += np.sum(w * y * y, axis=1)
+            if floored:
+                t = y / s_c
+                nt = ndtr(-t)
+                pt = _phi(t)
+                l1 += np.sum(w * (s_c * pt - y * nt), axis=1)
+                l2 += np.sum(w * ((s_c * s_c + y * y) * nt - s_c * y * pt), axis=1)
+    mean = e1 + l1
+    second = common_var + e2 - l2
+    if floored:
+        mean = np.maximum(mean, 0.0)
+    return mean, np.maximum(second - mean * mean, 0.0)
+
+
+def _batched_moments_core(
+    mu: np.ndarray,
+    idio_var: np.ndarray,
+    common_var: np.ndarray,
+    floored: bool,
+):
+    """
+    First two moments of max(0?, C + max_i A_i) for a batch of states.
+
+    mu, idio_var: [m, k]; common_var: [m].  Moments of the inner maximum are
+    integrated against one component's Gaussian density times the cdfs of
+    the others, with each panel centred and scaled on its own component, so
+    accuracy is uniform down to the sigma -> 0 limit.  Components with zero
+    variance act as a hard floor and are folded in exactly; with a
+    degenerate common factor the zero floor joins that fold, otherwise it
+    enters through closed-form Gaussian lower-tail corrections.
+    """
+    m, k = mu.shape
+    sd = np.sqrt(idio_var)
+    s_c = np.sqrt(common_var)
+    stoch = sd > 0.0
+
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
+        det_mu = np.where(stoch, -np.inf, mu)
+        has_det = ~np.all(stoch, axis=1)
+        m0 = np.where(has_det, det_mu.max(axis=1), -np.inf)
+        # with no common factor the zero floor is just one more hard floor
+        zero_common = s_c == 0.0
+        tail = floored & ~zero_common  # nodes using the Gaussian tail corrections
+        if floored:
+            m0 = np.where(zero_common, np.maximum(m0, 0.0), m0)
+        has_floor = np.isfinite(m0)
+        sc_safe = np.where(zero_common, 1.0, s_c)
+
+        e1 = np.zeros(m)
+        e2 = np.zeros(m)
+        l1 = np.zeros(m)
+        l2 = np.zeros(m)
+
+        any_stoch = np.any(stoch, axis=1)
+
+        if np.any(any_stoch):
+            x = _PANEL_X * _PANEL_HALF_WIDTH
+            wx = _PANEL_W * _PANEL_HALF_WIDTH * _phi(x)  # [g]
+            y = mu[:, :, None] + sd[:, :, None] * x[None, None, :]  # [m,k,g]
+            prod = np.ones((m, k, x.size))
+            for j in range(k):
+                mu_j = mu[:, j][:, None, None]
+                sd_j = np.where(stoch[:, j], sd[:, j], 1.0)[:, None, None]
+                f_j = np.where(
+                    stoch[:, j][:, None, None],
+                    ndtr((y - mu_j) / sd_j),
+                    1.0,  # zero-variance components live in the floor m0
+                )
+                f_j[:, j, :] = 1.0  # own density carries the panel, not its cdf
+                prod = prod * f_j
+            weight = np.where(stoch[:, :, None], prod, 0.0) * wx[None, None, :]
+            e1 += np.sum(weight * y, axis=(1, 2))
+            e2 += np.sum(weight * y * y, axis=(1, 2))
+            if np.any(tail):
+                s3 = sc_safe[:, None, None]
+                w_tail = np.where(tail[:, None, None], weight, 0.0)
+                t = -y / s3
+                gm = -y * ndtr(t) + s3 * _phi(t)  # E[((-y) - C)^+]
+                hm = (s3 * s3 + y * y) * ndtr(t) - s3 * y * _phi(t)
+                l1 += np.sum(w_tail * gm, axis=(1, 2))
+                l2 += np.sum(w_tail * hm, axis=(1, 2))
+
+            # fold the hard floor m0 into the stochastic maximum:
+            # E[f(max(D_S, m0))] = E[f(D_S)] + int_{-inf}^{m0} f'(y) G_S(y) dy.
+            # Above the transition window of G_S the integrand is exactly f',
+            # integrated in closed form; quadrature covers only the window.
+            fold = has_floor & any_stoch
+            if np.any(fold):
+                lo_cand = np.where(stoch, mu - _PANEL_HALF_WIDTH * sd, -np.inf)
+                hi_cand = np.where(stoch, mu + _PANEL_HALF_WIDTH * sd, -np.inf)
+                y_lo = np.minimum(lo_cand.max(axis=1), m0)
+                y_hi = np.minimum(hi_cand.max(axis=1), m0)
+                y_hi = np.maximum(y_hi, y_lo)
+                width = np.where(fold, y_hi - y_lo, 0.0)
+                base = np.where(fold, y_lo, 0.0)
+                yf = base[:, None] + width[:, None] * 0.5 * (_PANEL_X[None, :] + 1.0)
+                gs = np.ones_like(yf)
+                for j in range(k):
+                    sd_j = np.where(stoch[:, j], sd[:, j], 1.0)[:, None]
+                    f_j = np.where(
+                        stoch[:, j][:, None],
+                        ndtr((yf - mu[:, j][:, None]) / sd_j),
+                        1.0,
+                    )
+                    gs = gs * f_j
+                wf = 0.5 * width[:, None] * _PANEL_W[None, :] * gs
+                flat = np.where(fold, m0 - y_hi, 0.0)  # region where G_S == 1
+                m0f = np.where(fold, m0, 0.0)
+                yhf = np.where(fold, y_hi, 0.0)
+                e1 += np.sum(wf, axis=1) + flat
+                e2 += np.sum(wf * 2.0 * yf, axis=1) + np.where(fold, m0f**2 - yhf**2, 0.0)
+                tf_nodes = fold & tail
+                if np.any(tf_nodes):
+                    scf = sc_safe[:, None]
+                    wt = np.where(tf_nodes[:, None], wf, 0.0)
+                    tf = yf / scf
+                    l1 += np.sum(wt * (-ndtr(-tf)), axis=1)
+                    l2 += np.sum(wt * (2.0 * yf * ndtr(-tf) - 2.0 * scf * _phi(tf)), axis=1)
+                    # closed flat parts: g(-y) and h(y) differences
+                    t_m0 = m0f / sc_safe
+                    t_yh = yhf / sc_safe
+                    g_diff = (-m0f * ndtr(-t_m0) + sc_safe * _phi(t_m0)) - (
+                        -yhf * ndtr(-t_yh) + sc_safe * _phi(t_yh)
+                    )
+                    h_diff = (
+                        (sc_safe**2 + m0f**2) * ndtr(-t_m0) - sc_safe * m0f * _phi(t_m0)
+                    ) - ((sc_safe**2 + yhf**2) * ndtr(-t_yh) - sc_safe * yhf * _phi(t_yh))
+                    l1 += np.where(tf_nodes, g_diff, 0.0)
+                    l2 += np.where(tf_nodes, h_diff, 0.0)
+
+        # states whose every component is deterministic: D == m0 exactly
+        pure = ~any_stoch
+        if np.any(pure):
+            d = np.where(pure & np.isfinite(m0), m0, 0.0)
+            e1 = np.where(pure, d, e1)
+            e2 = np.where(pure, d * d, e2)
+            pure_tail = pure & tail
+            if np.any(pure_tail):
+                t = -d / sc_safe
+                g_val = -d * ndtr(t) + sc_safe * _phi(t)
+                h_val = (sc_safe**2 + d * d) * ndtr(t) - sc_safe * d * _phi(t)
+                l1 = np.where(pure_tail, g_val, l1)
+                l2 = np.where(pure_tail, h_val, l2)
+
+        mean = e1 + l1
+        second = common_var + e2 - l2
+        if floored:
+            mean = np.maximum(mean, 0.0)
+        var = np.maximum(second - mean * mean, 0.0)
+    return mean, var
+
+
+def _pivot_max_covariance(
+    mu: np.ndarray,
+    idio_var: np.ndarray,
+    common_var: np.ndarray,
+    e_max: np.ndarray,
+    pivot: int,
+):
+    """
+    Cov[C + A_p, max(0, C + max_j A_j)] per node, within the decomposition.
+
+    Both contributions are semi-analytic: conditioning on the inner maximum
+    gives E[C (C+d)^+] = s_C^2 Phi(d/s_C) for the shared factor, and the
+    own-factor part decomposes over which component attains the maximum,
+    with every conditional expectation a closed Gaussian form evaluated on
+    the same per-component panels as the moments.
+    """
+    m, k = mu.shape
+    sd = np.sqrt(idio_var)
+    s_c = np.sqrt(common_var)
+    stoch = sd > 0.0
+    p_stoch = stoch[:, pivot]
+    mu_p = mu[:, pivot]
+    sd_p = np.where(p_stoch, sd[:, pivot], 1.0)
+
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
+        det_mu = np.where(stoch, -np.inf, mu)
+        has_det = ~np.all(stoch, axis=1)
+        m0 = np.where(has_det, det_mu.max(axis=1), -np.inf)
+        any_stoch = np.any(stoch, axis=1)
+        sc_pos = s_c > 0.0
+        sc_safe = np.where(sc_pos, s_c, 1.0)
+
+        def g_plus(y):
+            """E[(C + y)^+]; collapses to y^+ without a common factor."""
+            t = y / sc_safe[:, None] if y.ndim == 2 else y / sc_safe
+            smooth = y * ndtr(t) + (sc_safe[:, None] if y.ndim == 2 else sc_safe) * _phi(t)
+            hard = np.maximum(y, 0.0)
+            mask = sc_pos[:, None] if y.ndim == 2 else sc_pos
+            return np.where(mask, smooth, hard)
+
+        x = _PANEL_X * _PANEL_HALF_WIDTH
+        wx = _PANEL_W * _PANEL_HALF_WIDTH * _phi(x)
+        e_am = np.zeros(m)  # E[A_p * max(0, C + D)]
+        e_fd = np.zeros(m)  # E[Phi(D_S / s_C)] over the stochastic maximum
+        for j in range(k):
+            y = mu[:, j][:, None] + sd[:, j][:, None] * x[None, :]
+            w = np.tile(wx, (m, 1))
+            for kk in range(k):
+                if kk == j:
+                    continue
+                sd_kk = np.where(stoch[:, kk], sd[:, kk], 1.0)[:, None]
+                f_kk = np.where(
+                    stoch[:, kk][:, None],
+                    ndtr((y - mu[:, kk][:, None]) / sd_kk),
+                    1.0,
+                )
+                w *= f_kk
+            w = np.where(stoch[:, j][:, None], w, 0.0)
+            g_y = g_plus(y)
+            w_tr = w * (y >= m0[:, None])  # below the hard floor j cannot attain D
+            if j == pivot:
+                integrand = y * g_y
+            else:
+                zp = (y - mu_p[:, None]) / sd_p[:, None]
+                lower_mean = np.where(
+                    p_stoch[:, None],
+                    mu_p[:, None] * ndtr(zp) - sd_p[:, None] * _phi(zp),
+                    mu_p[:, None] * (mu_p[:, None] <= y),
+                )
+                integrand = lower_mean * g_y
+            e_am += np.sum(w_tr * integrand, axis=1)
+            e_fd += np.sum(w * ndtr(y / sc_safe[:, None]), axis=1)
+
+        # term where the deterministic floor attains the maximum
+        if np.any(has_det):
+            gs_m0 = np.ones(m)
+            prod_no_p = np.ones(m)
+            for kk in range(k):
+                f_kk = np.where(
+                    stoch[:, kk],
+                    ndtr((m0 - mu[:, kk]) / np.where(stoch[:, kk], sd[:, kk], 1.0)),
+                    1.0,
+                )
+                gs_m0 *= np.where(np.isfinite(m0), f_kk, 1.0)
+                if kk != pivot:
+                    prod_no_p *= np.where(np.isfinite(m0), f_kk, 1.0)
+            zp0 = (m0 - mu_p) / sd_p
+            lower_p = np.where(p_stoch, mu_p * ndtr(zp0) - sd_p * _phi(zp0), mu_p)
+            g_m0 = np.where(
+                sc_pos, m0 * ndtr(m0 / sc_safe) + sc_safe * _phi(m0 / sc_safe), np.maximum(m0, 0.0)
+            )
+            floor_term = np.where(
+                has_det & np.isfinite(m0), lower_p * prod_no_p * g_m0, 0.0
+            )
+            e_am += floor_term
+
+            # fold the floor into E[Phi(D / s_C)]
+            fold = has_det & any_stoch & sc_pos
+            if np.any(fold):
+                lo_cand = np.where(stoch, mu - _PANEL_HALF_WIDTH * sd, -np.inf)
+                hi_cand = np.where(stoch, mu + _PANEL_HALF_WIDTH * sd, -np.inf)
+                y_lo = np.minimum(lo_cand.max(axis=1), m0)
+                y_hi = np.maximum(np.minimum(hi_cand.max(axis=1), m0), y_lo)
+                width = np.where(fold, y_hi - y_lo, 0.0)
+                base = np.where(fold, y_lo, 0.0)
+                yf = base[:, None] + width[:, None] * 0.5 * (_PANEL_X[None, :] + 1.0)
+                gs = np.ones_like(yf)
+                for kk in range(k):
+                    sd_kk = np.where(stoch[:, kk], sd[:, kk], 1.0)[:, None]
+                    gs *= np.where(
+                        stoch[:, kk][:, None],
+                        ndtr((yf - mu[:, kk][:, None]) / sd_kk),
+                        1.0,
+                    )
+                wf = 0.5 * width[:, None] * _PANEL_W[None, :] * gs
+                e_fd += np.sum(wf * _phi(yf / sc_safe[:, None]) / sc_safe[:, None], axis=1)
+                flat_gain = np.where(
+                    fold,
+                    ndtr(np.where(fold, m0, 0.0) / sc_safe) - ndtr(np.where(fold, y_hi, 0.0) / sc_safe),
+                    0.0,
+                )
+                e_fd += flat_gain
+
+        # states with no stochastic component at all: D == m0 exactly
+        pure = ~any_stoch
+        if np.any(pure):
+            e_fd = np.where(pure & np.isfinite(m0), ndtr(np.where(pure, m0, 0.0) / sc_safe), e_fd)
+
+        cov_c = np.where(sc_pos, common_var * e_fd, 0.0)
+        cov_a = np.where(p_stoch, e_am - mu_p * e_max, 0.0)
+    return cov_c + cov_a
 
 
 class TestFitGamma:
@@ -66,14 +408,18 @@ class TestFitGamma:
 
     def test_three_spreads_frobenius_fit(self):
         # equal off-diagonals are matched exactly when feasible
-        smin = 1e-5
         cov = np.diag([1e-5, 2e-5, 3e-5])
         for i in range(3):
             for j in range(3):
                 if i != j:
                     cov[i, j] = 0.3e-5
         snap = GaussianVectorSnapshot([0.0, 0.0, 0.0], cov, time=1.0)
-        assert fit_gamma(snap) == pytest.approx(0.3e-5 / smin, abs=1e-7)
+        assert fit_gamma(snap) == 0.3
+
+    def test_three_spreads_negative_covariances_give_zero(self):
+        cov = np.array([[1e-5, -0.2e-5, -0.1e-5], [-0.2e-5, 2e-5, -0.3e-5], [-0.1e-5, -0.3e-5, 3e-5]])
+        snap = GaussianVectorSnapshot([0.0, 0.0, 0.0], cov, time=1.0)
+        assert fit_gamma(snap) == 0.0
 
     def test_non_psd_snapshot_rejected(self):
         with pytest.raises(ModelValidationError):
@@ -347,3 +693,96 @@ class TestConditional:
     def test_table_at_maturity_is_one(self, flat_pair_model):
         table = ConditionalCtdTable(flat_pair_model, [0.0, 10.0], 10.0)
         assert np.all(table.evaluate(1, np.zeros((4, 2))) == 1.0)
+
+
+def _kernel_states(rng, m, k, kind):
+    """mu, idio_var, common_var for m states of one row kind."""
+    mu = rng.normal(0.0, 0.01, (m, k))
+    idio = rng.uniform(1e-8, 1e-4, (m, k))
+    common = rng.uniform(1e-8, 1e-4, m)
+    if kind == "pure":
+        idio[:] = 0.0
+    elif kind == "pure_zero_common":
+        idio[:] = 0.0
+        common[:] = 0.0
+    elif kind == "partial":
+        det = rng.random((m, k)) < 0.5
+        det[:, 0] = True
+        det[:, 1] = False
+        idio[det] = 0.0
+    elif kind == "zero_common":
+        common[:] = 0.0
+    return mu, idio, common
+
+
+class TestPanelKernel:
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_regular_rows_match_references_bitwise(self, k):
+        rng = np.random.default_rng(k)
+        mu, idio, common = _kernel_states(rng, 300, k, "regular")
+        mean, var, cov = _panel_moments(mu, idio, common, True, pivots=range(k))
+        ref_mean, ref_var = _moments_fast(mu, idio, common, True, _PANEL_X, _PANEL_W)
+        assert mean.tobytes() == ref_mean.tobytes()
+        assert var.tobytes() == ref_var.tobytes()
+        for p in range(k):
+            ref_cov = _pivot_max_covariance(mu, idio, common, ref_mean, p)
+            assert cov[p].tobytes() == ref_cov.tobytes()
+        for panel, floored in (((_PANEL_X64, _PANEL_W64), True), ((_PANEL_X, _PANEL_W), False)):
+            mean, var, _ = _panel_moments(mu, idio, common, floored, panel)
+            ref_mean, ref_var = _moments_fast(mu, idio, common, floored, *panel)
+            assert mean.tobytes() == ref_mean.tobytes()
+            assert var.tobytes() == ref_var.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("kind", ["pure", "pure_zero_common"])
+    def test_pure_rows_match_references_bitwise(self, k, kind):
+        rng = np.random.default_rng(10 + k)
+        mu, idio, common = _kernel_states(rng, 50, k, kind)
+        # regular rows in the same batch take their own chunks
+        reg = _kernel_states(rng, 50, k, "regular")
+        batch = [np.concatenate(pair) for pair in zip((mu, idio, common), reg)]
+        mean, var, cov = _panel_moments(*batch, True, pivots=range(k))
+        ref_mean, ref_var = _batched_moments_core(mu, idio, common, True)
+        assert mean[:50].tobytes() == ref_mean.tobytes()
+        assert var[:50].tobytes() == ref_var.tobytes()
+        for p in range(k):
+            ref_cov = _pivot_max_covariance(mu, idio, common, ref_mean, p)
+            assert cov[p, :50].tobytes() == ref_cov.tobytes()
+        mean, var, _ = _panel_moments(mu, idio, common, False)
+        ref_mean, ref_var = _batched_moments_core(mu, idio, common, False)
+        assert mean.tobytes() == ref_mean.tobytes()
+        assert var.tobytes() == ref_var.tobytes()
+
+    @pytest.mark.parametrize(
+        "k, kind",
+        [(2, "partial"), (4, "partial"), (1, "zero_common"), (2, "zero_common"), (4, "zero_common")],
+    )
+    def test_degenerate_rows_match_references(self, k, kind):
+        rng = np.random.default_rng(20 + k)
+        mu, idio, common = _kernel_states(rng, 200, k, kind)
+        for floored in (True, False):
+            mean, var, cov = _panel_moments(mu, idio, common, floored, pivots=range(k) if floored else ())
+            ref_mean, ref_var = _batched_moments_core(mu, idio, common, floored)
+            np.testing.assert_allclose(mean, ref_mean, rtol=1e-10, atol=1e-18)
+            np.testing.assert_allclose(var, ref_var, rtol=1e-10, atol=1e-18)
+            for p in range(cov.shape[0]):
+                ref_cov = _pivot_max_covariance(mu, idio, common, ref_mean, p)
+                np.testing.assert_allclose(cov[p], ref_cov, rtol=1e-10, atol=1e-18)
+
+
+class TestPipeline:
+    @pytest.mark.parametrize("n, negative", [(2, False), (3, False), (4, True)])
+    def test_shared_pass_matches_single_pivot_calls_bitwise(self, n, negative):
+        model = _random_model(n, negative, seed=n)
+        value, _, _, _, _, shifted = _cf_pipeline(model, 0.0, 6.0, 48, pivots=range(1, n + 1))
+        assert value == ctd_common_factor(model, 0.0, 6.0)
+        for p in range(1, n + 1):
+            assert shifted[p - 1] == shifted_max_ctd(model, p, 0.0, 6.0)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_zero_displacement_at_anchor_matches_unconditional(self, n, negative):
+        model = _random_model(n, negative, seed=100 + n)
+        cond = ctd_common_factor_conditional(model, 0.0, 5.0, np.zeros((1, n)), 48)
+        uncond = ctd_common_factor(model, 0.0, 5.0, 48)
+        assert abs(cond[0] - uncond) <= 1e-12 * abs(uncond)
