@@ -255,6 +255,15 @@ def apply_override(cfg: ExperimentConfig, dotted: str, value: str) -> None:
     """Apply a --set override like 'horizon.maturity=20' or 'spread.1.xi=0.002'."""
     parts = dotted.lower().split(".")
     parsed = _parse_scalar(value)
+
+    def known(section: str, key: str) -> str:
+        allowed = _SECTION_KEYS[section]
+        if key not in allowed:
+            raise ConfigError(
+                f"--set {dotted}: unknown key {key!r} in [{section}]{_suggest(key, allowed)}"
+            )
+        return key
+
     try:
         if parts[0] in ("seed", "command"):
             setattr(cfg, parts[0], int(parsed) if parts[0] == "seed" else str(parsed))
@@ -266,14 +275,19 @@ def apply_override(cfg: ExperimentConfig, dotted: str, value: str) -> None:
                     "antithetic": "mc_antithetic"}[parts[1]]
             setattr(cfg, attr, type(getattr(cfg, attr))(parsed))
         elif parts[0] == "domestic":
-            cfg.domestic[".".join(parts[1:])] = parsed
+            cfg.domestic[known("domestic", ".".join(parts[1:]))] = parsed
         elif parts[0] == "spread":
-            cfg.spreads[int(parts[1]) - 1][".".join(parts[2:])] = parsed
+            idx = int(parts[1])
+            if not 1 <= idx <= len(cfg.spreads):
+                raise ConfigError(f"--set {dotted}: spread indices run 1..{len(cfg.spreads)}")
+            cfg.spreads[idx - 1][known("spread", ".".join(parts[2:]))] = parsed
         elif parts[0] == "correlation":
             cfg.correlations[(int(parts[1].split("_")[1]), int(parts[1].split("_")[2]))] = float(parsed)
         elif parts[0] == "hedge":
             attr = {"strategies": "hedge_strategies", "alpha0_policy": "alpha0_policy",
                     "sd_points_per_year": "sd_points_per_year", "sample_paths": "sample_paths"}[parts[1]]
+            if isinstance(parsed, tuple):
+                parsed = ",".join(map(str, parsed))
             setattr(cfg, attr, type(getattr(cfg, attr))(parsed))
         elif parts[0] == "sensitivity":
             attr = {"kind": "sens_kind", "index": "sens_index", "sweep_start": "sweep_start",
@@ -294,6 +308,7 @@ def apply_override(cfg: ExperimentConfig, dotted: str, value: str) -> None:
             else:
                 raise KeyError(key)
         elif parts[0] == "theta":
+            known("theta", ".".join(parts[1:]))
             cfg.theta_intervals_per_year = int(parsed)
         else:
             raise KeyError(parts[0])

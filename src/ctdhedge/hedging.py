@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _iter_product
 from typing import Sequence
 
 import numpy as np
 
 from .ctd import (
     ConditionalCtdTable,
+    NumericalError,
     _cf_pipeline,
     ctd_common_factor,
     ctd_deterministic,
@@ -67,6 +67,13 @@ __all__ = [
 
 ALPHA0_POLICIES = ("free", "cash_neutral", "zero")
 _DEGENERATE_DIAG = 1e-14
+# active-set iterations allowed per coordinate of the hedge QP before it is a failure
+_QP_ITERATIONS_PER_DIM = 10
+# first-order conditions hold to this fraction of the form's largest entry: far above
+# the rounding of q a + b for |a| <= 1, far below any gain in the objective worth having
+_QP_TOL = 1e-13
+# eigenvalues of a free block below this fraction of its largest span its flat directions
+_QP_FLAT_CURVATURE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -179,70 +186,64 @@ class HedgeWeights:
         object.__setattr__(self, "alpha", a)
 
 
-def _enumerate_boxed_minimum(q: np.ndarray, b: np.ndarray, lo: float, hi: float):
+def _box_qp(q: np.ndarray, b: np.ndarray, lo: float, hi: float):
     """
-    Exact minimizer of a' q a + 2 b' a over the box by face enumeration.
+    Exact minimizer of a' q a + 2 b' a over the box [lo, hi]^n, q PSD.
 
-    Every coordinate is tried interior, at the lower or the upper bound;
-    candidates must satisfy the first-order conditions of their face.  The
-    matrix is positive semidefinite, so those conditions are sufficient.
+    Primal active-set method (Nocedal & Wright, Numerical Optimization,
+    2nd ed., sec. 16.5): every coordinate is free or fixed at a bound.  On
+    a face the free coordinates head for the least-squares solution of the
+    face system and stop at the first bound in the way, which joins the
+    fixed set.  A singular free block whose system has no solution leaves
+    the face unbounded below along its flat directions, so the point moves
+    along the descent direction in that null space until a bound blocks.
+    At the face minimizer the fixed coordinate whose multiplier has the
+    wrong sign by most is freed; when none has, the first-order conditions
+    hold, and they suffice because q is positive semidefinite.  The free
+    coordinates returned are the least-squares solution of the final face,
+    f is evaluated before the clip to the box.
     """
     n = b.size
-    best = None
-    best_f = math.inf
-    gtol = 1e-9 + 1e-7 * max(float(np.abs(q).max()), float(np.abs(b).max()))
-    for states in _iter_product((0, -1, +1), repeat=n):
-        a = np.empty(n)
-        free = [k for k, s in enumerate(states) if s == 0]
-        for k, s in enumerate(states):
-            if s == -1:
-                a[k] = lo
-            elif s == +1:
-                a[k] = hi
-        if free:
+    tol = _QP_TOL * max(float(np.abs(q).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
+    side = np.zeros(n, dtype=int)  # 0 free, -1 at lo, +1 at hi
+    a = np.clip(np.zeros(n), lo, hi)
+    for _ in range(_QP_ITERATIONS_PER_DIM * (n + 1)):
+        free, fixed = np.flatnonzero(side == 0), np.flatnonzero(side)
+        target = a.copy()
+        if free.size:
             qff = q[np.ix_(free, free)]
-            fixed = [k for k in range(n) if k not in free]
-            rhs = -b[free]
-            if fixed:
-                rhs = rhs - q[np.ix_(free, fixed)] @ a[fixed]
-            sol, *_ = np.linalg.lstsq(qff, rhs, rcond=None)
-            a[free] = sol
-            if np.any(a[free] < lo - 1e-12) or np.any(a[free] > hi + 1e-12):
-                continue
-        grad = 2.0 * (q @ a + b)
-        ok = True
-        for k, s in enumerate(states):
-            if s == 0 and abs(grad[k]) > gtol:
-                ok = False
-                break
-            if s == -1 and grad[k] < -gtol:
-                ok = False
-                break
-            if s == +1 and grad[k] > gtol:
-                ok = False
-                break
-        if not ok:
+            target[free], *_ = np.linalg.lstsq(
+                qff, -b[free] - q[np.ix_(free, fixed)] @ a[fixed], rcond=None
+            )
+        grad = 2.0 * (q @ target + b)
+        step = target[free] - a[free]
+        if np.any(np.abs(grad[free]) > tol):
+            w, v = np.linalg.eigh(qff)
+            flat = v[:, w <= _QP_FLAT_CURVATURE * max(float(w.max()), 0.0)]
+            if flat.shape[1]:
+                step = -flat @ (flat.T @ (q[free] @ a + b[free]))
+        elif np.all((target[free] >= lo - 1e-12) & (target[free] <= hi + 1e-12)):
+            a = target
+            wrong = side * grad  # > 0 where a bound holds a coordinate against descent
+            if not np.any(wrong > tol):
+                return np.clip(a, lo, hi), float(a @ q @ a + 2.0 * b @ a)
+            side[int(np.argmax(wrong))] = 0
             continue
-        f = float(a @ q @ a + 2.0 * b @ a)
-        if best is None or f < best_f:
-            best_f = f
-            best = np.clip(a, lo, hi)
-    if best is None:
-        raise ModelValidationError("box-constrained minimization found no KKT point")
-    return best, best_f
-
-
-def _projected_gradient(q, b, lo, hi, iters=20000):
-    lip = float(np.linalg.eigvalsh(q)[-1]) * 2.0 + 1e-12
-    a = np.zeros(b.size)
-    step = 1.0 / lip
-    for _ in range(iters):
-        a_new = np.clip(a - step * 2.0 * (q @ a + b), lo, hi)
-        if np.max(np.abs(a_new - a)) < 1e-14:
-            a = a_new
-            break
-        a = a_new
-    return a, float(a @ q @ a + 2.0 * b @ a)
+        ratio = np.full(free.size, np.inf)
+        up, down = step > 0.0, step < 0.0
+        with np.errstate(over="ignore"):  # a subnormal step never blocks
+            ratio[up] = (hi - a[free[up]]) / step[up]
+            ratio[down] = (lo - a[free[down]]) / step[down]
+        j = int(np.argmin(ratio))
+        if not np.isfinite(ratio[j]):
+            raise NumericalError("box-constrained minimization found no descent direction")
+        a[free] += max(float(ratio[j]), 0.0) * step
+        side[free[j]] = 1 if step[j] > 0.0 else -1
+        a[free[j]] = hi if step[j] > 0.0 else lo
+    raise NumericalError(
+        f"box-constrained minimization found no KKT point in {_QP_ITERATIONS_PER_DIM * (n + 1)} "
+        f"active-set iterations (dimension {n})"
+    )
 
 
 def solve_min_variance(
@@ -267,29 +268,19 @@ def solve_min_variance(
     n = form.size
     lo, hi = box
     degenerate = q[0, 0] < _DEGENERATE_DIAG * max(float(np.diag(q).max()), 1e-300)
-    if degenerate:
-        sub_q = q[1:, 1:]
-        sub_b = b[1:]
-        if n - 1 <= 6:
-            a_sub, f = _enumerate_boxed_minimum(sub_q, sub_b, lo, hi)
-        else:
-            a_sub, f = _projected_gradient(sub_q, sub_b, lo, hi)
-        alpha = np.concatenate(([0.0], a_sub))
-        if alpha0_policy == "cash_neutral":
-            if prices is None:
-                raise ModelValidationError(
-                    "cash_neutral policy needs prices=(choice bond, bonds 0..N)"
-                )
-            pc = float(prices[0])
-            bonds = np.asarray(prices[1:], dtype=float)
-            if bonds.size != n:
-                raise ModelValidationError("need one price per hedge bond")
-            alpha[0] = -(pc + float(bonds[1:] @ alpha[1:])) / float(bonds[0])
-    else:
-        if n <= 7:
-            alpha, f = _enumerate_boxed_minimum(q, b, lo, hi)
-        else:
-            alpha, f = _projected_gradient(q, b, lo, hi)
+    k = 1 if degenerate else 0
+    a_sub, f = _box_qp(q[k:, k:], b[k:], lo, hi)
+    alpha = np.concatenate((np.zeros(k), a_sub))
+    if degenerate and alpha0_policy == "cash_neutral":
+        if prices is None:
+            raise ModelValidationError(
+                "cash_neutral policy needs prices=(choice bond, bonds 0..N)"
+            )
+        pc = float(prices[0])
+        bonds = np.asarray(prices[1:], dtype=float)
+        if bonds.size != n:
+            raise ModelValidationError("need one price per hedge bond")
+        alpha[0] = -(pc + float(bonds[1:] @ alpha[1:])) / float(bonds[0])
     return HedgeWeights(
         alpha=alpha,
         alpha0_policy=alpha0_policy,

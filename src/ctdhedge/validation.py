@@ -28,10 +28,9 @@ from .hedging import (
     build_basic_portfolio,
     build_deterministic_portfolio,
     build_none_portfolio,
-    build_stochastic_portfolio,
     evaluate_portfolio_paths,
     model_crossing_schedule,
-    solve_min_variance,
+    stochastic_strategy,
     synthetic_replication_pnl,
 )
 from .instruments import (
@@ -301,10 +300,7 @@ def _a6() -> CaseResult:
     ok = True
     for name, (w1, w2) in windows.items():
         _, model = _experiment_model(name)
-        form = assemble_quadratic(model, 0.0, 10.0)
-        pc = _ctd.ctd_common_factor(model, 0.0, 10.0) * zcb_domestic(model, 0.0, 10.0)
-        prices = [pc] + [zcb_foreign(model, i, 0.0, 10.0) for i in range(model.n_spreads + 1)]
-        weights = solve_min_variance(form, "cash_neutral", prices=prices)
+        weights, _, _ = stochastic_strategy(model, 0.0, 10.0)
         a1, a2 = float(weights.alpha[1]), float(weights.alpha[2])
         ok &= w1[0] <= a1 <= w1[1] and w2[0] <= a2 <= w2[1]
         msgs.append(f"{name}: a1 {a1:+.3f} in {w1}, a2 {a2:+.3f} in {w2}")
@@ -327,12 +323,9 @@ def _portfolio_suite(name: str, paths: int, sd_points_per_year: int = 4, seed: i
     cfg, model = _experiment_model(name)
     t0, T = 0.0, 10.0
     schedule = model_crossing_schedule(model, t0, T)
-    form = assemble_quadratic(model, t0, T)
-    pc = _ctd.ctd_common_factor(model, t0, T) * zcb_domestic(model, t0, T)
-    prices = [pc] + [zcb_foreign(model, i, t0, T) for i in range(model.n_spreads + 1)]
-    weights = solve_min_variance(form, "cash_neutral", prices=prices)
+    weights, _, stochastic = stochastic_strategy(model, t0, T)
     portfolios = [
-        build_stochastic_portfolio(model, weights, t0, T),
+        stochastic,
         build_deterministic_portfolio(model, schedule, t0, T),
         build_none_portfolio(model, t0, T),
         build_basic_portfolio(model, 1, t0, T),

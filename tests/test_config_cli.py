@@ -1,5 +1,6 @@
 import pytest
 
+from ctdhedge import hedging
 from ctdhedge.cli import main
 from ctdhedge.config import (
     ConfigError,
@@ -9,6 +10,7 @@ from ctdhedge.config import (
     parse_config,
     serialize_config,
 )
+from ctdhedge.ctd import NumericalError
 
 MINIMAL = """
 seed = 77
@@ -99,6 +101,15 @@ class TestParsing:
         assert cfg.mc_paths == 500
         with pytest.raises(ConfigError):
             apply_override(cfg, "horizon.matury", "3.0")
+        # section keys are checked as the file parser checks them, with its suggestion
+        for dotted, hint in (("spread.1.kapa", "kappa"), ("domestic.xii", "xi"),
+                             ("theta.bogus", None), ("spread.0.xi", None)):
+            with pytest.raises(ConfigError) as err:
+                apply_override(cfg, dotted, "5")
+            assert hint is None or f"did you mean {hint!r}" in str(err.value)
+        assert cfg.theta_intervals_per_year == 12
+        apply_override(cfg, "hedge.strategies", "stochastic,none")
+        assert cfg.hedge_strategies == "stochastic,none"
 
     def test_bundled_configs_resolve(self):
         assert bundled_config_path("experiment1") is not None
@@ -134,9 +145,25 @@ class TestCli:
 
     def test_bad_override_exit_code(self, tmp_path):
         cfg = self._write(tmp_path)
-        code = main(["price", "--config", str(cfg), "--set", "horizon.bogus=1",
-                     "--out", str(tmp_path / "o")])
-        assert code == 2
+        for item in ("horizon.bogus=1", "spread.1.kapa=5", "domestic.xii=0.01", "theta.bogus=5"):
+            code = main(["price", "--config", str(cfg), "--set", item,
+                         "--out", str(tmp_path / "o")])
+            assert code == 2
+        out = tmp_path / "s"
+        assert main(["price", "--config", str(cfg), "--set", "hedge.strategies=stochastic,none",
+                     "--out", str(out)]) == 0
+        assert "strategies = stochastic,none\n" in (out / "effective.cfg").read_text()
+
+    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise NumericalError("solver diverged")
+
+        monkeypatch.setattr(hedging, "_box_qp", fail)
+        cfg = self._write(tmp_path)
+        code = main(["hedge", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--paths", "400", "--set", "hedge.sd_points_per_year=1"])
+        assert code == 3
+        assert "numerical failure: solver diverged" in capsys.readouterr().err
 
     def test_malformed_thread_cap_exit_code(self, tmp_path, monkeypatch, capsys):
         cfg = self._write(tmp_path)

@@ -1,7 +1,11 @@
 import math
+from itertools import product as _iter_product
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctdhedge import (
     CorrelationMatrix,
@@ -9,10 +13,13 @@ from ctdhedge import (
     MarketModel,
     SpreadCurve,
     ctd_common_factor,
+    hedging,
 )
+from ctdhedge.ctd import NumericalError
 from ctdhedge.hedging import (
     CrossingSchedule,
     QuadraticForm,
+    _box_qp,
     assemble_quadratic,
     build_basic_portfolio,
     build_deterministic_portfolio,
@@ -88,6 +95,157 @@ class TestQuadraticProgram:
     def test_non_psd_rejected(self):
         with pytest.raises(ModelValidationError):
             QuadraticForm(np.array([[1.0, 0.0], [0.0, -1.0]]), np.zeros(2), 0.0)
+
+
+def _enumerate_boxed_minimum(q: np.ndarray, b: np.ndarray, lo: float, hi: float):
+    """
+    Exact minimizer of a' q a + 2 b' a over the box by face enumeration.
+
+    Every coordinate is tried interior, at the lower or the upper bound;
+    candidates must satisfy the first-order conditions of their face.  The
+    matrix is positive semidefinite, so those conditions are sufficient.
+    """
+    n = b.size
+    best = None
+    best_f = math.inf
+    gtol = 1e-9 + 1e-7 * max(float(np.abs(q).max()), float(np.abs(b).max()))
+    for states in _iter_product((0, -1, +1), repeat=n):
+        a = np.empty(n)
+        free = [k for k, s in enumerate(states) if s == 0]
+        for k, s in enumerate(states):
+            if s == -1:
+                a[k] = lo
+            elif s == +1:
+                a[k] = hi
+        if free:
+            qff = q[np.ix_(free, free)]
+            fixed = [k for k in range(n) if k not in free]
+            rhs = -b[free]
+            if fixed:
+                rhs = rhs - q[np.ix_(free, fixed)] @ a[fixed]
+            sol, *_ = np.linalg.lstsq(qff, rhs, rcond=None)
+            a[free] = sol
+            if np.any(a[free] < lo - 1e-12) or np.any(a[free] > hi + 1e-12):
+                continue
+        grad = 2.0 * (q @ a + b)
+        ok = True
+        for k, s in enumerate(states):
+            if s == 0 and abs(grad[k]) > gtol:
+                ok = False
+                break
+            if s == -1 and grad[k] < -gtol:
+                ok = False
+                break
+            if s == +1 and grad[k] > gtol:
+                ok = False
+                break
+        if not ok:
+            continue
+        f = float(a @ q @ a + 2.0 * b @ a)
+        if best is None or f < best_f:
+            best_f = f
+            best = np.clip(a, lo, hi)
+    if best is None:
+        raise ModelValidationError("box-constrained minimization found no KKT point")
+    return best, best_f
+
+
+def _scale(q, b):
+    return max(float(np.abs(q).max()), float(np.abs(b).max()), 1e-300)
+
+
+def _kkt_violation(q, b, a, lo=-1.0, hi=1.0):
+    """Largest breach of the box QP's first-order conditions, relative to the form's scale."""
+    grad = 2.0 * (q @ a + b)
+    viol = np.where(a <= lo, -grad, np.where(a >= hi, grad, np.abs(grad)))
+    return float(max(viol.max(), 0.0)) / _scale(q, b)
+
+
+def _assert_bitwise_reference(q, b):
+    alpha, f = _box_qp(q, b, -1.0, 1.0)
+    ref_alpha, ref_f = _enumerate_boxed_minimum(q, b, -1.0, 1.0)
+    assert alpha.tobytes() == ref_alpha.tobytes()
+    assert np.float64(f).tobytes() == np.float64(ref_f).tobytes()
+
+
+def _random_form(rng, n, rank=None, scale=1e-4):
+    a = rng.normal(size=(n, n if rank is None else rank))
+    return a @ a.T * scale, rng.normal(size=n) * 2.0 * scale
+
+
+@st.composite
+def _pd_forms(draw):
+    n = draw(st.integers(1, 6))
+    a = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))
+    ridge = draw(st.floats(1e-3, 1.0))
+    b = draw(hnp.arrays(np.float64, n, elements=st.floats(-3.0, 3.0)))
+    scale = draw(st.sampled_from((1e-6, 1e-3, 1.0)))
+    return (a @ a.T + ridge * np.eye(n)) * scale, b * scale
+
+
+class TestBoxQp:
+    """The active-set solver against exhaustive face enumeration."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(_pd_forms())
+    def test_positive_definite_matches_enumeration_bitwise(self, form):
+        q, b = form
+        ref_alpha, ref_f = _enumerate_boxed_minimum(q, b, -1.0, 1.0)
+        grad = 2.0 * (q @ ref_alpha + b)
+        gtol = 1e-9 + 1e-7 * max(float(np.abs(q).max()), float(np.abs(b).max()))
+        weak = (np.abs(np.abs(ref_alpha) - 1.0) <= 1e-9) & (np.abs(grad) <= gtol)
+        if not weak.any():
+            _assert_bitwise_reference(q, b)
+            return
+        # A bound that holds with a vanishing multiplier (q = 1e-9 I, b = 1e-9 gives one)
+        # is met by several faces at the same point to rounding; enumeration keeps the face
+        # whose f is lowest in the last bit, so only the point and f to rounding are fixed.
+        alpha, f = _box_qp(q, b, -1.0, 1.0)
+        assert np.abs(alpha - ref_alpha).max() <= 1e-9
+        assert abs(f - ref_f) <= 1e-14 * _scale(q, b)
+        assert _kkt_violation(q, b, alpha) <= 1e-12
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_large_dimensions_match_enumeration_bitwise(self, n):
+        q, b = _random_form(np.random.default_rng(n), n)
+        alpha, _ = _box_qp(q, b, -1.0, 1.0)
+        assert 0 < np.sum(np.abs(alpha) == 1.0) < n  # some bounds bind, some do not
+        _assert_bitwise_reference(q, b)
+
+    def test_degenerate_cash_weight_sub_problems_match_enumeration(self):
+        for n in (7, 8):
+            sub_q, sub_b = _random_form(np.random.default_rng(10 + n), n)
+            q, b = np.zeros((n + 1, n + 1)), np.zeros(n + 1)
+            q[1:, 1:], b[1:] = sub_q, sub_b
+            form = QuadraticForm(q, b, 0.0)
+            w = solve_min_variance(form, "zero")
+            assert w.alpha0_degenerate and w.alpha[0] == 0.0
+            ref_alpha, ref_f = _enumerate_boxed_minimum(form.matrix[1:, 1:], b[1:], -1.0, 1.0)
+            assert w.alpha[1:].tobytes() == ref_alpha.tobytes()
+            assert np.float64(w.objective).tobytes() == np.float64(ref_f).tobytes()
+
+    def test_rank_deficient_and_zero_forms(self):
+        rng = np.random.default_rng(3)
+        forms = [(np.zeros((n, n)), rng.normal(size=n)) for n in (1, 3, 5)]
+        forms.append((np.zeros((4, 4)), np.array([1.0, 0.0, -2.0, 0.0])))
+        for n in (2, 3, 4, 6):
+            for rank in range(n):
+                q, b = _random_form(rng, n, rank)
+                forms.append((q, b))
+                forms.append((q, q @ rng.normal(size=n)))  # b in the range of q
+                forms.append((QuadraticForm(q, b).matrix, b))
+        for q, b in forms:
+            alpha, f = _box_qp(q, b, -1.0, 1.0)
+            _, ref_f = _enumerate_boxed_minimum(q, b, -1.0, 1.0)
+            assert abs(f - ref_f) <= 1e-12 * _scale(q, b)
+            assert f == pytest.approx(float(alpha @ q @ alpha + 2.0 * b @ alpha), abs=1e-12 * _scale(q, b))
+            assert _kkt_violation(q, b, alpha) <= 1e-12
+
+    def test_iteration_bound_is_loud(self, monkeypatch):
+        q, b = _random_form(np.random.default_rng(1), 3)
+        monkeypatch.setattr(hedging, "_QP_ITERATIONS_PER_DIM", 0)
+        with pytest.raises(NumericalError):
+            _box_qp(q, b, -1.0, 1.0)
 
 
 class TestCrossingSchedule:
