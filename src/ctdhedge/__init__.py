@@ -45,7 +45,6 @@ from .sensitivity import BumpRequest, ctd_sensitivity, sensitivity_profile
 from .hedging import (
     CrossingSchedule,
     HedgeWeights,
-    PnLAccount,
     Portfolio,
     QuadraticForm,
     assemble_quadratic,

@@ -25,12 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, apply_override, load_config, serialize_config
-from .ctd import (
-    ConditionalCtdTable,
-    NumericalError,
-    ctd_common_factor_detailed,
-    ctd_deterministic,
-)
+from .ctd import NumericalError, ctd_common_factor_detailed, ctd_deterministic
 from .hedging import (
     build_basic_portfolio,
     build_deterministic_portfolio,
@@ -149,27 +144,33 @@ def _strategy_names(cfg: ExperimentConfig, model) -> list[str]:
         return ["stochastic", "deterministic", "none"] + [
             f"basic_q{i}" for i in range(1, model.n_spreads + 1)
         ]
-    return [s.strip() for s in cfg.hedge_strategies.split(",") if s.strip()]
+    names = [s.strip() for s in cfg.hedge_strategies.split(",") if s.strip()]
+    for name in names:
+        basic = name.startswith("basic_q") and name.removeprefix("basic_q").isdecimal()
+        if name not in ("stochastic", "deterministic", "none") and not basic:
+            raise ConfigError(
+                f"unknown strategy {name!r}: expected stochastic, deterministic, none or basic_q<i>"
+            )
+    return names
 
 
 def _run_hedge(cfg: ExperimentConfig, model, out: Path, svg: bool) -> int:
     t0, T = cfg.t0, cfg.maturity
+    names = _strategy_names(cfg, model)
     schedule = model_crossing_schedule(model, t0, T)
     weights, form, stoch_pf = stochastic_strategy(
         model, t0, T, cfg.alpha0_policy, cfg.nodes_per_year
     )
     portfolios = []
-    for name in _strategy_names(cfg, model):
+    for name in names:
         if name == "stochastic":
             portfolios.append(stoch_pf)
         elif name == "deterministic":
             portfolios.append(build_deterministic_portfolio(model, schedule, t0, T, cfg.nodes_per_year))
         elif name == "none":
             portfolios.append(build_none_portfolio(model, t0, T, cfg.nodes_per_year))
-        elif name.startswith("basic_q"):
-            portfolios.append(build_basic_portfolio(model, int(name.removeprefix("basic_q")), t0, T, cfg.nodes_per_year))
         else:
-            raise ConfigError(f"unknown strategy {name!r}")
+            portfolios.append(build_basic_portfolio(model, int(name.removeprefix("basic_q")), t0, T, cfg.nodes_per_year))
 
     obs = np.unique(np.concatenate([np.linspace(t0, T, int(round((T - t0) * cfg.sd_points_per_year)) + 1),
                                     [t0, T]]))
@@ -231,16 +232,10 @@ def _run_pnl(cfg: ExperimentConfig, model, out: Path, svg: bool) -> int:
     plan = SimulationPlan(cfg.mc_paths, cfg.mc_steps_per_year, T, cfg.seed,
                           antithetic=cfg.mc_antithetic, t0=cfg.t0,
                           observation_times=tuple(rebal))
-    bundle = simulate(model, plan)
-    tables = {
-        tk: ConditionalCtdTable(model, rebal[rebal <= tk + 1e-12], tk, nodes_per_dim=7)
-        for tk in swap.payment_dates
-    }
+    samples = synthetic_replication_pnl(model, swap, cfg.pnl_schemes, simulate(model, plan))
     rows = []
-    samples = {}
     for scheme in cfg.pnl_schemes:
-        pnl = synthetic_replication_pnl(model, swap, scheme, bundle, tables=tables)
-        samples[scheme] = pnl
+        pnl = samples[scheme]
         q = np.quantile(pnl, [0.05, 0.25, 0.5, 0.75, 0.95])
         rows.append([scheme, pnl.mean(), pnl.std(ddof=1), *q, pnl.min(), pnl.max()])
     write_csv(out / "pnl.csv",

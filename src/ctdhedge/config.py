@@ -25,19 +25,45 @@ class ConfigError(ValueError):
     """Configuration problem; message carries the offending key and line."""
 
 
-_TOP_KEYS = {"seed", "command"}
-_SECTION_KEYS = {
-    "horizon": {"t0", "maturity", "nodes_per_year"},
-    "domestic": {"kappa", "xi", "curve.grid", "curve.values"},
-    "spread": {"kappa", "xi", "curve.grid", "curve.values"},
-    "correlation": None,  # rho_i_j keys validated structurally
-    "mc": {"paths", "steps_per_year", "antithetic"},
-    "hedge": {"strategies", "alpha0_policy", "sd_points_per_year", "sample_paths"},
-    "sensitivity": {"kind", "index", "sweep_start", "sweep_stop", "sweep_count", "epsilon"},
-    "pnl": {"payment_dates", "fixed_rate", "notional", "rebalance_per_year", "schemes"},
-    "theta": {"intervals_per_year"},
-    "acceptance": {"criteria"},
+def _joined(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _floats(value) -> tuple:
+    return tuple(float(v) for v in (value if isinstance(value, tuple) else (value,)))
+
+
+def _strs(value) -> tuple:
+    return tuple(str(v) for v in (value if isinstance(value, tuple) else (value,)))
+
+
+def _rate(value):
+    return value if value == "par" else float(value)
+
+
+# (ExperimentConfig attribute, conversion) per key; the process sections
+# [domestic] and [spread.N] keep their keys in a dict per process
+_PROCESS_FIELDS = {"kappa": float, "xi": float, "curve.grid": _floats, "curve.values": _floats}
+_TOP_FIELDS = {"seed": ("seed", int), "command": ("command", str)}
+_FIELDS = {
+    "horizon": {"t0": ("t0", float), "maturity": ("maturity", float),
+                "nodes_per_year": ("nodes_per_year", int)},
+    "mc": {"paths": ("mc_paths", int), "steps_per_year": ("mc_steps_per_year", int),
+           "antithetic": ("mc_antithetic", bool)},
+    "hedge": {"strategies": ("hedge_strategies", _joined), "alpha0_policy": ("alpha0_policy", str),
+              "sd_points_per_year": ("sd_points_per_year", int),
+              "sample_paths": ("sample_paths", int)},
+    "sensitivity": {"kind": ("sens_kind", str), "index": ("sens_index", int),
+                    "sweep_start": ("sweep_start", float), "sweep_stop": ("sweep_stop", float),
+                    "sweep_count": ("sweep_count", int), "epsilon": ("epsilon", float)},
+    "pnl": {"payment_dates": ("pnl_payment_dates", _floats), "fixed_rate": ("pnl_fixed_rate", _rate),
+            "notional": ("pnl_notional", float),
+            "rebalance_per_year": ("pnl_rebalance_per_year", int),
+            "schemes": ("pnl_schemes", _strs)},
+    "theta": {"intervals_per_year": ("theta_intervals_per_year", int)},
+    "acceptance": {"criteria": ("acceptance_criteria", str)},
 }
+_SECTIONS = (*_FIELDS, "domestic", "spread", "correlation")
 _COMMANDS = ("price", "sensitivity", "hedge", "simulate-pnl", "calibrate-theta", "acceptance")
 
 
@@ -79,11 +105,15 @@ class ExperimentConfig:
             raise ConfigError("no [spread.N] sections found")
         n = len(self.spreads)
         specs = []
-        for block in [self.domestic] + self.spreads:
-            missing = {"kappa", "xi", "curve.grid", "curve.values"} - set(block)
+        names = ["domestic"] + [f"spread.{i}" for i in range(1, n + 1)]
+        for name, block in zip(names, [self.domestic] + self.spreads):
+            missing = set(_PROCESS_FIELDS) - set(block)
             if missing:
-                raise ConfigError(f"process block missing keys: {sorted(missing)}")
-            curve = SpreadCurve(block["curve.grid"], block["curve.values"])
+                raise ConfigError(f"[{name}] missing keys: {sorted(missing)}")
+            try:
+                curve = SpreadCurve(block["curve.grid"], block["curve.values"])
+            except ValueError as exc:
+                raise ConfigError(f"[{name}] curve: {exc}") from None
             specs.append(HullWhiteSpec(block["kappa"], block["xi"], curve))
         entries = np.eye(n + 1)
         for (i, j), rho in self.correlations.items():
@@ -122,12 +152,50 @@ def _suggest(key: str, candidates) -> str:
     return f"; did you mean {close[0]!r}?" if close else ""
 
 
+def _convert(kind, value, where: str, what: str):
+    """kind(value), with a value of the wrong type reported as a ConfigError at `where`."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: invalid {what} {value!r}") from None
+
+
+def _rho_key(key: str, where: str) -> tuple[int, int]:
+    parts = key.split("_")
+    if len(parts) != 3 or parts[0] != "rho" or not (parts[1].isdecimal() and parts[2].isdecimal()):
+        raise ConfigError(f"{where}: correlation keys look like rho_1_2, got {key!r}")
+    return int(parts[1]), int(parts[2])
+
+
+def _assign(cfg: ExperimentConfig, section: str | None, key: str, parsed, where: str, block) -> None:
+    """
+    Store one parsed entry of `section` (None for the top level) on cfg.
+
+    `block` is the key dict of the process a [domestic] or [spread.N] entry
+    belongs to.  Unknown keys and unconvertible values raise ConfigError
+    prefixed with `where`, the file line or the --set argument.
+    """
+    base = section and section.split(".", 1)[0]
+    if base == "correlation":
+        cfg.correlations[_rho_key(key, where)] = _convert(float, parsed, where, key)
+        return
+    fields = _TOP_FIELDS if base is None else _PROCESS_FIELDS if block is not None else _FIELDS[base]
+    if key not in fields:
+        scope = "top-level key" if section is None else "key"
+        place = "" if section is None else f" in [{section}]"
+        raise ConfigError(f"{where}: unknown {scope} {key!r}{place}{_suggest(key, fields)}")
+    if block is not None:
+        block[key] = _convert(fields[key], parsed, where, key)
+    else:
+        attr, kind = fields[key]
+        setattr(cfg, attr, _convert(kind, parsed, where, key))
+
+
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     """Parse configuration text; raise ConfigError with line context."""
     cfg = ExperimentConfig()
-    section = None
+    section = block = None
     spread_blocks: dict[int, dict] = {}
-    seen_spread_curve = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -137,10 +205,10 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
                 raise ConfigError(f"{source}:{lineno}: malformed section header {line!r}")
             section = line[1:-1].strip().lower()
             base = section.split(".", 1)[0]
-            if base not in _SECTION_KEYS:
+            if base not in _SECTIONS:
                 raise ConfigError(
                     f"{source}:{lineno}: unknown section [{section}]"
-                    f"{_suggest(base, _SECTION_KEYS)}"
+                    f"{_suggest(base, _SECTIONS)}"
                 )
             if base == "spread":
                 try:
@@ -151,96 +219,14 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
                     ) from None
                 if idx < 1:
                     raise ConfigError(f"{source}:{lineno}: spread indices start at 1")
-                spread_blocks.setdefault(idx, {})
+                block = spread_blocks.setdefault(idx, {})
+            else:
+                block = cfg.domestic if base == "domestic" else None
             continue
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip().lower()
-        parsed = _parse_scalar(value)
-        if section is None:
-            if key not in _TOP_KEYS:
-                raise ConfigError(
-                    f"{source}:{lineno}: unknown top-level key {key!r}{_suggest(key, _TOP_KEYS)}"
-                )
-            if key == "seed":
-                cfg.seed = int(parsed)
-            else:
-                cfg.command = str(parsed)
-            continue
-        base = section.split(".", 1)[0]
-        allowed = _SECTION_KEYS[base]
-        if base == "correlation":
-            parts = key.split("_")
-            if len(parts) != 3 or parts[0] != "rho":
-                raise ConfigError(
-                    f"{source}:{lineno}: correlation keys look like rho_1_2, got {key!r}"
-                )
-            cfg.correlations[(int(parts[1]), int(parts[2]))] = float(parsed)
-            continue
-        if allowed is not None and key not in allowed:
-            raise ConfigError(
-                f"{source}:{lineno}: unknown key {key!r} in [{section}]{_suggest(key, allowed)}"
-            )
-        if base == "spread":
-            idx = int(section.split(".", 1)[1])
-            spread_blocks[idx][key] = parsed
-            seen_spread_curve[(idx, key)] = lineno
-        elif base == "domestic":
-            cfg.domestic[key] = parsed
-        elif base == "horizon":
-            if key == "t0":
-                cfg.t0 = float(parsed)
-            elif key == "maturity":
-                cfg.maturity = float(parsed)
-            else:
-                cfg.nodes_per_year = int(parsed)
-        elif base == "mc":
-            if key == "paths":
-                cfg.mc_paths = int(parsed)
-            elif key == "steps_per_year":
-                cfg.mc_steps_per_year = int(parsed)
-            else:
-                cfg.mc_antithetic = bool(parsed)
-        elif base == "hedge":
-            if key == "strategies":
-                cfg.hedge_strategies = parsed if isinstance(parsed, str) else ",".join(map(str, parsed))
-            elif key == "alpha0_policy":
-                cfg.alpha0_policy = str(parsed)
-            elif key == "sd_points_per_year":
-                cfg.sd_points_per_year = int(parsed)
-            else:
-                cfg.sample_paths = int(parsed)
-        elif base == "sensitivity":
-            if key == "kind":
-                cfg.sens_kind = str(parsed)
-            elif key == "index":
-                cfg.sens_index = int(parsed)
-            elif key == "sweep_start":
-                cfg.sweep_start = float(parsed)
-            elif key == "sweep_stop":
-                cfg.sweep_stop = float(parsed)
-            elif key == "sweep_count":
-                cfg.sweep_count = int(parsed)
-            else:
-                cfg.epsilon = float(parsed)
-        elif base == "pnl":
-            if key == "payment_dates":
-                dates = parsed if isinstance(parsed, tuple) else (parsed,)
-                cfg.pnl_payment_dates = tuple(float(d) for d in dates)
-            elif key == "fixed_rate":
-                cfg.pnl_fixed_rate = parsed if parsed == "par" else float(parsed)
-            elif key == "notional":
-                cfg.pnl_notional = float(parsed)
-            elif key == "rebalance_per_year":
-                cfg.pnl_rebalance_per_year = int(parsed)
-            else:
-                schemes = parsed if isinstance(parsed, tuple) else (parsed,)
-                cfg.pnl_schemes = tuple(str(s) for s in schemes)
-        elif base == "theta":
-            cfg.theta_intervals_per_year = int(parsed)
-        elif base == "acceptance":
-            cfg.acceptance_criteria = str(parsed)
+        _assign(cfg, section, key.strip().lower(), _parse_scalar(value), f"{source}:{lineno}", block)
     if cfg.command not in _COMMANDS:
         raise ConfigError(
             f"{source}: unknown command {cfg.command!r}{_suggest(cfg.command, _COMMANDS)}"
@@ -253,67 +239,22 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
 
 def apply_override(cfg: ExperimentConfig, dotted: str, value: str) -> None:
     """Apply a --set override like 'horizon.maturity=20' or 'spread.1.xi=0.002'."""
-    parts = dotted.lower().split(".")
-    parsed = _parse_scalar(value)
-
-    def known(section: str, key: str) -> str:
-        allowed = _SECTION_KEYS[section]
-        if key not in allowed:
-            raise ConfigError(
-                f"--set {dotted}: unknown key {key!r} in [{section}]{_suggest(key, allowed)}"
-            )
-        return key
-
-    try:
-        if parts[0] in ("seed", "command"):
-            setattr(cfg, parts[0], int(parsed) if parts[0] == "seed" else str(parsed))
-        elif parts[0] == "horizon":
-            attr = {"t0": "t0", "maturity": "maturity", "nodes_per_year": "nodes_per_year"}[parts[1]]
-            setattr(cfg, attr, type(getattr(cfg, attr))(parsed))
-        elif parts[0] == "mc":
-            attr = {"paths": "mc_paths", "steps_per_year": "mc_steps_per_year",
-                    "antithetic": "mc_antithetic"}[parts[1]]
-            setattr(cfg, attr, type(getattr(cfg, attr))(parsed))
-        elif parts[0] == "domestic":
-            cfg.domestic[known("domestic", ".".join(parts[1:]))] = parsed
-        elif parts[0] == "spread":
-            idx = int(parts[1])
-            if not 1 <= idx <= len(cfg.spreads):
-                raise ConfigError(f"--set {dotted}: spread indices run 1..{len(cfg.spreads)}")
-            cfg.spreads[idx - 1][known("spread", ".".join(parts[2:]))] = parsed
-        elif parts[0] == "correlation":
-            cfg.correlations[(int(parts[1].split("_")[1]), int(parts[1].split("_")[2]))] = float(parsed)
-        elif parts[0] == "hedge":
-            attr = {"strategies": "hedge_strategies", "alpha0_policy": "alpha0_policy",
-                    "sd_points_per_year": "sd_points_per_year", "sample_paths": "sample_paths"}[parts[1]]
-            if isinstance(parsed, tuple):
-                parsed = ",".join(map(str, parsed))
-            setattr(cfg, attr, type(getattr(cfg, attr))(parsed))
-        elif parts[0] == "sensitivity":
-            attr = {"kind": "sens_kind", "index": "sens_index", "sweep_start": "sweep_start",
-                    "sweep_stop": "sweep_stop", "sweep_count": "sweep_count", "epsilon": "epsilon"}[parts[1]]
-            setattr(cfg, attr, type(getattr(cfg, attr))(parsed))
-        elif parts[0] == "pnl":
-            key = parts[1]
-            if key == "payment_dates":
-                cfg.pnl_payment_dates = tuple(float(x) for x in (parsed if isinstance(parsed, tuple) else (parsed,)))
-            elif key == "fixed_rate":
-                cfg.pnl_fixed_rate = parsed if parsed == "par" else float(parsed)
-            elif key == "notional":
-                cfg.pnl_notional = float(parsed)
-            elif key == "rebalance_per_year":
-                cfg.pnl_rebalance_per_year = int(parsed)
-            elif key == "schemes":
-                cfg.pnl_schemes = tuple(str(s) for s in (parsed if isinstance(parsed, tuple) else (parsed,)))
-            else:
-                raise KeyError(key)
-        elif parts[0] == "theta":
-            known("theta", ".".join(parts[1:]))
-            cfg.theta_intervals_per_year = int(parsed)
-        else:
-            raise KeyError(parts[0])
-    except (KeyError, IndexError):
-        raise ConfigError(f"--set {dotted}: unknown configuration path") from None
+    where = f"--set {dotted}"
+    section, _, key = dotted.lower().partition(".")
+    if not key:
+        section, key = None, section
+    block = None
+    if section == "spread":
+        idx, _, key = key.partition(".")
+        idx = _convert(int, idx, where, "spread index")
+        if not 1 <= idx <= len(cfg.spreads):
+            raise ConfigError(f"{where}: spread indices run 1..{len(cfg.spreads)}")
+        block = cfg.spreads[idx - 1]
+    elif section == "domestic":
+        block = cfg.domestic
+    elif section is not None and section not in _SECTIONS:
+        raise ConfigError(f"{where}: unknown configuration path")
+    _assign(cfg, section, key, _parse_scalar(value), where, block)
 
 
 def _fmt(value) -> str:
@@ -382,6 +323,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
             f"rebalance_per_year = {cfg.pnl_rebalance_per_year}",
             f"schemes = {', '.join(cfg.pnl_schemes)}",
         ]
+    if cfg.acceptance_criteria != "all":
+        lines += ["", "[acceptance]", f"criteria = {cfg.acceptance_criteria}"]
     return "\n".join(lines) + "\n"
 
 

@@ -51,7 +51,6 @@ __all__ = [
     "Position",
     "Portfolio",
     "PortfolioPathStats",
-    "PnLAccount",
     "assemble_quadratic",
     "solve_min_variance",
     "crossing_schedule",
@@ -482,7 +481,6 @@ class PortfolioPathStats:
 def evaluate_portfolio_paths(
     portfolios: Portfolio | Sequence[Portfolio],
     bundle: PathBundle,
-    table: ConditionalCtdTable | None = None,
     n_samples: int = 8,
 ) -> list[PortfolioPathStats]:
     """
@@ -501,8 +499,7 @@ def evaluate_portfolio_paths(
         raise ModelValidationError("portfolios must share one maturity")
     maturity = maturities.pop()
     times = bundle.times
-    if table is None:
-        table = ConditionalCtdTable(model, times[times <= maturity], maturity)
+    table = ConditionalCtdTable(model, times[times <= maturity], maturity)
     n_paths = bundle.n_paths
     out = []
     values = {p.name: np.empty((n_paths, times.size)) for p in portfolios}
@@ -553,27 +550,16 @@ def evaluate_portfolio_paths(
 # synthetic replication of a swap's CTD factors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PnLAccount:
-    """Hedge P&L account marked at every rebalancing time, one row per path."""
-
-    times: np.ndarray
-    values: np.ndarray  # [paths, times]
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.values[:, -1]
+PNL_SCHEMES = ("none", "deterministic", "common_factor")
 
 
 def synthetic_replication_pnl(
     model: MarketModel,
     swap: SwapSpec,
-    scheme: str,
+    schemes: Sequence[str],
     bundle: PathBundle,
     nodes_per_year: int = 24,
-    tables: dict[float, ConditionalCtdTable] | None = None,
-    full_account: bool = False,
-) -> np.ndarray | PnLAccount:
+) -> dict[str, np.ndarray]:
     """
     Terminal P&L of hedging the collateral-choice swap with plain bonds.
 
@@ -583,48 +569,48 @@ def synthetic_replication_pnl(
     "common_factor".  The P&L account accrues at the realized domestic
     rate and is marked at every observation time of the bundle (which must
     contain all payment dates); the swap itself is marked with the
-    conditional common-factor pricer.  Returns one terminal P&L per path,
-    or the whole per-time account when `full_account` is set.
+    conditional common-factor pricer, from one table per payment date.
+    All schemes share one pass over the paths, so the tables, the legs and
+    the conditional marks are computed once.  Returns one terminal P&L per
+    path for each scheme, keyed in the order given.
     """
-    if scheme not in ("none", "deterministic", "common_factor"):
-        raise ModelValidationError("scheme must be none, deterministic or common_factor")
+    if isinstance(schemes, str):
+        raise ModelValidationError("schemes must be a sequence of scheme names")
+    schemes = tuple(dict.fromkeys(schemes))
+    if not schemes or any(name not in PNL_SCHEMES for name in schemes):
+        raise ModelValidationError(f"schemes must be a non-empty selection of {PNL_SCHEMES}")
     times = bundle.times
     for tk in swap.payment_dates:
         if not np.any(np.abs(times - tk) < 1e-9):
             raise ModelValidationError(
                 f"payment date {tk:g} is not in the rebalancing grid"
             )
-    model_t0 = bundle.plan.t0
-    n_paths = bundle.n_paths
-    if tables is None:
-        tables = {}
-        for tk in swap.payment_dates:
-            anchors = times[times <= tk + 1e-12]
-            tables[tk] = ConditionalCtdTable(
-                model, anchors, tk, nodes_per_dim=7, nodes_per_year=nodes_per_year
-            )
+    tables = {
+        tk: ConditionalCtdTable(
+            model, times[times <= tk + 1e-12], tk, nodes_per_dim=7, nodes_per_year=nodes_per_year
+        )
+        for tk in swap.payment_dates
+    }
 
-    # synthetic factor schedule per (observation time, payment date)
-    synth = {}
+    # synthetic factor schedule per scheme and (observation time, payment date)
+    synth = {name: {} for name in schemes}
     for tk in swap.payment_dates:
-        for k, t in enumerate(times):
+        for t in times:
             t = float(t)
             if t > tk:
                 continue
-            if scheme == "none":
-                synth[(t, tk)] = 1.0
-            elif scheme == "deterministic":
-                synth[(t, tk)] = ctd_deterministic(model, t, tk)
-            else:
-                synth[(t, tk)] = ctd_common_factor(model, t, tk, nodes_per_year)
+            for name in schemes:
+                if name == "none":
+                    synth[name][(t, tk)] = 1.0
+                elif name == "deterministic":
+                    synth[name][(t, tk)] = ctd_deterministic(model, t, tk)
+                else:
+                    synth[name][(t, tk)] = ctd_common_factor(model, t, tk, nodes_per_year)
 
-    periods = swap.periods(model_t0)
+    periods = swap.periods(bundle.plan.t0)
     sign = 1.0 if swap.payer else -1.0
     fixings: dict[float, np.ndarray] = {}
-    pnl = None
-    prev_pi = None
-    prev_t = None
-    account = np.empty((n_paths, times.size)) if full_account else None
+    pnl = prev_pi = prev_t = None
     for k, t in enumerate(times):
         t = float(t)
         u = bundle.displacements(t)
@@ -635,7 +621,7 @@ def synthetic_replication_pnl(
                 p_end = _conditional_bond(model.domestic, t, e_, u0)
                 fixings[s] = (1.0 / p_end - 1.0) / tau
         # mark the un-hedged residue sum_{T_k > t} (CTD_cond - C_j) * leg_k
-        pi = np.zeros(n_paths)
+        pi = {name: np.zeros(bundle.n_paths) for name in schemes}
         for (s, e_, tau) in periods:
             if e_ <= t + 1e-12:
                 continue
@@ -646,18 +632,15 @@ def synthetic_replication_pnl(
                 p_start = _conditional_bond(model.domestic, t, s, u0)
                 ell = (p_start / p_end - 1.0) / tau
             leg = sign * swap.notional * tau * p_end * (ell - swap.fixed_rate)
-            tk_idx = tables[e_].anchor_times
-            a_idx = int(np.argmin(np.abs(tk_idx - t)))
-            ctd_cond = tables[e_].evaluate(a_idx, u)
-            pi = pi + (ctd_cond - synth[(t, e_)]) * leg
-        if pnl is None:
-            pnl = pi.copy()
+            table = tables[e_]
+            ctd_cond = table.evaluate(int(np.argmin(np.abs(table.anchor_times - t))), u)
+            for name in schemes:
+                pi[name] = pi[name] + (ctd_cond - synth[name][(t, e_)]) * leg
+        if prev_t is None:
+            pnl = pi
         else:
-            pnl = pnl * bundle.bank_factor(prev_t, t) + (pi - prev_pi)
-        if account is not None:
-            account[:, k] = pnl
+            bank = bundle.bank_factor(prev_t, t)
+            pnl = {name: pnl[name] * bank + (pi[name] - prev_pi[name]) for name in schemes}
         prev_pi = pi
         prev_t = t
-    if account is not None:
-        return PnLAccount(times.copy(), account)
     return pnl

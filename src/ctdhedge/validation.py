@@ -461,10 +461,10 @@ def _a9() -> CaseResult:
     rebal = np.unique(np.concatenate([np.linspace(0.0, 8.0, 33), np.asarray(dates)]))
     plan = SimulationPlan(8_000, 12, 8.0, seed=92024, observation_times=tuple(rebal))
     bundle = simulate(pnl_model, plan)
-    sds = {}
-    for scheme in ("none", "deterministic", "common_factor"):
-        pnl = synthetic_replication_pnl(pnl_model, swap, scheme, bundle)
-        sds[scheme] = float(pnl.std(ddof=1))
+    pnls = synthetic_replication_pnl(
+        pnl_model, swap, ("none", "deterministic", "common_factor"), bundle
+    )
+    sds = {scheme: float(pnl.std(ddof=1)) for scheme, pnl in pnls.items()}
     pnl_ok = sds["common_factor"] < sds["deterministic"] < sds["none"]
     ok &= pnl_ok
     msgs.append("pnl sd " + " < ".join(f"{k}:{v:.4e}" for k, v in sds.items()) + f" ordered: {pnl_ok}")

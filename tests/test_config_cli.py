@@ -143,16 +143,51 @@ class TestCli:
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["price", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
 
-    def test_bad_override_exit_code(self, tmp_path):
+    def test_bad_override_exit_code(self, tmp_path, capsys):
         cfg = self._write(tmp_path)
-        for item in ("horizon.bogus=1", "spread.1.kapa=5", "domestic.xii=0.01", "theta.bogus=5"):
+        for item in ("horizon.bogus=1", "spread.1.kapa=5", "domestic.xii=0.01", "theta.bogus=5",
+                     "horizon.maturity=abc", "correlation.rho_a_b=0.1",
+                     "hedge.sd_points_per_year=x", "spread.1.xi=abc", "spread.x.xi=1"):
             code = main(["price", "--config", str(cfg), "--set", item,
                          "--out", str(tmp_path / "o")])
-            assert code == 2
+            assert code == 2, item
+            assert "configuration error: --set " in capsys.readouterr().err
+        # a curve the model rejects is a configuration error too
+        assert main(["price", "--config", str(cfg), "--set", "spread.1.curve.grid=5",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "[spread.1] curve: " in capsys.readouterr().err
+        # a non-numeric value in the file names its line
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MINIMAL.replace("maturity = 2.0", "maturity = abc"))
+        assert main(["price", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        lineno = MINIMAL.splitlines().index("maturity = 2.0") + 1
+        assert f"{bad}:{lineno}: invalid maturity 'abc'" in capsys.readouterr().err
         out = tmp_path / "s"
         assert main(["price", "--config", str(cfg), "--set", "hedge.strategies=stochastic,none",
                      "--out", str(out)]) == 0
         assert "strategies = stochastic,none\n" in (out / "effective.cfg").read_text()
+
+    def test_unknown_strategy_exit_code(self, tmp_path, capsys):
+        cfg = self._write(tmp_path)
+        for strategies in ("basic_qx", "basic_q", "stochastic,bogus"):
+            code = main(["hedge", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "--set", f"hedge.strategies={strategies}"])
+            assert code == 2, strategies
+            assert "unknown strategy" in capsys.readouterr().err
+
+    def test_acceptance_criteria_override(self, tmp_path):
+        cfg = self._write(tmp_path)
+        out = tmp_path / "a"
+        assert main(["acceptance", "--config", str(cfg), "--set", "acceptance.criteria=x05",
+                     "--out", str(out)]) == 0
+        assert "x05_operation_coverage" in (out / "acceptance_report.csv").read_text()
+        effective = (out / "effective.cfg").read_text()
+        assert effective.endswith("\n[acceptance]\ncriteria = x05\n")
+        assert parse_config(effective).acceptance_criteria == "x05"
+        # the default criteria write no [acceptance] section
+        plain = tmp_path / "p"
+        assert main(["price", "--config", str(cfg), "--out", str(plain)]) == 0
+        assert "[acceptance]" not in (plain / "effective.cfg").read_text()
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def fail(*args):

@@ -15,11 +15,12 @@ from ctdhedge import (
     ctd_common_factor,
     hedging,
 )
-from ctdhedge.ctd import NumericalError
+from ctdhedge.ctd import ConditionalCtdTable, NumericalError, ctd_deterministic
 from ctdhedge.hedging import (
     CrossingSchedule,
     QuadraticForm,
     _box_qp,
+    _conditional_bond,
     assemble_quadratic,
     build_basic_portfolio,
     build_deterministic_portfolio,
@@ -428,8 +429,89 @@ class TestPathEvaluation:
         assert np.allclose(bundle.bank_factor(0.0, 5.0), 1.0, atol=1e-15)
 
 
+# ---------------------------------------------------------------------------
+# reference implementation: the one-scheme P&L routine that the one-pass
+# harness replaced, verbatim but for its unused per-time account output
+# ---------------------------------------------------------------------------
+
+def _single_scheme_pnl(model, swap, scheme, bundle, nodes_per_year=24, tables=None):
+    if scheme not in ("none", "deterministic", "common_factor"):
+        raise ModelValidationError("scheme must be none, deterministic or common_factor")
+    times = bundle.times
+    for tk in swap.payment_dates:
+        if not np.any(np.abs(times - tk) < 1e-9):
+            raise ModelValidationError(
+                f"payment date {tk:g} is not in the rebalancing grid"
+            )
+    model_t0 = bundle.plan.t0
+    n_paths = bundle.n_paths
+    if tables is None:
+        tables = {}
+        for tk in swap.payment_dates:
+            anchors = times[times <= tk + 1e-12]
+            tables[tk] = ConditionalCtdTable(
+                model, anchors, tk, nodes_per_dim=7, nodes_per_year=nodes_per_year
+            )
+
+    # synthetic factor schedule per (observation time, payment date)
+    synth = {}
+    for tk in swap.payment_dates:
+        for k, t in enumerate(times):
+            t = float(t)
+            if t > tk:
+                continue
+            if scheme == "none":
+                synth[(t, tk)] = 1.0
+            elif scheme == "deterministic":
+                synth[(t, tk)] = ctd_deterministic(model, t, tk)
+            else:
+                synth[(t, tk)] = ctd_common_factor(model, t, tk, nodes_per_year)
+
+    periods = swap.periods(model_t0)
+    sign = 1.0 if swap.payer else -1.0
+    fixings = {}
+    pnl = None
+    prev_pi = None
+    prev_t = None
+    for k, t in enumerate(times):
+        t = float(t)
+        u = bundle.displacements(t)
+        u0 = bundle.values[:, k, 0] - model.domestic.mean_curve(t)
+        # record fixings at period starts
+        for s, e_, tau in periods:
+            if abs(t - s) < 1e-9:
+                p_end = _conditional_bond(model.domestic, t, e_, u0)
+                fixings[s] = (1.0 / p_end - 1.0) / tau
+        # mark the un-hedged residue sum_{T_k > t} (CTD_cond - C_j) * leg_k
+        pi = np.zeros(n_paths)
+        for (s, e_, tau) in periods:
+            if e_ <= t + 1e-12:
+                continue
+            p_end = _conditional_bond(model.domestic, t, e_, u0)
+            if t >= s - 1e-9:
+                ell = fixings[s]
+            else:
+                p_start = _conditional_bond(model.domestic, t, s, u0)
+                ell = (p_start / p_end - 1.0) / tau
+            leg = sign * swap.notional * tau * p_end * (ell - swap.fixed_rate)
+            tk_idx = tables[e_].anchor_times
+            a_idx = int(np.argmin(np.abs(tk_idx - t)))
+            ctd_cond = tables[e_].evaluate(a_idx, u)
+            pi = pi + (ctd_cond - synth[(t, e_)]) * leg
+        if pnl is None:
+            pnl = pi.copy()
+        else:
+            pnl = pnl * bundle.bank_factor(prev_t, t) + (pi - prev_pi)
+        prev_pi = pi
+        prev_t = t
+    return pnl
+
+
 class TestSyntheticReplication:
-    def _swap_setup(self, xi0, spread_xi=(0.0018, 0.0023)):
+    SCHEMES = ("none", "deterministic", "common_factor")
+
+    def _swap_setup(self, xi0, spread_xi=(0.0018, 0.0023), dates=(1.0, 2.0, 3.0, 4.0),
+                    payer=True, n_paths=2_000):
         h = 12.0
         model = MarketModel(
             HullWhiteSpec(0.03, xi0, SpreadCurve.constant(0.02, 0.0, h)),
@@ -437,17 +519,16 @@ class TestSyntheticReplication:
              HullWhiteSpec(0.0076, spread_xi[1], SpreadCurve.constant(0.0133, 0.0, h))],
             CorrelationMatrix.from_single(0.5),
         )
-        dates = (1.0, 2.0, 3.0, 4.0)
-        swap = SwapSpec(1.0, par_rate(model, dates), dates)
-        rebal = tuple(np.linspace(0.0, 4.0, 17))
-        plan = SimulationPlan(2_000, 12, 4.0, seed=21, observation_times=rebal)
+        swap = SwapSpec(1.0, par_rate(model, dates), dates, payer=payer)
+        rebal = tuple(np.linspace(0.0, dates[-1], 4 * int(dates[-1]) + 1))
+        plan = SimulationPlan(n_paths, 12, dates[-1], seed=21, observation_times=rebal)
         return model, swap, simulate(model, plan)
 
     def test_exact_model_replicates_perfectly(self):
         model, swap, bundle = self._swap_setup(0.0, spread_xi=(0.0, 0.0))
+        pnl = synthetic_replication_pnl(model, swap, ("deterministic", "common_factor"), bundle)
         for scheme in ("deterministic", "common_factor"):
-            pnl = synthetic_replication_pnl(model, swap, scheme, bundle)
-            assert np.max(np.abs(pnl)) < 1e-9
+            assert np.max(np.abs(pnl[scheme])) < 1e-9
 
     def test_zero_spreads_make_schemes_identical(self):
         h = 12.0
@@ -461,8 +542,7 @@ class TestSyntheticReplication:
         plan = SimulationPlan(1_000, 12, 3.0, seed=23,
                               observation_times=tuple(np.linspace(0.0, 3.0, 13)))
         bundle = simulate(model, plan)
-        out = [synthetic_replication_pnl(model, swap, s, bundle)
-               for s in ("none", "deterministic", "common_factor")]
+        out = list(synthetic_replication_pnl(model, swap, self.SCHEMES, bundle).values())
         assert np.allclose(out[0], out[1], atol=1e-12)
         assert np.allclose(out[0], out[2], atol=1e-12)
 
@@ -470,4 +550,30 @@ class TestSyntheticReplication:
         model, swap, bundle = self._swap_setup(0.005)
         odd_swap = SwapSpec(1.0, 0.02, (1.0, 2.5001, 4.0))
         with pytest.raises(ModelValidationError):
-            synthetic_replication_pnl(model, odd_swap, "none", bundle)
+            synthetic_replication_pnl(model, odd_swap, ("none",), bundle)
+
+    @pytest.mark.parametrize("xi0,payer", [(0.005, True), (0.005, False), (0.0, True), (0.0, False)])
+    def test_one_pass_matches_single_scheme_reference_bitwise(self, xi0, payer):
+        model, swap, bundle = self._swap_setup(xi0, dates=(1.0, 2.0, 3.0), payer=payer, n_paths=600)
+        schemes = ("common_factor", "none", "deterministic", "none")
+        got = synthetic_replication_pnl(model, swap, schemes, bundle)
+        assert tuple(got) == ("common_factor", "none", "deterministic")
+        times = bundle.times
+        tables = {
+            tk: ConditionalCtdTable(model, times[times <= tk + 1e-12], tk, nodes_per_dim=7)
+            for tk in swap.payment_dates
+        }
+        for scheme in self.SCHEMES:
+            want = _single_scheme_pnl(model, swap, scheme, bundle, tables=tables)
+            assert got[scheme].tobytes() == want.tobytes(), scheme
+
+    def test_unknown_scheme_fails_before_any_table(self, monkeypatch):
+        model, swap, bundle = self._swap_setup(0.005)
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built before the schemes were checked")
+
+        monkeypatch.setattr(hedging, "ConditionalCtdTable", no_table)
+        for schemes in (("none", "bogus"), (), "none"):
+            with pytest.raises(ModelValidationError):
+                synthetic_replication_pnl(model, swap, schemes, bundle)
