@@ -243,6 +243,8 @@ def apply_override(cfg: ExperimentConfig, dotted: str, value: str) -> None:
     section, _, key = dotted.lower().partition(".")
     if not key:
         section, key = None, section
+        if key == "command":
+            raise ConfigError(f"{where}: the command is the CLI's positional argument, not a setting")
     block = None
     if section == "spread":
         idx, _, key = key.partition(".")

@@ -14,8 +14,9 @@ The same machinery prices the shifted maximum exp(-int max(q_i, q_1+q_i,
 re-anchored at a simulated market state for portfolio revaluation.  One
 panel kernel (`_panel_moments`) integrates the moments of the maximum and
 the pivot covariances, and one pipeline (`_cf_pipeline`: grid, snapshots,
-gamma, moments, Psi, value) serves every stochastic factor; the public
-pricers are thin wrappers around it.
+gamma, moments, Psi, value) serves every stochastic factor, for every
+maturity of one anchor in one pass; the public pricers are thin wrappers
+around it.
 """
 
 from __future__ import annotations
@@ -588,9 +589,9 @@ def _spread_snapshot_arrays(model: MarketModel, times: np.ndarray, anchor: float
     return mu, cov
 
 
-def _fit_gamma_batch(cov: np.ndarray) -> tuple[np.ndarray, int]:
+def _fit_gamma_batch(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
-    Per-node gamma for covariance stacks [m, k, k]; counts clamps.
+    Per-node gamma for covariance stacks [m, k, k], and which nodes clamp.
 
     The Frobenius objective sum_{i != j} (gamma sigma_min^2 - c_ij)^2 is a
     convex quadratic in gamma, so its minimizer is exactly
@@ -598,19 +599,25 @@ def _fit_gamma_batch(cov: np.ndarray) -> tuple[np.ndarray, int]:
     """
     m, k, _ = cov.shape
     if k == 1:
-        return np.zeros(m), 0
+        return np.zeros(m), np.zeros(m, dtype=bool)
     sig_min_sq = np.diagonal(cov, axis1=1, axis2=2).min(axis=1)
     off = cov[:, ~np.eye(k, dtype=bool)].mean(axis=1)
     pos = sig_min_sq > 0.0
     raw = np.where(pos, off / np.where(pos, sig_min_sq, 1.0), 0.0)
-    clamped = int(np.sum((raw < 0.0) | (raw > _GAMMA_CAP)))
-    return np.clip(raw, 0.0, _GAMMA_CAP), clamped
+    return np.clip(raw, 0.0, _GAMMA_CAP), (raw < 0.0) | (raw > _GAMMA_CAP)
+
+
+def _check_maturities(maturities) -> np.ndarray:
+    mats = np.asarray(maturities, dtype=float)
+    if mats.ndim != 1 or mats.size == 0 or np.any(np.diff(mats) <= 0.0):
+        raise ModelValidationError("maturities must be a non-empty, strictly increasing sequence")
+    return mats
 
 
 def _cf_pipeline(
     model: MarketModel,
     t: float,
-    T: float,
+    maturities: Sequence[float],
     nodes_per_year: int,
     displacements: np.ndarray | None = None,
     pivots: Sequence[int] = (),
@@ -619,18 +626,24 @@ def _cf_pipeline(
     """
     The common-factor route behind every stochastic CTD factor.
 
-    Builds the kink-aware grid and the spread snapshots anchored at t (the
-    forecasts shifted by the decaying displacements, one state per row, when
-    given), fits gamma, integrates the moments of the floored maximum M with
-    the panel kernel and returns
+    For every maturity T_k >= t of the strictly increasing `maturities` it
+    builds the kink-aware grid on [t, T_k].  The moments at a node depend on
+    the anchor and the node, not on T_k, so one pass over the union of these
+    grids builds the spread snapshots anchored at t (the forecasts shifted
+    by the decaying displacements, one state per row, when given), fits
+    gamma and integrates the moments of the floored maximum M with the panel
+    kernel.  Each maturity then integrates on its own nodes, and the result
+    holds one tuple per maturity:
 
         (value, psi, moments, gamma, gamma_clamped, shifted)
 
-    with value = exp(-int E[M]) (1 + Psi / 2).  value and psi are floats
-    without displacements and per-state arrays with them.  `shifted` holds
-    the factor of the shifted maximum q_p + M for each 1-based pivot p: its
-    mean is E[q_p] + E[M] and its variance takes the kernel's Cov[q_p, M].
+    with value = exp(-int E[M]) (1 + Psi / 2), and 1 for T_k == t.  value
+    and psi are floats without displacements and per-state arrays with
+    them.  `shifted` holds the factor of the shifted maximum q_p + M for
+    each 1-based pivot p: its mean is E[q_p] + E[M] and its variance takes
+    the kernel's Cov[q_p, M].
     """
+    mats = _check_maturities(maturities)
     if displacements is not None:
         u = np.atleast_2d(np.asarray(displacements, dtype=float))
         if u.shape[1] != model.n_spreads:
@@ -638,13 +651,18 @@ def _cf_pipeline(
     for p in pivots:
         if not 1 <= p <= model.n_spreads:
             raise ModelValidationError(f"pivot {p} out of range 1..{model.n_spreads}")
-    if T < t:
+    if mats[0] < t:
         raise ModelValidationError("need T >= t")
-    if T == t:
+    live = mats[mats > t]
+    results = []
+    if live.size < mats.size:  # T_0 == t
         empty = MaxMoments(np.asarray([t]), np.zeros(1), np.zeros(1))
         value = 1.0 if displacements is None else np.ones(u.shape[0])
-        return value, 0.0, empty, np.zeros(1), 0, [1.0] * len(pivots)
-    times = _model_time_grid(model, t, T, nodes_per_year)
+        results.append((value, 0.0, empty, np.zeros(1), 0, [1.0] * len(pivots)))
+    if not live.size:
+        return results
+    grids = [_model_time_grid(model, t, float(T), nodes_per_year) for T in live]
+    times = np.unique(np.concatenate(grids))
     mu, cov = _spread_snapshot_arrays(model, times, anchor=t)
     if displacements is None:
         mu = mu[None, :, :]
@@ -666,26 +684,31 @@ def _cf_pipeline(
     )
     mean = mean.reshape(states, ns)
     var = var.reshape(states, ns)
-
-    def factor(e, v):
-        integral = np.trapezoid(e, times, axis=1)
-        psi = integral_variance_estimator(times, v, t, T)
-        if displacements is None:
-            psi = float(psi[0])
-            return math.exp(-float(integral[0])) * (1.0 + 0.5 * psi), psi
-        return np.exp(-integral) * (1.0 + 0.5 * psi), psi
-
-    value, psi = factor(mean, var)
-    shifted = [
-        factor(
-            mu[:, :, p - 1] + mean,
-            np.maximum(diag[:, p - 1] + var + 2.0 * c.reshape(states, ns), 0.0),
-        )[0]
+    # (mean, variance) curves of M and of every shifted maximum on the union grid
+    curves = [(mean, var)] + [
+        (mu[:, :, p - 1] + mean, np.maximum(diag[:, p - 1] + var + 2.0 * c.reshape(states, ns), 0.0))
         for p, c in zip(pivots, cov_pm)
     ]
-    if displacements is None:
-        mean, var = mean[0], var[0]
-    return value, psi, MaxMoments(times, mean, var), gamma, clamped, shifted
+
+    def factor(e, v, T, grid, idx):
+        # gather C-ordered: a column gather comes back F-ordered, and the sums
+        # below would then round differently from a pass on the grid alone
+        e = np.ascontiguousarray(e[:, idx])
+        v = np.ascontiguousarray(v[:, idx])
+        integral = np.trapezoid(e, grid, axis=1)
+        psi = integral_variance_estimator(grid, v, t, T)
+        if displacements is None:
+            psi = float(psi[0])
+            return math.exp(-float(integral[0])) * (1.0 + 0.5 * psi), psi, e[0], v[0]
+        return np.exp(-integral) * (1.0 + 0.5 * psi), psi, e, v
+
+    for T, grid in zip(live, grids):
+        idx = np.searchsorted(times, grid)
+        value, psi, e, v = factor(*curves[0], float(T), grid, idx)
+        shifted = [factor(*curve, float(T), grid, idx)[0] for curve in curves[1:]]
+        n_clamped = int(np.count_nonzero(clamped[idx]))
+        results.append((value, psi, MaxMoments(grid, e, v), gamma[idx], n_clamped, shifted))
+    return results
 
 
 def ctd_common_factor_detailed(
@@ -695,7 +718,7 @@ def ctd_common_factor_detailed(
     nodes_per_year: int = 48,
 ) -> CommonFactorResult:
     """Stochastic CTD factor with its intermediate curves exposed."""
-    value, psi, moments, gamma, clamped, _ = _cf_pipeline(model, t0, T, nodes_per_year)
+    value, psi, moments, gamma, clamped, _ = _cf_pipeline(model, t0, (T,), nodes_per_year)[0]
     return CommonFactorResult(value, moments, psi, gamma, clamped, True)
 
 
@@ -727,7 +750,7 @@ def shifted_max_ctd(
     is then the usual second-order approximation with the diffusion-based
     integral variance.
     """
-    return _cf_pipeline(model, t0, T, nodes_per_year, pivots=(pivot,))[5][0]
+    return _cf_pipeline(model, t0, (T,), nodes_per_year, pivots=(pivot,))[0][5][0]
 
 
 # ---------------------------------------------------------------------------
@@ -749,28 +772,32 @@ def ctd_common_factor_conditional(
     every spread, one row per state.  Conditional forecast curves are the
     initial curves plus the offsets decaying at each spread's mean-reversion
     speed; conditional variances restart from zero at t.  `fast_panel`
-    integrates on 64-node panels instead of 96, for the revaluation tables.
+    integrates on the revaluation tables' 64-node panels instead of 96.
     """
     panel = (_PANEL_X64, _PANEL_W64) if fast_panel else None
-    return _cf_pipeline(model, t, T, nodes_per_year, displacements, panel=panel)[0]
+    return _cf_pipeline(model, t, (T,), nodes_per_year, displacements, panel=panel)[0][0]
 
 
 class ConditionalCtdTable:
     """
-    Interpolation table for conditional CTD factors at fixed anchor times.
+    Interpolation tables for conditional CTD factors at fixed anchor times,
+    one per maturity.
 
     For every anchor time a tensor grid of spread displacements is priced
-    with the conditional common-factor routine; queries interpolate the log
-    factor (cubic for interior anchors with enough nodes).  Displacements
-    outside the grid are clamped to its edge, which is five standard
-    deviations out by default.
+    with one conditional common-factor pass (`_cf_pipeline` on 64-node
+    panels) for all the strictly increasing `maturities` after the anchor,
+    and each maturity keeps its own table of the log factor (cubic with
+    four or more nodes per dimension).  `evaluate` clamps the states to the
+    grid's edge, `half_width_sds` standard deviations out, and returns one
+    row per maturity; rows of maturities at or before the anchor are 1.
+    `maturity` is the last maturity, the tables' horizon.
     """
 
     def __init__(
         self,
         model: MarketModel,
         anchor_times: Sequence[float],
-        maturity: float,
+        maturities: Sequence[float],
         nodes_per_dim: int = 9,
         half_width_sds: float = 4.5,
         nodes_per_year: int = 24,
@@ -778,51 +805,55 @@ class ConditionalCtdTable:
         from scipy.interpolate import RegularGridInterpolator
 
         self.model = model
-        self.maturity = float(maturity)
+        self.maturities = _check_maturities(maturities)
+        self.maturity = float(self.maturities[-1])
         self.anchor_times = np.asarray(anchor_times, dtype=float)
         n = model.n_spreads
-        self._interps: list = []
-        self._grids: list = []
+        panel = (_PANEL_X64, _PANEL_W64)
+        method = "cubic" if nodes_per_dim >= 4 else "linear"
+        self._axes: list = []  # per anchor: the displacement axes, or None without a grid
+        self._logs: list = []  # per anchor and maturity: None (factor 1), a float or a table
         for t in self.anchor_times:
-            if t >= maturity:
-                self._interps.append(None)
-                self._grids.append(None)
-                continue
-            sds = [math.sqrt(model.spread(i).variance(float(t))) for i in range(1, n + 1)]
-            if max(sds) < 1e-10:
-                # no dispersion yet: a single conditional value serves all states
-                val = ctd_common_factor_conditional(
-                    model, float(t), maturity, np.zeros((1, n)), nodes_per_year, fast_panel=True
-                )
-                self._interps.append(float(np.log(val[0])))
-                self._grids.append(None)
-                continue
-            axes = [
-                np.linspace(-half_width_sds * max(sd, 1e-12), half_width_sds * max(sd, 1e-12), nodes_per_dim)
-                for sd in sds
-            ]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=1)
-            vals = ctd_common_factor_conditional(
-                model, float(t), maturity, pts, nodes_per_year, fast_panel=True
-            )
-            table = np.log(vals).reshape([nodes_per_dim] * n)
-            method = "cubic" if nodes_per_dim >= 4 else "linear"
-            self._interps.append(
-                RegularGridInterpolator(axes, table, method=method, bounds_error=False, fill_value=None)
-            )
-            self._grids.append(axes)
+            t = float(t)
+            live = self.maturities[self.maturities > t]
+            logs = [None] * (self.maturities.size - live.size)
+            axes = None
+            if live.size:
+                sds = [math.sqrt(model.spread(i).variance(t)) for i in range(1, n + 1)]
+                if max(sds) < 1e-10:
+                    # no dispersion yet: a single conditional value serves all states
+                    results = _cf_pipeline(model, t, live, nodes_per_year, np.zeros((1, n)), panel=panel)
+                    logs += [float(np.log(r[0][0])) for r in results]
+                else:
+                    edges = [half_width_sds * max(sd, 1e-12) for sd in sds]
+                    axes = [np.linspace(-h, h, nodes_per_dim) for h in edges]
+                    mesh = np.meshgrid(*axes, indexing="ij")
+                    pts = np.stack([m.ravel() for m in mesh], axis=1)
+                    results = _cf_pipeline(model, t, live, nodes_per_year, pts, panel=panel)
+                    logs += [
+                        RegularGridInterpolator(
+                            axes, np.log(r[0]).reshape([nodes_per_dim] * n), method=method,
+                            bounds_error=False, fill_value=None,
+                        )
+                        for r in results
+                    ]
+            self._axes.append(axes)
+            self._logs.append(logs)
 
     def evaluate(self, anchor_index: int, displacements: np.ndarray) -> np.ndarray:
-        """Conditional CTD factors for states at one anchor time."""
-        interp = self._interps[anchor_index]
-        n_states = np.atleast_2d(displacements).shape[0]
-        if interp is None:
-            return np.ones(n_states)
-        if isinstance(interp, float):
-            return np.full(n_states, math.exp(interp))
-        u = np.atleast_2d(np.asarray(displacements, dtype=float)).copy()
-        axes = self._grids[anchor_index]
-        for d, ax in enumerate(axes):
-            u[:, d] = np.clip(u[:, d], ax[0], ax[-1])
-        return np.exp(interp(u))
+        """Conditional CTD factors [n_maturities, n_states] for states at one anchor time."""
+        u = np.atleast_2d(np.asarray(displacements, dtype=float))
+        axes = self._axes[anchor_index]
+        if axes is not None:
+            u = u.copy()
+            for d, ax in enumerate(axes):
+                u[:, d] = np.clip(u[:, d], ax[0], ax[-1])
+        rows = []  # stacked last, so no output array is alive during the interpolation
+        for log in self._logs[anchor_index]:
+            if log is None:
+                rows.append(np.ones(u.shape[0]))
+            elif isinstance(log, float):
+                rows.append(np.full(u.shape[0], math.exp(log)))
+            else:
+                rows.append(np.exp(log(u)))
+        return np.stack(rows)

@@ -161,7 +161,7 @@ def assemble_quadratic(
                 joint = joint_bond_moment(model.spread(i), model.spread(j), model.rho(i, j), t0, T)
             q[i, j] = q[j, i] = joint * r2 - e[i] * e[j] * r1 * r1
     # the plain factor and every shifted factor from one pipeline pass
-    ctd, _, _, _, _, shifted = _cf_pipeline(model, t0, T, nodes_per_year, pivots=range(1, n + 1))
+    ctd, _, _, _, _, shifted = _cf_pipeline(model, t0, (T,), nodes_per_year, pivots=range(1, n + 1))[0]
     b = np.empty(n + 1)
     b[0] = ctd * (r2 - r1 * r1)
     for i in range(1, n + 1):
@@ -499,7 +499,7 @@ def evaluate_portfolio_paths(
         raise ModelValidationError("portfolios must share one maturity")
     maturity = maturities.pop()
     times = bundle.times
-    table = ConditionalCtdTable(model, times[times <= maturity], maturity)
+    table = ConditionalCtdTable(model, times[times <= maturity], (maturity,))
     n_paths = bundle.n_paths
     out = []
     values = {p.name: np.empty((n_paths, times.size)) for p in portfolios}
@@ -510,7 +510,7 @@ def evaluate_portfolio_paths(
         pdom = _conditional_bond(model.domestic, t, maturity, u0)
         if t < maturity:
             anchor = int(np.argmin(np.abs(table.anchor_times - t)))
-            choice = table.evaluate(anchor, u) * pdom
+            choice = table.evaluate(anchor, u)[0] * pdom
         else:
             choice = np.ones(n_paths)
         bonds = {0: pdom}
@@ -569,10 +569,13 @@ def synthetic_replication_pnl(
     "common_factor".  The P&L account accrues at the realized domestic
     rate and is marked at every observation time of the bundle (which must
     contain all payment dates); the swap itself is marked with the
-    conditional common-factor pricer, from one table per payment date.
-    All schemes share one pass over the paths, so the tables, the legs and
-    the conditional marks are computed once.  Returns one terminal P&L per
-    path for each scheme, keyed in the order given.
+    conditional common-factor pricer, from one `ConditionalCtdTable` for
+    all payment dates, evaluated once per observation time.  The
+    common-factor schedule takes one pipeline pass per observation time for
+    all later payment dates.  All schemes share one pass over the paths, so
+    the table, the legs and the conditional marks are computed once.
+    Returns one terminal P&L per path for each scheme, keyed in the order
+    given.
     """
     if isinstance(schemes, str):
         raise ModelValidationError("schemes must be a sequence of scheme names")
@@ -585,29 +588,29 @@ def synthetic_replication_pnl(
             raise ModelValidationError(
                 f"payment date {tk:g} is not in the rebalancing grid"
             )
-    tables = {
-        tk: ConditionalCtdTable(
-            model, times[times <= tk + 1e-12], tk, nodes_per_dim=7, nodes_per_year=nodes_per_year
-        )
-        for tk in swap.payment_dates
-    }
+    dates = swap.payment_dates
+    table = ConditionalCtdTable(
+        model, times[times <= dates[-1] + 1e-12], dates, nodes_per_dim=7, nodes_per_year=nodes_per_year
+    )
 
     # synthetic factor schedule per scheme and (observation time, payment date)
     synth = {name: {} for name in schemes}
-    for tk in swap.payment_dates:
-        for t in times:
-            t = float(t)
-            if t > tk:
-                continue
-            for name in schemes:
-                if name == "none":
-                    synth[name][(t, tk)] = 1.0
-                elif name == "deterministic":
-                    synth[name][(t, tk)] = ctd_deterministic(model, t, tk)
-                else:
-                    synth[name][(t, tk)] = ctd_common_factor(model, t, tk, nodes_per_year)
+    for t in times:
+        t = float(t)
+        ahead = [tk for tk in dates if tk >= t]
+        if not ahead:
+            continue
+        if "common_factor" in schemes:
+            cf = [r[0] for r in _cf_pipeline(model, t, ahead, nodes_per_year)]
+            for tk, value in zip(ahead, cf):
+                synth["common_factor"][(t, tk)] = value
+        for tk in ahead:
+            if "none" in schemes:
+                synth["none"][(t, tk)] = 1.0
+            if "deterministic" in schemes:
+                synth["deterministic"][(t, tk)] = ctd_deterministic(model, t, tk)
 
-    periods = swap.periods(bundle.plan.t0)
+    periods = swap.periods(bundle.plan.t0)  # period j ends on dates[j], row j of the table
     sign = 1.0 if swap.payer else -1.0
     fixings: dict[float, np.ndarray] = {}
     pnl = prev_pi = prev_t = None
@@ -622,9 +625,11 @@ def synthetic_replication_pnl(
                 fixings[s] = (1.0 / p_end - 1.0) / tau
         # mark the un-hedged residue sum_{T_k > t} (CTD_cond - C_j) * leg_k
         pi = {name: np.zeros(bundle.n_paths) for name in schemes}
-        for (s, e_, tau) in periods:
-            if e_ <= t + 1e-12:
-                continue
+        live = [j for j, (_, e_, _) in enumerate(periods) if e_ > t + 1e-12]
+        if live:
+            ctd_cond = table.evaluate(int(np.argmin(np.abs(table.anchor_times - t))), u)
+        for j in live:
+            s, e_, tau = periods[j]
             p_end = _conditional_bond(model.domestic, t, e_, u0)
             if t >= s - 1e-9:
                 ell = fixings[s]
@@ -632,10 +637,8 @@ def synthetic_replication_pnl(
                 p_start = _conditional_bond(model.domestic, t, s, u0)
                 ell = (p_start / p_end - 1.0) / tau
             leg = sign * swap.notional * tau * p_end * (ell - swap.fixed_rate)
-            table = tables[e_]
-            ctd_cond = table.evaluate(int(np.argmin(np.abs(table.anchor_times - t))), u)
             for name in schemes:
-                pi[name] = pi[name] + (ctd_cond - synth[name][(t, e_)]) * leg
+                pi[name] = pi[name] + (ctd_cond[j] - synth[name][(t, e_)]) * leg
         if prev_t is None:
             pnl = pi
         else:

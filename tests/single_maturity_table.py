@@ -1,0 +1,87 @@
+"""Reference for the conditional-table tests: the one-maturity
+`ConditionalCtdTable` that the multi-maturity table replaced, verbatim but
+for its class name.  It prices each maturity with its own conditional pass
+through the public `ctd_common_factor_conditional`."""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from ctdhedge.ctd import ctd_common_factor_conditional
+from ctdhedge.spread_model import MarketModel
+
+
+class SingleMaturityCtdTable:
+    """
+    Interpolation table for conditional CTD factors at fixed anchor times.
+
+    For every anchor time a tensor grid of spread displacements is priced
+    with the conditional common-factor routine; queries interpolate the log
+    factor (cubic for interior anchors with enough nodes).  Displacements
+    outside the grid are clamped to its edge, which is five standard
+    deviations out by default.
+    """
+
+    def __init__(
+        self,
+        model: MarketModel,
+        anchor_times: Sequence[float],
+        maturity: float,
+        nodes_per_dim: int = 9,
+        half_width_sds: float = 4.5,
+        nodes_per_year: int = 24,
+    ):
+        from scipy.interpolate import RegularGridInterpolator
+
+        self.model = model
+        self.maturity = float(maturity)
+        self.anchor_times = np.asarray(anchor_times, dtype=float)
+        n = model.n_spreads
+        self._interps: list = []
+        self._grids: list = []
+        for t in self.anchor_times:
+            if t >= maturity:
+                self._interps.append(None)
+                self._grids.append(None)
+                continue
+            sds = [math.sqrt(model.spread(i).variance(float(t))) for i in range(1, n + 1)]
+            if max(sds) < 1e-10:
+                # no dispersion yet: a single conditional value serves all states
+                val = ctd_common_factor_conditional(
+                    model, float(t), maturity, np.zeros((1, n)), nodes_per_year, fast_panel=True
+                )
+                self._interps.append(float(np.log(val[0])))
+                self._grids.append(None)
+                continue
+            axes = [
+                np.linspace(-half_width_sds * max(sd, 1e-12), half_width_sds * max(sd, 1e-12), nodes_per_dim)
+                for sd in sds
+            ]
+            mesh = np.meshgrid(*axes, indexing="ij")
+            pts = np.stack([m.ravel() for m in mesh], axis=1)
+            vals = ctd_common_factor_conditional(
+                model, float(t), maturity, pts, nodes_per_year, fast_panel=True
+            )
+            table = np.log(vals).reshape([nodes_per_dim] * n)
+            method = "cubic" if nodes_per_dim >= 4 else "linear"
+            self._interps.append(
+                RegularGridInterpolator(axes, table, method=method, bounds_error=False, fill_value=None)
+            )
+            self._grids.append(axes)
+
+    def evaluate(self, anchor_index: int, displacements: np.ndarray) -> np.ndarray:
+        """Conditional CTD factors for states at one anchor time."""
+        interp = self._interps[anchor_index]
+        n_states = np.atleast_2d(displacements).shape[0]
+        if interp is None:
+            return np.ones(n_states)
+        if isinstance(interp, float):
+            return np.full(n_states, math.exp(interp))
+        u = np.atleast_2d(np.asarray(displacements, dtype=float)).copy()
+        axes = self._grids[anchor_index]
+        for d, ax in enumerate(axes):
+            u[:, d] = np.clip(u[:, d], ax[0], ax[-1])
+        return np.exp(interp(u))

@@ -147,7 +147,8 @@ class TestCli:
         cfg = self._write(tmp_path)
         for item in ("horizon.bogus=1", "spread.1.kapa=5", "domestic.xii=0.01", "theta.bogus=5",
                      "horizon.maturity=abc", "correlation.rho_a_b=0.1",
-                     "hedge.sd_points_per_year=x", "spread.1.xi=abc", "spread.x.xi=1"):
+                     "hedge.sd_points_per_year=x", "spread.1.xi=abc", "spread.x.xi=1",
+                     "command=bogus", "command=price"):
             code = main(["price", "--config", str(cfg), "--set", item,
                          "--out", str(tmp_path / "o")])
             assert code == 2, item

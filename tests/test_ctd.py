@@ -28,11 +28,14 @@ from ctdhedge.ctd import (
     _PANEL_X64,
     ConditionalCtdTable,
     _cf_pipeline,
+    _model_time_grid,
     _panel_moments,
     _phi,
     ctd_common_factor_conditional,
 )
+from ctdhedge.config import load_config
 from ctdhedge.spread_model import ModelValidationError
+from single_maturity_table import SingleMaturityCtdTable
 
 
 def _state(means, total_vars, gamma, floored=True):
@@ -681,17 +684,17 @@ class TestConditional:
 
     def test_table_consistency(self, flat_pair_model):
         anchors = np.linspace(0.0, 10.0, 6)
-        table = ConditionalCtdTable(flat_pair_model, anchors, 10.0, nodes_per_year=24)
+        table = ConditionalCtdTable(flat_pair_model, anchors, (10.0,), nodes_per_year=24)
         rng = np.random.default_rng(0)
         t = anchors[3]
         sds = np.sqrt([flat_pair_model.spread(i).variance(t) for i in (1, 2)])
         pts = np.clip(rng.normal(0.0, 1.0, (100, 2)) * sds, -3.5 * sds, 3.5 * sds)
         direct = ctd_common_factor_conditional(flat_pair_model, t, 10.0, pts, 24, fast_panel=True)
-        via = table.evaluate(3, pts)
+        via = table.evaluate(3, pts)[0]
         assert np.max(np.abs(via / direct - 1.0)) < 3e-3
 
     def test_table_at_maturity_is_one(self, flat_pair_model):
-        table = ConditionalCtdTable(flat_pair_model, [0.0, 10.0], 10.0)
+        table = ConditionalCtdTable(flat_pair_model, [0.0, 10.0], (10.0,))
         assert np.all(table.evaluate(1, np.zeros((4, 2))) == 1.0)
 
 
@@ -774,7 +777,7 @@ class TestPipeline:
     @pytest.mark.parametrize("n, negative", [(2, False), (3, False), (4, True)])
     def test_shared_pass_matches_single_pivot_calls_bitwise(self, n, negative):
         model = _random_model(n, negative, seed=n)
-        value, _, _, _, _, shifted = _cf_pipeline(model, 0.0, 6.0, 48, pivots=range(1, n + 1))
+        value, _, _, _, _, shifted = _cf_pipeline(model, 0.0, (6.0,), 48, pivots=range(1, n + 1))[0]
         assert value == ctd_common_factor(model, 0.0, 6.0)
         for p in range(1, n + 1):
             assert shifted[p - 1] == shifted_max_ctd(model, p, 0.0, 6.0)
@@ -786,3 +789,104 @@ class TestPipeline:
         cond = ctd_common_factor_conditional(model, 0.0, 5.0, np.zeros((1, n)), 48)
         uncond = ctd_common_factor(model, 0.0, 5.0, 48)
         assert abs(cond[0] - uncond) <= 1e-12 * abs(uncond)
+
+
+class TestMultiMaturity:
+    """One conditional pass per anchor for every maturity, against one pass per maturity."""
+
+    MATURITIES = (1.0, 2.7, 3.3, 5.0, 7.0)
+
+    def test_table_matches_single_maturity_tables_bitwise(self):
+        model = load_config("experiment2").build_model()
+        anchors = np.linspace(0.0, 7.0, 29)  # quarter years, t0 and every maturity included
+        table = ConditionalCtdTable(model, anchors, self.MATURITIES, nodes_per_dim=5)
+        assert table.maturity == 7.0
+        refs = [SingleMaturityCtdTable(model, anchors, T, nodes_per_dim=5) for T in self.MATURITIES]
+        rng = np.random.default_rng(7)
+        for a, t in enumerate(anchors):
+            sds = np.sqrt([model.spread(i).variance(t) for i in (1, 2)])
+            u = rng.normal(0.0, 1.0, (40, 2)) * 6.0 * sds  # some states beyond the clamp
+            got = table.evaluate(a, u)
+            assert got.shape == (len(self.MATURITIES), 40)
+            for k, ref in enumerate(refs):
+                assert got[k].tobytes() == ref.evaluate(a, u).tobytes(), (t, self.MATURITIES[k])
+                if t >= self.MATURITIES[k]:
+                    assert np.all(got[k] == 1.0)
+        # t0 has no dispersion, so one value serves every state
+        at_t0 = table.evaluate(0, rng.normal(0.0, 1e-3, (5, 2)))
+        assert np.all(at_t0 == table.evaluate(0, np.zeros((1, 2))))
+
+    def test_maturity_grids_are_not_prefixes(self):
+        # the case the union grid exists for: a maturity's grid that is not
+        # a bitwise prefix of the last maturity's grid
+        model = load_config("experiment2").build_model()
+        found = 0
+        for t in np.linspace(0.0, 3.25, 14):
+            last = _model_time_grid(model, t, 7.0, 24)
+            for T in (T for T in (2.7, 3.3) if T > t):
+                grid = _model_time_grid(model, t, T, 24)
+                found += not np.array_equal(grid, last[: grid.size])
+        assert found > 0
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 2.5])
+    def test_pipeline_matches_one_maturity_calls_bitwise(self, t):
+        model = _random_model(3, False, seed=31)
+        maturities = (1.0, 2.7, 3.3, 6.0)
+        ahead = [T for T in maturities if T >= t]
+        multi = _cf_pipeline(model, t, ahead, 48, pivots=(1, 3))
+        assert len(multi) == len(ahead)
+        for T, (value, psi, moments, gamma, clamped, shifted) in zip(ahead, multi):
+            assert value == ctd_common_factor(model, t, T)
+            one = _cf_pipeline(model, t, (T,), 48, pivots=(1, 3))[0]
+            assert psi == one[1]
+            for a, b in ((moments.times, one[2].times), (moments.mean, one[2].mean),
+                         (moments.variance, one[2].variance), (gamma, one[3])):
+                assert a.tobytes() == b.tobytes()
+            assert clamped == one[4]
+            assert shifted == one[5] == [shifted_max_ctd(model, p, t, T) for p in (1, 3)]
+        if t == 1.0:  # T_0 == t
+            assert multi[0][0] == 1.0 and multi[0][5] == [1.0, 1.0]
+
+    def test_pipeline_with_displacements_matches_conditional_bitwise(self):
+        model = _random_model(2, True, seed=32)
+        u = np.random.default_rng(3).normal(0.0, 2e-3, (30, 2))
+        multi = _cf_pipeline(model, 1.5, (1.5, 2.7, 3.3, 5.0), 24, u, panel=(_PANEL_X64, _PANEL_W64))
+        assert np.all(multi[0][0] == 1.0)
+        for T, result in zip((2.7, 3.3, 5.0), multi[1:]):
+            want = ctd_common_factor_conditional(model, 1.5, T, u, 24, fast_panel=True)
+            assert result[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("maturities", [(), (3.0, 2.0), (2.0, 2.0), [[2.0, 3.0]], 5.0])
+    def test_bad_maturities_rejected(self, flat_pair_model, maturities):
+        with pytest.raises(ModelValidationError):
+            _cf_pipeline(flat_pair_model, 0.0, maturities, 24)
+        with pytest.raises(ModelValidationError):
+            ConditionalCtdTable(flat_pair_model, [0.0], maturities)
+
+    def test_maturity_before_anchor_rejected(self, flat_pair_model):
+        with pytest.raises(ModelValidationError):
+            _cf_pipeline(flat_pair_model, 2.0, (1.0, 3.0), 24)
+
+
+class TestTableAccuracy:
+    """
+    Interpolation error of the conditional table against the direct
+    conditional factor on the same 64-node panels, at 400 states drawn at
+    the state's sd and clipped to the grid's +-4.5 sd.  Bounds for the
+    hedging layout (9 nodes per dimension) and the swap layout (7 nodes).
+    """
+
+    @pytest.mark.parametrize("name", ["experiment1", "experiment2"])
+    @pytest.mark.parametrize("nodes, bound", [(9, 1e-3), (7, 2e-3)])
+    def test_table_within_bound(self, name, nodes, bound):
+        cfg = load_config(name)
+        model = cfg.build_model()
+        anchors = (2.5, 5.0, 8.0)
+        table = ConditionalCtdTable(model, anchors, (cfg.maturity,), nodes_per_dim=nodes)
+        rng = np.random.default_rng(2024)
+        for a, t in enumerate(anchors):
+            sds = np.sqrt([model.spread(i).variance(t) for i in range(1, model.n_spreads + 1)])
+            u = np.clip(rng.normal(0.0, 1.0, (400, sds.size)), -4.5, 4.5) * sds
+            direct = ctd_common_factor_conditional(model, t, cfg.maturity, u, 24, fast_panel=True)
+            err = np.max(np.abs(table.evaluate(a, u)[0] / direct - 1.0))
+            assert err < bound, (t, err)

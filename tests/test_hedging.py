@@ -15,7 +15,7 @@ from ctdhedge import (
     ctd_common_factor,
     hedging,
 )
-from ctdhedge.ctd import ConditionalCtdTable, NumericalError, ctd_deterministic
+from ctdhedge.ctd import NumericalError, ctd_deterministic
 from ctdhedge.hedging import (
     CrossingSchedule,
     QuadraticForm,
@@ -35,6 +35,7 @@ from ctdhedge.hedging import (
 from ctdhedge.instruments import SwapSpec, par_rate, zcb_domestic, zcb_foreign
 from ctdhedge.montecarlo import SimulationPlan, simulate
 from ctdhedge.spread_model import ModelValidationError
+from single_maturity_table import SingleMaturityCtdTable
 
 
 class TestQuadraticProgram:
@@ -431,7 +432,8 @@ class TestPathEvaluation:
 
 # ---------------------------------------------------------------------------
 # reference implementation: the one-scheme P&L routine that the one-pass
-# harness replaced, verbatim but for its unused per-time account output
+# harness replaced, verbatim but for its unused per-time account output and
+# its tables, which are the one-maturity reference tables
 # ---------------------------------------------------------------------------
 
 def _single_scheme_pnl(model, swap, scheme, bundle, nodes_per_year=24, tables=None):
@@ -449,7 +451,7 @@ def _single_scheme_pnl(model, swap, scheme, bundle, nodes_per_year=24, tables=No
         tables = {}
         for tk in swap.payment_dates:
             anchors = times[times <= tk + 1e-12]
-            tables[tk] = ConditionalCtdTable(
+            tables[tk] = SingleMaturityCtdTable(
                 model, anchors, tk, nodes_per_dim=7, nodes_per_year=nodes_per_year
             )
 
@@ -560,7 +562,7 @@ class TestSyntheticReplication:
         assert tuple(got) == ("common_factor", "none", "deterministic")
         times = bundle.times
         tables = {
-            tk: ConditionalCtdTable(model, times[times <= tk + 1e-12], tk, nodes_per_dim=7)
+            tk: SingleMaturityCtdTable(model, times[times <= tk + 1e-12], tk, nodes_per_dim=7)
             for tk in swap.payment_dates
         }
         for scheme in self.SCHEMES:
