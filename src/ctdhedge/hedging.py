@@ -78,18 +78,18 @@ _QP_FLAT_CURVATURE = 1e-10
 @dataclass(frozen=True)
 class QuadraticForm:
     """
-    Covariance data of the hedge objective.
+    Covariance data of the hedge objective and the inception prices it hedges.
 
     matrix[i, j] = Cov of the bond payoff factors of currencies i and j
     (0 = domestic), vector[i] = Cov between the collateral-choice bond
-    payoff and currency i's, constant = Var of the collateral-choice bond
-    payoff (informational; estimated by Monte Carlo when available, else
-    NaN -- it never moves the minimizer).
+    payoff and currency i's.  `prices`, when given, holds the inception
+    prices (choice bond, bonds 0..N) that the cash-neutral weight and the
+    portfolio's cash account are fixed from.
     """
 
     matrix: np.ndarray
     vector: np.ndarray
-    constant: float = math.nan
+    prices: np.ndarray | None = None
 
     def __post_init__(self):
         q = np.atleast_2d(np.asarray(self.matrix, dtype=float))
@@ -112,6 +112,12 @@ class QuadraticForm:
         b.setflags(write=False)
         object.__setattr__(self, "matrix", q)
         object.__setattr__(self, "vector", b)
+        if self.prices is not None:
+            prices = np.array(self.prices, dtype=float, ndmin=1)
+            if prices.shape != (b.size + 1,):
+                raise ModelValidationError("need one price for the choice bond and one per hedge bond")
+            prices.setflags(write=False)
+            object.__setattr__(self, "prices", prices)
 
     @property
     def size(self) -> int:
@@ -122,26 +128,21 @@ class QuadraticForm:
         a = np.asarray(alpha, dtype=float)
         return float(a @ self.matrix @ a + 2.0 * self.vector @ a)
 
-    def portfolio_variance(self, alpha: np.ndarray) -> float:
-        """Var of the hedged payoff; needs the constant term."""
-        return self.constant + self.objective(alpha)
-
 
 def assemble_quadratic(
     model: MarketModel,
     t0: float,
     T: float,
     nodes_per_year: int = 48,
-    pc_variance: float = math.nan,
 ) -> QuadraticForm:
     """
-    Build the hedge covariance data over [t0, T].
+    Build the hedge covariance data over [t0, T] with the inception prices.
 
     Bond-bond covariances are exact lognormal expressions; the cross terms
     against the collateral-choice bond use the common-factor factor for the
     plain maximum (domestic entry) and the shifted maximum (foreign
-    entries).  `pc_variance` can carry a Monte Carlo estimate of the
-    choice bond's payoff variance for the informational constant.
+    entries).  The same pipeline pass prices the choice bond, ctd P(t0, T),
+    and the bond moments price the plain bonds, E[exp(-int q_i)] P(t0, T).
     """
     n = model.n_spreads
     r1 = bond_moment(model.domestic, t0, T, 1)
@@ -166,7 +167,7 @@ def assemble_quadratic(
     b[0] = ctd * (r2 - r1 * r1)
     for i in range(1, n + 1):
         b[i] = shifted[i - 1] * r2 - ctd * e[i] * r1 * r1
-    return QuadraticForm(q, b, pc_variance)
+    return QuadraticForm(q, b, np.concatenate(([ctd * r1], e * r1)))
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,6 @@ class HedgeWeights:
 
     alpha: np.ndarray
     alpha0_policy: str
-    predicted_variance: float
     objective: float
     alpha0_degenerate: bool
 
@@ -248,7 +248,6 @@ def _box_qp(q: np.ndarray, b: np.ndarray, lo: float, hi: float):
 def solve_min_variance(
     form: QuadraticForm,
     alpha0_policy: str = "cash_neutral",
-    prices: Sequence[float] | None = None,
     box: tuple[float, float] = (-1.0, 1.0),
 ) -> HedgeWeights:
     """
@@ -258,32 +257,24 @@ def solve_min_variance(
     matrix vanishes, e.g. a deterministic domestic rate), the weight
     alpha_0 drops out of the objective.  It is then fixed by policy:
     "zero" or "free" leave it at zero, "cash_neutral" solves for zero
-    portfolio price at inception and needs `prices` = (choice bond price,
-    bond prices 0..N).
+    portfolio price at inception from the form's `prices`.
     """
     if alpha0_policy not in ALPHA0_POLICIES:
         raise ModelValidationError(f"alpha0_policy must be one of {ALPHA0_POLICIES}")
     q, b = form.matrix, form.vector
-    n = form.size
     lo, hi = box
     degenerate = q[0, 0] < _DEGENERATE_DIAG * max(float(np.diag(q).max()), 1e-300)
     k = 1 if degenerate else 0
     a_sub, f = _box_qp(q[k:, k:], b[k:], lo, hi)
     alpha = np.concatenate((np.zeros(k), a_sub))
     if degenerate and alpha0_policy == "cash_neutral":
-        if prices is None:
-            raise ModelValidationError(
-                "cash_neutral policy needs prices=(choice bond, bonds 0..N)"
-            )
-        pc = float(prices[0])
-        bonds = np.asarray(prices[1:], dtype=float)
-        if bonds.size != n:
-            raise ModelValidationError("need one price per hedge bond")
+        if form.prices is None:
+            raise ModelValidationError("cash_neutral policy needs the form's prices")
+        pc, bonds = float(form.prices[0]), form.prices[1:]
         alpha[0] = -(pc + float(bonds[1:] @ alpha[1:])) / float(bonds[0])
     return HedgeWeights(
         alpha=alpha,
         alpha0_policy=alpha0_policy,
-        predicted_variance=form.constant + f,
         objective=f,
         alpha0_degenerate=bool(degenerate),
     )
@@ -424,19 +415,18 @@ def build_deterministic_portfolio(
     return _with_offsetting_cash("deterministic", model, T, positions, t0, nodes_per_year)
 
 
-def build_stochastic_portfolio(
-    model: MarketModel,
-    weights: HedgeWeights,
-    t0: float,
-    T: float,
-    nodes_per_year: int = 48,
-) -> Portfolio:
-    """Variance-minimizing strategy: alpha_i units of each bond."""
+def build_stochastic_portfolio(form: QuadraticForm, weights: HedgeWeights, T: float) -> Portfolio:
+    """Variance-minimizing strategy: alpha_i units of each bond, cash from the form's prices."""
+    if form.prices is None:
+        raise ModelValidationError("the stochastic portfolio needs the form's prices")
+    pc, *bonds = form.prices.tolist()
     positions = [Position("choice_bond", 1.0)]
+    value = pc  # the legs add in index order, as in position_value
     for i, a in enumerate(weights.alpha):
         if a != 0.0:
             positions.append(Position("bond", float(a), currency=i))
-    return _with_offsetting_cash("stochastic", model, T, positions, t0, nodes_per_year)
+            value += float(a) * bonds[i]
+    return Portfolio("stochastic", T, tuple(positions), -value)
 
 
 def stochastic_strategy(
@@ -445,14 +435,14 @@ def stochastic_strategy(
     T: float,
     alpha0_policy: str = "cash_neutral",
     nodes_per_year: int = 48,
-    pc_variance: float = math.nan,
 ) -> tuple[HedgeWeights, QuadraticForm, Portfolio]:
-    """Assemble the quadratic form, solve for weights, build the portfolio."""
-    form = assemble_quadratic(model, t0, T, nodes_per_year, pc_variance)
-    pc = ctd_common_factor(model, t0, T, nodes_per_year) * zcb_domestic(model, t0, T)
-    bonds = [zcb_foreign(model, i, t0, T) for i in range(model.n_spreads + 1)]
-    weights = solve_min_variance(form, alpha0_policy, prices=[pc] + bonds)
-    return weights, form, build_stochastic_portfolio(model, weights, t0, T, nodes_per_year)
+    """
+    Assemble the quadratic form, solve for weights, build the portfolio, on
+    one common-factor pass: the form carries the inception prices.
+    """
+    form = assemble_quadratic(model, t0, T, nodes_per_year)
+    weights = solve_min_variance(form, alpha0_policy)
+    return weights, form, build_stochastic_portfolio(form, weights, T)
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +498,8 @@ def evaluate_portfolio_paths(
         u = bundle.displacements(t)
         u0 = bundle.values[:, k, 0] - model.domestic.mean_curve(t)
         pdom = _conditional_bond(model.domestic, t, maturity, u0)
-        if t < maturity:
-            anchor = int(np.argmin(np.abs(table.anchor_times - t)))
-            choice = table.evaluate(anchor, u)[0] * pdom
+        if t < maturity:  # the anchors are a prefix of the observation times
+            choice = table.evaluate(k, u)[0] * pdom
         else:
             choice = np.ones(n_paths)
         bonds = {0: pdom}
@@ -627,7 +616,7 @@ def synthetic_replication_pnl(
         pi = {name: np.zeros(bundle.n_paths) for name in schemes}
         live = [j for j, (_, e_, _) in enumerate(periods) if e_ > t + 1e-12]
         if live:
-            ctd_cond = table.evaluate(int(np.argmin(np.abs(table.anchor_times - t))), u)
+            ctd_cond = table.evaluate(k, u)  # the anchors are a prefix of the observation times
         for j in live:
             s, e_, tau = periods[j]
             p_end = _conditional_bond(model.domestic, t, e_, u0)

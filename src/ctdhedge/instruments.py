@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ctd import ctd_common_factor, ctd_deterministic
+from .ctd import _cf_pipeline, ctd_deterministic
 from .spread_model import MarketModel, ModelValidationError, bond_moment
 
 __all__ = [
@@ -158,18 +158,20 @@ def swap_value_ctd(
     Swap with the collateral choice option: each leg carries its CTD factor.
 
     `ctd_method` selects none (factor 1, plain swap), deterministic, or
-    common_factor.
+    common_factor, which prices all legs with one pipeline pass.
     """
     if ctd_method not in CTD_METHODS:
         raise ModelValidationError(f"ctd_method must be one of {CTD_METHODS}")
+    legs = _leg_values(model, swap, t)
+    maturities = [maturity for maturity, _ in legs]
+    if ctd_method == "none":
+        factors = [1.0] * len(legs)
+    elif ctd_method == "deterministic":
+        factors = [ctd_deterministic(model, t, maturity) for maturity in maturities]
+    else:  # one pipeline pass prices every leg
+        factors = [r[0] for r in _cf_pipeline(model, t, maturities, nodes_per_year)] if legs else []
     total = 0.0
-    for maturity, value in _leg_values(model, swap, t):
-        if ctd_method == "none":
-            factor = 1.0
-        elif ctd_method == "deterministic":
-            factor = ctd_deterministic(model, t, maturity)
-        else:
-            factor = ctd_common_factor(model, t, maturity, nodes_per_year)
+    for factor, (_, value) in zip(factors, legs):
         total += factor * value
     return float(total)
 

@@ -173,12 +173,8 @@ class MarketModel:
                 f"correlation matrix size {correlations.size} does not match "
                 f"{len(spreads)} spreads plus the domestic driver"
             )
-        t0 = domestic.t0
-        horizon = domestic.mean_curve.end
-        for s in spreads:
-            if abs(s.t0 - t0) > 1e-12:
-                raise ModelValidationError("all processes must share the same start time")
-            horizon = min(horizon, s.mean_curve.end)
+        if any(abs(s.t0 - domestic.t0) > 1e-12 for s in spreads):
+            raise ModelValidationError("all processes must share the same start time")
         object.__setattr__(self, "domestic", domestic)
         object.__setattr__(self, "spreads", spreads)
         object.__setattr__(self, "correlations", correlations)

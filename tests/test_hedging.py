@@ -32,15 +32,19 @@ from ctdhedge.hedging import (
     stochastic_strategy,
     synthetic_replication_pnl,
 )
+from ctdhedge import ctd as ctd_module
+from ctdhedge.config import load_config
 from ctdhedge.instruments import SwapSpec, par_rate, zcb_domestic, zcb_foreign
 from ctdhedge.montecarlo import SimulationPlan, simulate
 from ctdhedge.spread_model import ModelValidationError
 from single_maturity_table import SingleMaturityCtdTable
+import three_pass_strategy as three_pass
+from three_pass_strategy import three_pass_strategy
 
 
 class TestQuadraticProgram:
     def test_unconstrained_origin(self):
-        form = QuadraticForm(np.eye(3) * 2.0, np.zeros(3), 0.0)
+        form = QuadraticForm(np.eye(3) * 2.0, np.zeros(3))
         w = solve_min_variance(form, "zero")
         assert np.allclose(w.alpha, 0.0, atol=1e-12)
         assert w.objective == pytest.approx(0.0, abs=1e-15)
@@ -48,7 +52,7 @@ class TestQuadraticProgram:
     def test_interior_matches_linear_solve(self):
         q = np.array([[2.0, 0.3], [0.3, 1.0]]) * 1e-3
         b = np.array([0.5, -0.2]) * 1e-3
-        form = QuadraticForm(q, b, 1e-3)
+        form = QuadraticForm(q, b)
         w = solve_min_variance(form, "zero")
         expected = -np.linalg.solve(q, b)
         assert np.allclose(w.alpha, expected, atol=1e-10)
@@ -56,7 +60,7 @@ class TestQuadraticProgram:
     def test_binding_box(self):
         q = np.array([[1e-3]])
         b = np.array([5e-3])  # unconstrained minimum at -5, clipped to -1
-        w = solve_min_variance(QuadraticForm(q, b, 0.0), "zero")
+        w = solve_min_variance(QuadraticForm(q, b), "zero")
         assert w.alpha[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_kkt_local_optimality(self):
@@ -65,7 +69,7 @@ class TestQuadraticProgram:
             a = rng.normal(size=(3, 3))
             q = a @ a.T * 1e-4
             b = rng.normal(size=3) * 1e-4
-            form = QuadraticForm(q, b, 0.0)
+            form = QuadraticForm(q, b)
             w = solve_min_variance(form, "zero")
             f0 = form.objective(w.alpha)
             for k in range(3):
@@ -78,13 +82,13 @@ class TestQuadraticProgram:
         q = np.zeros((3, 3))
         q[1:, 1:] = np.array([[2.0, 0.2], [0.2, 1.0]]) * 1e-3
         b = np.array([0.0, 1e-3, -2e-4])
-        form = QuadraticForm(q, b, 0.0)
+        prices = [0.96, 1.0, 0.97, 0.98]
+        form = QuadraticForm(q, b, prices)
         for policy, expected0 in (("zero", 0.0), ("free", 0.0)):
             w = solve_min_variance(form, policy)
             assert w.alpha0_degenerate
             assert w.alpha[0] == expected0
-        prices = [0.96, 1.0, 0.97, 0.98]
-        w = solve_min_variance(form, "cash_neutral", prices=prices)
+        w = solve_min_variance(form, "cash_neutral")
         recon = prices[1] * w.alpha[0] + prices[2] * w.alpha[1] + prices[3] * w.alpha[2]
         assert prices[0] + recon == pytest.approx(0.0, abs=1e-12)
 
@@ -92,11 +96,19 @@ class TestQuadraticProgram:
         q = np.zeros((2, 2))
         q[1, 1] = 1e-3
         with pytest.raises(ModelValidationError):
-            solve_min_variance(QuadraticForm(q, np.zeros(2), 0.0), "cash_neutral")
+            solve_min_variance(QuadraticForm(q, np.zeros(2)), "cash_neutral")
 
     def test_non_psd_rejected(self):
         with pytest.raises(ModelValidationError):
-            QuadraticForm(np.array([[1.0, 0.0], [0.0, -1.0]]), np.zeros(2), 0.0)
+            QuadraticForm(np.array([[1.0, 0.0], [0.0, -1.0]]), np.zeros(2))
+
+    def test_prices_need_one_per_asset(self):
+        q = np.eye(2) * 1e-3
+        for prices in ([0.96, 1.0], [0.96, 1.0, 0.97, 0.98], [[0.96, 1.0, 0.97]]):
+            with pytest.raises(ModelValidationError):
+                QuadraticForm(q, np.zeros(2), prices)
+        form = QuadraticForm(q, np.zeros(2), [0.96, 1.0, 0.97])
+        assert not form.prices.flags.writeable
 
 
 def _enumerate_boxed_minimum(q: np.ndarray, b: np.ndarray, lo: float, hi: float):
@@ -219,7 +231,7 @@ class TestBoxQp:
             sub_q, sub_b = _random_form(np.random.default_rng(10 + n), n)
             q, b = np.zeros((n + 1, n + 1)), np.zeros(n + 1)
             q[1:, 1:], b[1:] = sub_q, sub_b
-            form = QuadraticForm(q, b, 0.0)
+            form = QuadraticForm(q, b)
             w = solve_min_variance(form, "zero")
             assert w.alpha0_degenerate and w.alpha[0] == 0.0
             ref_alpha, ref_f = _enumerate_boxed_minimum(form.matrix[1:, 1:], b[1:], -1.0, 1.0)
@@ -365,6 +377,91 @@ class TestAssembledForm:
         ]
         for rival in rivals:
             assert form.objective(w.alpha) <= form.objective(rival) + 1e-18
+
+
+def _generated_model(n: int, stochastic_domestic: bool, negative_corr: bool):
+    """A random n-spread market on [0, 12] with curves crossing zero and each other."""
+    rng = np.random.default_rng([n, int(stochastic_domestic), int(negative_corr)])
+
+    def curve():
+        return SpreadCurve([0.0, rng.uniform(1.0, 11.0), 12.0], rng.uniform(-0.02, 0.02, size=3))
+
+    def spec(xi):
+        return HullWhiteSpec(float(np.exp(rng.uniform(np.log(1e-3), 0.0))), xi, curve())
+
+    domestic = spec(rng.uniform(5e-4, 1e-2) if stochastic_domestic else 0.0)
+    spreads = [spec(rng.uniform(5e-4, 1e-2)) for _ in range(n)]
+    a = rng.uniform(0.0, 1.0, size=n)
+    # every pair negative (c < 1/(n-1) keeps the matrix positive definite) or nonnegative
+    block = (-0.9 / max(n - 1, 1) if negative_corr else 0.8) * np.outer(a, a)
+    corr = np.eye(n + 1)
+    corr[1:, 1:] = block
+    np.fill_diagonal(corr, 1.0)
+    return MarketModel(domestic, spreads, CorrelationMatrix(corr))
+
+
+def _strategy_cases():
+    """(model, t0, T, policy, nodes per year): the bundled hedge configs and generated markets."""
+    for name in ("experiment1", "experiment2"):
+        cfg = load_config(name)
+        yield pytest.param(lambda cfg=cfg: (cfg.build_model(), cfg.t0, cfg.maturity,
+                                            cfg.alpha0_policy, cfg.nodes_per_year), id=name)
+    for n in range(1, 9):
+        for stochastic, negative in _iter_product((False, True), repeat=2):
+            T = 3.0 + 0.5 * n + (1.0 if stochastic else 0.0)
+            yield pytest.param(
+                lambda n=n, s=stochastic, g=negative, T=T: (_generated_model(n, s, g), 0.0, T, "cash_neutral", 12),
+                id=f"n{n}-{'stoch' if stochastic else 'det'}-{'neg' if negative else 'pos'}",
+            )
+
+
+class TestOnePassStrategy:
+    """`stochastic_strategy` on one pipeline pass against the three-pass routine it replaced."""
+
+    @pytest.mark.parametrize("case", _strategy_cases())
+    def test_matches_three_pass_reference_bitwise(self, case):
+        model, t0, T, policy, npy = case()
+        weights, form, pf = stochastic_strategy(model, t0, T, policy, npy)
+        ref_weights, ref_form, ref_pf = three_pass_strategy(model, t0, T, policy, npy)
+        assert weights.alpha.tobytes() == ref_weights.alpha.tobytes()
+        assert np.float64(weights.objective).tobytes() == np.float64(ref_weights.objective).tobytes()
+        assert weights.alpha0_degenerate == ref_weights.alpha0_degenerate
+        assert form.matrix.tobytes() == ref_form.matrix.tobytes()
+        assert form.vector.tobytes() == ref_form.vector.tobytes()
+        assert type(pf.cash) is float
+        assert np.float64(pf.cash).tobytes() == np.float64(ref_pf.cash).tobytes()
+        assert (pf.name, pf.maturity) == (ref_pf.name, ref_pf.maturity)
+        assert [(p.kind, np.float64(p.units).tobytes(), p.currency) for p in pf.positions] == [
+            (p.kind, np.float64(p.units).tobytes(), p.currency) for p in ref_pf.positions
+        ]
+
+    @pytest.mark.parametrize("case", _strategy_cases())
+    def test_form_prices_are_the_inception_prices_bitwise(self, case):
+        model, t0, T, _, npy = case()
+        form = assemble_quadratic(model, t0, T, npy)
+        want = [ctd_common_factor(model, t0, T, npy) * zcb_domestic(model, t0, T)]
+        want += [zcb_foreign(model, i, t0, T) for i in range(model.n_spreads + 1)]
+        assert form.prices.tobytes() == np.asarray(want).tobytes()
+        assert not form.prices.flags.writeable
+
+    def test_one_pipeline_pass_per_strategy(self, monkeypatch):
+        calls = []
+        original = ctd_module._cf_pipeline
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        for module in (hedging, ctd_module, three_pass):
+            monkeypatch.setattr(module, "_cf_pipeline", counted)
+        for n, stochastic in ((2, False), (3, True)):
+            model = _generated_model(n, stochastic, False)
+            calls.clear()
+            stochastic_strategy(model, 0.0, 5.0, "cash_neutral", 12)
+            assert calls == [(5.0,)]
+            calls.clear()  # the counter sees every route: the reference makes three passes
+            three_pass_strategy(model, 0.0, 5.0, "cash_neutral", 12)
+            assert len(calls) == 3
 
 
 class TestPathEvaluation:

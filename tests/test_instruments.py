@@ -3,10 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from ctdhedge import CorrelationMatrix, HullWhiteSpec, MarketModel, SpreadCurve, ctd_deterministic
+from ctdhedge import (
+    CorrelationMatrix,
+    HullWhiteSpec,
+    MarketModel,
+    SpreadCurve,
+    ctd_common_factor,
+    ctd_deterministic,
+)
 from ctdhedge.instruments import (
     ForwardBondContract,
     SwapSpec,
+    _leg_values,
     forward_bond,
     forward_ibor,
     par_rate,
@@ -154,6 +162,19 @@ class TestSwaps:
         # all legs positive here (forward rate above strike), so ordering is clean
         assert 0.0 < det < plain
         assert 0.0 < cf <= det + 1e-8  # the deterministic factor is never smaller
+
+    @pytest.mark.parametrize("t", [0.0, 2.5, 4.0, 9.5, 10.0])
+    def test_one_pass_matches_per_leg_pricing_bitwise(self, t, crossing_model):
+        # the legs share one pipeline pass; each leg's factor must be the one
+        # ctd_common_factor gives for its maturity alone, added in leg order
+        swap = SwapSpec(1.0, 0.005, self.DATES)
+        for model in (_model(0.02, xi0=0.006), crossing_model):
+            for npy in (24, 48):
+                want = 0.0
+                for maturity, value in _leg_values(model, swap, t):
+                    want += ctd_common_factor(model, t, maturity, npy) * value
+                got = swap_value_ctd(model, swap, t, "common_factor", npy)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_payment_dates_validated(self):
         with pytest.raises(ModelValidationError):
