@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import _COMMANDS as COMMANDS
 from .config import ConfigError, ExperimentConfig, apply_override, load_config, serialize_config
 from .ctd import NumericalError, ctd_common_factor_detailed, ctd_deterministic
 from .hedging import (
@@ -40,8 +41,6 @@ from .montecarlo import SimulationPlan, block_workers, simulate
 from .reporting import fmt, atomic_write_text, svg_line_chart, write_csv
 from .sensitivity import sensitivity_profile
 from .spread_model import ModelValidationError, mean_under_piecewise_theta, theta_piecewise
-
-COMMANDS = ("price", "sensitivity", "hedge", "simulate-pnl", "calibrate-theta", "acceptance")
 
 
 def main(argv=None) -> int:

@@ -41,8 +41,9 @@ def _rate(value):
     return value if value == "par" else float(value)
 
 
-# (ExperimentConfig attribute, conversion) per key; the process sections
-# [domestic] and [spread.N] keep their keys in a dict per process
+# (ExperimentConfig attribute, conversion) per key, in the order
+# `serialize_config` writes them; the process sections [domestic] and
+# [spread.N] keep their keys in a dict per process
 _PROCESS_FIELDS = {"kappa": float, "xi": float, "curve.grid": _floats, "curve.values": _floats}
 _TOP_FIELDS = {"seed": ("seed", int), "command": ("command", str)}
 _FIELDS = {
@@ -56,11 +57,11 @@ _FIELDS = {
     "sensitivity": {"kind": ("sens_kind", str), "index": ("sens_index", int),
                     "sweep_start": ("sweep_start", float), "sweep_stop": ("sweep_stop", float),
                     "sweep_count": ("sweep_count", int), "epsilon": ("epsilon", float)},
+    "theta": {"intervals_per_year": ("theta_intervals_per_year", int)},
     "pnl": {"payment_dates": ("pnl_payment_dates", _floats), "fixed_rate": ("pnl_fixed_rate", _rate),
             "notional": ("pnl_notional", float),
             "rebalance_per_year": ("pnl_rebalance_per_year", int),
             "schemes": ("pnl_schemes", _strs)},
-    "theta": {"intervals_per_year": ("theta_intervals_per_year", int)},
     "acceptance": {"criteria": ("acceptance_criteria", str)},
 }
 _SECTIONS = (*_FIELDS, "domestic", "spread", "correlation")
@@ -271,62 +272,24 @@ def _fmt(value) -> str:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Write the effective configuration (defaults expanded) back to text."""
-    lines = [
-        f"seed = {cfg.seed}",
-        f"command = {cfg.command}",
-        "",
-        "[horizon]",
-        f"t0 = {_fmt(cfg.t0)}",
-        f"maturity = {_fmt(cfg.maturity)}",
-        f"nodes_per_year = {cfg.nodes_per_year}",
-        "",
-        "[domestic]",
-    ]
-    for key in ("kappa", "xi", "curve.grid", "curve.values"):
-        lines.append(f"{key} = {_fmt(cfg.domestic[key])}")
-    for i, block in enumerate(cfg.spreads, start=1):
-        lines += ["", f"[spread.{i}]"]
-        for key in ("kappa", "xi", "curve.grid", "curve.values"):
-            lines.append(f"{key} = {_fmt(block[key])}")
-    lines += ["", "[correlation]"]
-    for (i, j) in sorted(cfg.correlations):
-        lines.append(f"rho_{i}_{j} = {_fmt(cfg.correlations[(i, j)])}")
-    lines += [
-        "",
-        "[mc]",
-        f"paths = {cfg.mc_paths}",
-        f"steps_per_year = {cfg.mc_steps_per_year}",
-        f"antithetic = {_fmt(cfg.mc_antithetic)}",
-        "",
-        "[hedge]",
-        f"strategies = {cfg.hedge_strategies}",
-        f"alpha0_policy = {cfg.alpha0_policy}",
-        f"sd_points_per_year = {cfg.sd_points_per_year}",
-        f"sample_paths = {cfg.sample_paths}",
-        "",
-        "[sensitivity]",
-        f"kind = {cfg.sens_kind}",
-        f"index = {cfg.sens_index}",
-        f"sweep_start = {_fmt(cfg.sweep_start)}",
-        f"sweep_stop = {_fmt(cfg.sweep_stop)}",
-        f"sweep_count = {cfg.sweep_count}",
-        f"epsilon = {_fmt(cfg.epsilon)}",
-        "",
-        "[theta]",
-        f"intervals_per_year = {cfg.theta_intervals_per_year}",
-    ]
-    if cfg.pnl_payment_dates:
-        lines += [
-            "",
-            "[pnl]",
-            f"payment_dates = {_fmt(cfg.pnl_payment_dates)}",
-            f"fixed_rate = {_fmt(cfg.pnl_fixed_rate)}",
-            f"notional = {_fmt(cfg.pnl_notional)}",
-            f"rebalance_per_year = {cfg.pnl_rebalance_per_year}",
-            f"schemes = {', '.join(cfg.pnl_schemes)}",
-        ]
-    if cfg.acceptance_criteria != "all":
-        lines += ["", "[acceptance]", f"criteria = {cfg.acceptance_criteria}"]
+
+    def entries(fields) -> list[str]:
+        return [f"{key} = {_fmt(getattr(cfg, attr))}" for key, (attr, _) in fields.items()]
+
+    skip = {"pnl": not cfg.pnl_payment_dates, "acceptance": cfg.acceptance_criteria == "all"}
+    lines = entries(_TOP_FIELDS)
+    for name, fields in _FIELDS.items():
+        if skip.get(name):
+            continue
+        lines += ["", f"[{name}]", *entries(fields)]
+        if name != "horizon":
+            continue
+        # the processes and their correlations follow the horizon
+        spreads = [(f"spread.{i}", block) for i, block in enumerate(cfg.spreads, start=1)]
+        for title, block in [("domestic", cfg.domestic), *spreads]:
+            lines += ["", f"[{title}]", *(f"{key} = {_fmt(block[key])}" for key in _PROCESS_FIELDS)]
+        lines += ["", "[correlation]"]
+        lines += [f"rho_{i}_{j} = {_fmt(cfg.correlations[(i, j)])}" for i, j in sorted(cfg.correlations)]
     return "\n".join(lines) + "\n"
 
 

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .curves import SpreadCurve, max_curve_integral
+from .curves import SpreadCurve, max_curve_breakpoints, max_curve_integral
 from .spread_model import MarketModel, ModelValidationError
 
 __all__ = [
@@ -84,8 +84,8 @@ class GaussianVectorSnapshot:
     time: float
 
     def __init__(self, means, covariance, time: float):
-        mu = np.atleast_1d(np.asarray(means, dtype=float))
-        cov = np.atleast_2d(np.asarray(covariance, dtype=float))
+        mu = np.atleast_1d(np.array(means, dtype=float))
+        cov = np.atleast_2d(np.array(covariance, dtype=float))
         if cov.shape != (mu.size, mu.size):
             raise ModelValidationError("covariance shape does not match means")
         if not np.allclose(cov, cov.T, atol=1e-14 * max(1.0, float(np.abs(cov).max()))):
@@ -140,8 +140,8 @@ class CommonFactorState:
     floor_at_zero: bool = True
 
     def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.component_means, dtype=float))
-        res = np.atleast_1d(np.asarray(self.component_vars, dtype=float))
+        mu = np.atleast_1d(np.array(self.component_means, dtype=float))
+        res = np.atleast_1d(np.array(self.component_vars, dtype=float))
         if mu.size != res.size:
             raise ModelValidationError("component means and variances disagree in size")
         if not 0.0 <= self.gamma < 1.0:
@@ -169,7 +169,7 @@ class CommonFactorState:
             time=snapshot.time,
             gamma=gamma,
             sigma_min_sq=sig_min_sq,
-            component_means=snapshot.means.copy(),
+            component_means=snapshot.means,
             component_vars=residual,
             common_var=common_var,
             floor_at_zero=floor_at_zero,
@@ -524,8 +524,9 @@ def integral_variance_estimator(times, variances, t0: float, T: float):
 # CTD discount factors
 # ---------------------------------------------------------------------------
 
-def _zero_curve(t0: float, T: float) -> SpreadCurve:
-    return SpreadCurve.constant(0.0, t0, T)
+def _forecast_curves(model: MarketModel, t0: float, T: float) -> list[SpreadCurve]:
+    """The domestic currency's zero spread on [t0, T], then every spread's forecast."""
+    return [SpreadCurve.constant(0.0, t0, T)] + [s.mean_curve for s in model.spreads]
 
 
 def ctd_deterministic(model: MarketModel, t0: float, T: float) -> float:
@@ -539,8 +540,7 @@ def ctd_deterministic(model: MarketModel, t0: float, T: float) -> float:
         raise ModelValidationError("need T >= t0")
     if T == t0:
         return 1.0
-    curves = [_zero_curve(t0, T)] + [s.mean_curve for s in model.spreads]
-    return math.exp(-max_curve_integral(curves, t0, T))
+    return math.exp(-max_curve_integral(_forecast_curves(model, t0, T), t0, T))
 
 
 def _time_grid(t0: float, T: float, nodes_per_year: int) -> np.ndarray:
@@ -552,11 +552,8 @@ def _model_time_grid(model: MarketModel, t0: float, T: float, nodes_per_year: in
     """Uniform grid plus every kink of the forecast maximum (curve nodes and
     curve crossings), so the trapezoidal integral of the maximum's mean is
     exact on piecewise-linear segments in the zero-volatility limit."""
-    from .curves import max_curve_breakpoints
-
     base = _time_grid(t0, T, nodes_per_year)
-    curves = [_zero_curve(t0, T)] + [s.mean_curve for s in model.spreads]
-    breakpoints, _ = max_curve_breakpoints(curves, t0, T)
+    breakpoints, _ = max_curve_breakpoints(_forecast_curves(model, t0, T), t0, T)
     return np.unique(np.concatenate((base, breakpoints)))
 
 
@@ -781,15 +778,16 @@ def ctd_common_factor_conditional(
 class ConditionalCtdTable:
     """
     Interpolation tables for conditional CTD factors at fixed anchor times,
-    one per maturity.
+    one spline per anchor for all maturities.
 
     For every anchor time a tensor grid of spread displacements is priced
     with one conditional common-factor pass (`_cf_pipeline` on 64-node
-    panels) for all the strictly increasing `maturities` after the anchor,
-    and each maturity keeps its own table of the log factor (cubic with
-    four or more nodes per dimension).  `evaluate` clamps the states to the
-    grid's edge, `half_width_sds` standard deviations out, and returns one
-    row per maturity; rows of maturities at or before the anchor are 1.
+    panels) for all the strictly increasing `maturities` after the anchor.
+    The log factors of these live maturities form the last axis of one
+    table per anchor (cubic with four or more nodes per dimension), so
+    `evaluate` interpolates once per query batch.  It clamps the states to
+    the grid's edge, `half_width_sds` standard deviations out, and returns
+    one row per maturity; rows of maturities at or before the anchor are 1.
     `maturity` is the last maturity, the tables' horizon.
     """
 
@@ -811,49 +809,42 @@ class ConditionalCtdTable:
         n = model.n_spreads
         panel = (_PANEL_X64, _PANEL_W64)
         method = "cubic" if nodes_per_dim >= 4 else "linear"
-        self._axes: list = []  # per anchor: the displacement axes, or None without a grid
-        self._logs: list = []  # per anchor and maturity: None (factor 1), a float or a table
+        # per anchor: the settled rows, the displacement axes (None without a
+        # grid) and the live log factors (one table, or floats without a grid)
+        self._anchors: list = []
         for t in self.anchor_times:
             t = float(t)
             live = self.maturities[self.maturities > t]
-            logs = [None] * (self.maturities.size - live.size)
-            axes = None
+            axes = logs = None
             if live.size:
                 sds = [math.sqrt(model.spread(i).variance(t)) for i in range(1, n + 1)]
                 if max(sds) < 1e-10:
                     # no dispersion yet: a single conditional value serves all states
                     results = _cf_pipeline(model, t, live, nodes_per_year, np.zeros((1, n)), panel=panel)
-                    logs += [float(np.log(r[0][0])) for r in results]
+                    logs = [float(np.log(r[0][0])) for r in results]
                 else:
                     edges = [half_width_sds * max(sd, 1e-12) for sd in sds]
                     axes = [np.linspace(-h, h, nodes_per_dim) for h in edges]
                     mesh = np.meshgrid(*axes, indexing="ij")
                     pts = np.stack([m.ravel() for m in mesh], axis=1)
                     results = _cf_pipeline(model, t, live, nodes_per_year, pts, panel=panel)
-                    logs += [
-                        RegularGridInterpolator(
-                            axes, np.log(r[0]).reshape([nodes_per_dim] * n), method=method,
-                            bounds_error=False, fill_value=None,
-                        )
-                        for r in results
-                    ]
-            self._axes.append(axes)
-            self._logs.append(logs)
+                    values = np.stack([np.log(r[0]) for r in results], axis=-1)
+                    logs = RegularGridInterpolator(
+                        axes, values.reshape([nodes_per_dim] * n + [live.size]), method=method,
+                        bounds_error=False, fill_value=None,
+                    )
+            self._anchors.append((self.maturities.size - live.size, axes, logs))
 
     def evaluate(self, anchor_index: int, displacements: np.ndarray) -> np.ndarray:
         """Conditional CTD factors [n_maturities, n_states] for states at one anchor time."""
+        settled, axes, logs = self._anchors[anchor_index]
         u = np.atleast_2d(np.asarray(displacements, dtype=float))
-        axes = self._axes[anchor_index]
+        rows = [np.ones((settled, u.shape[0]))]
         if axes is not None:
             u = u.copy()
             for d, ax in enumerate(axes):
                 u[:, d] = np.clip(u[:, d], ax[0], ax[-1])
-        rows = []  # stacked last, so no output array is alive during the interpolation
-        for log in self._logs[anchor_index]:
-            if log is None:
-                rows.append(np.ones(u.shape[0]))
-            elif isinstance(log, float):
-                rows.append(np.full(u.shape[0], math.exp(log)))
-            else:
-                rows.append(np.exp(log(u)))
-        return np.stack(rows)
+            rows.append(np.exp(logs(u)).T)  # exp on the C-ordered [n_states, n_live] values
+        elif logs is not None:
+            rows.append(np.repeat([[math.exp(log)] for log in logs], u.shape[0], axis=1))
+        return np.concatenate(rows)

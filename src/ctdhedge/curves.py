@@ -31,8 +31,8 @@ class SpreadCurve:
     values: np.ndarray
 
     def __init__(self, grid: Sequence[float], values: Sequence[float]):
-        g = np.asarray(grid, dtype=float)
-        v = np.asarray(values, dtype=float)
+        g = np.array(grid, dtype=float)
+        v = np.array(values, dtype=float)
         if g.ndim != 1 or v.ndim != 1:
             raise ValueError("grid and values must be one-dimensional")
         if g.size != v.size:

@@ -30,11 +30,12 @@ from .ctd import (
     ConditionalCtdTable,
     NumericalError,
     _cf_pipeline,
+    _forecast_curves,
     ctd_common_factor,
     ctd_deterministic,
 )
 from .curves import SpreadCurve, max_curve_breakpoints
-from .instruments import ForwardBondContract, SwapSpec, forward_bond, zcb_domestic, zcb_foreign
+from .instruments import SwapSpec, zcb_domestic, zcb_foreign
 from .montecarlo import PathBundle
 from .spread_model import (
     MarketModel,
@@ -93,7 +94,7 @@ class QuadraticForm:
 
     def __post_init__(self):
         q = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        b = np.atleast_1d(np.asarray(self.vector, dtype=float))
+        b = np.atleast_1d(np.array(self.vector, dtype=float))
         if q.shape[0] != q.shape[1] or b.size != q.shape[0]:
             raise ModelValidationError("quadratic form dimensions disagree")
         if not np.allclose(q, q.T, atol=1e-12 * max(1.0, float(np.abs(q).max()))):
@@ -180,7 +181,7 @@ class HedgeWeights:
     alpha0_degenerate: bool
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.alpha, dtype=float))
+        a = np.atleast_1d(np.array(self.alpha, dtype=float))
         a.setflags(write=False)
         object.__setattr__(self, "alpha", a)
 
@@ -318,8 +319,7 @@ def crossing_schedule(curves: Sequence[SpreadCurve], t0: float, T: float) -> Cro
 
 def model_crossing_schedule(model: MarketModel, t0: float, T: float) -> CrossingSchedule:
     """Crossing schedule of the model's forecast curves (plus zero spread)."""
-    curves = [SpreadCurve.constant(0.0, t0, T)] + [s.mean_curve for s in model.spreads]
-    return crossing_schedule(curves, t0, T)
+    return crossing_schedule(_forecast_curves(model, t0, T), t0, T)
 
 
 @dataclass(frozen=True)
@@ -347,20 +347,31 @@ class Portfolio:
 
     def position_value(self, model: MarketModel, t: float, nodes_per_year: int = 48) -> float:
         """Value of the instrument legs at time t off the forecast curves."""
-        total = 0.0
-        for p in self.positions:
-            if p.kind == "choice_bond":
-                v = ctd_common_factor(model, t, self.maturity, nodes_per_year) * zcb_domestic(
-                    model, t, self.maturity
-                )
-            elif p.kind == "bond":
-                v = zcb_foreign(model, p.currency, t, self.maturity)
-            else:
-                v = forward_bond(
-                    model, ForwardBondContract(p.currency, p.delivery, self.maturity), t
-                )
-            total += p.units * v
-        return total
+        T = self.maturity
+        return _leg_sum(
+            self.positions, t, 0.0,
+            lambda: ctd_common_factor(model, t, T, nodes_per_year) * zcb_domestic(model, t, T),
+            lambda i: zcb_foreign(model, i, t, T), lambda S: zcb_domestic(model, t, S),
+        )
+
+
+def _leg_sum(positions, t, start, choice, bond, discount):
+    """
+    start plus units * value of every leg at time t, added in position order:
+    choice() for the choice bond, bond(i) for bond i, and bond(i) / discount(S)
+    for a forward on it delivered at S > t.  The prices are scalars at one
+    state and per-path arrays along simulated paths.
+    """
+    total = start
+    for p in positions:
+        if p.kind == "choice_bond":
+            v = choice()
+        else:
+            v = bond(p.currency)
+            if p.kind == "forward" and t < p.delivery:
+                v = v / discount(p.delivery)
+        total = total + p.units * v
+    return total
 
 
 def _with_offsetting_cash(name, model, maturity, positions, t0, nodes_per_year) -> Portfolio:
@@ -420,12 +431,10 @@ def build_stochastic_portfolio(form: QuadraticForm, weights: HedgeWeights, T: fl
     if form.prices is None:
         raise ModelValidationError("the stochastic portfolio needs the form's prices")
     pc, *bonds = form.prices.tolist()
-    positions = [Position("choice_bond", 1.0)]
-    value = pc  # the legs add in index order, as in position_value
-    for i, a in enumerate(weights.alpha):
-        if a != 0.0:
-            positions.append(Position("bond", float(a), currency=i))
-            value += float(a) * bonds[i]
+    positions = [Position("choice_bond", 1.0)] + [
+        Position("bond", float(a), currency=i) for i, a in enumerate(weights.alpha) if a != 0.0
+    ]
+    value = _leg_sum(positions, T, 0.0, lambda: pc, bonds.__getitem__, None)  # no forwards
     return Portfolio("stochastic", T, tuple(positions), -value)
 
 
@@ -480,6 +489,8 @@ def evaluate_portfolio_paths(
     re-anchored at each path state (via an interpolation table shared by
     all portfolios); plain bonds and forwards are repriced with the
     Hull-White closed forms; cash accrues at the realized domestic rate.
+    The legs of every portfolio add up in the same leg sum that prices it
+    at inception, on per-path arrays.
     """
     if isinstance(portfolios, Portfolio):
         portfolios = [portfolios]
@@ -507,19 +518,10 @@ def evaluate_portfolio_paths(
             bonds[i] = _conditional_bond(model.spread(i), t, maturity, u[:, i - 1]) * pdom
         bank = bundle.bank_factor(bundle.plan.t0, t)
         for p in portfolios:
-            acc = p.cash * bank
-            for pos in p.positions:
-                if pos.kind == "choice_bond":
-                    acc = acc + pos.units * choice
-                elif pos.kind == "bond":
-                    acc = acc + pos.units * bonds[pos.currency]
-                else:
-                    if t >= pos.delivery:
-                        acc = acc + pos.units * bonds[pos.currency]
-                    else:
-                        pdel = _conditional_bond(model.domestic, t, pos.delivery, u0)
-                        acc = acc + pos.units * bonds[pos.currency] / pdel
-            values[p.name][:, k] = acc
+            values[p.name][:, k] = _leg_sum(
+                p.positions, t, p.cash * bank, lambda: choice, bonds.__getitem__,
+                lambda S: _conditional_bond(model.domestic, t, S, u0),
+            )
     for p in portfolios:
         v = values[p.name]
         mean = v.mean(axis=0)
@@ -542,6 +544,15 @@ def evaluate_portfolio_paths(
 PNL_SCHEMES = ("none", "deterministic", "common_factor")
 
 
+def _synthetic_factors(model, scheme, t, maturities, nodes_per_year):
+    """The synthetic discount factors of one scheme at time t, one per maturity after t."""
+    if scheme == "none":
+        return [1.0] * len(maturities)
+    if scheme == "deterministic":
+        return [ctd_deterministic(model, t, T) for T in maturities]
+    return [r[0] for r in _cf_pipeline(model, t, maturities, nodes_per_year)]
+
+
 def synthetic_replication_pnl(
     model: MarketModel,
     swap: SwapSpec,
@@ -559,10 +570,11 @@ def synthetic_replication_pnl(
     rate and is marked at every observation time of the bundle (which must
     contain all payment dates); the swap itself is marked with the
     conditional common-factor pricer, from one `ConditionalCtdTable` for
-    all payment dates, evaluated once per observation time.  The
-    common-factor schedule takes one pipeline pass per observation time for
-    all later payment dates.  All schemes share one pass over the paths, so
-    the table, the legs and the conditional marks are computed once.
+    all payment dates, evaluated once per observation time.  At each
+    observation time the loop also takes every scheme's synthetic factors
+    for the payment dates still ahead, the common-factor ones from one
+    pipeline pass.  All schemes share one pass over the paths, so the
+    table, the legs and the conditional marks are computed once.
     Returns one terminal P&L per path for each scheme, keyed in the order
     given.
     """
@@ -581,24 +593,6 @@ def synthetic_replication_pnl(
     table = ConditionalCtdTable(
         model, times[times <= dates[-1] + 1e-12], dates, nodes_per_dim=7, nodes_per_year=nodes_per_year
     )
-
-    # synthetic factor schedule per scheme and (observation time, payment date)
-    synth = {name: {} for name in schemes}
-    for t in times:
-        t = float(t)
-        ahead = [tk for tk in dates if tk >= t]
-        if not ahead:
-            continue
-        if "common_factor" in schemes:
-            cf = [r[0] for r in _cf_pipeline(model, t, ahead, nodes_per_year)]
-            for tk, value in zip(ahead, cf):
-                synth["common_factor"][(t, tk)] = value
-        for tk in ahead:
-            if "none" in schemes:
-                synth["none"][(t, tk)] = 1.0
-            if "deterministic" in schemes:
-                synth["deterministic"][(t, tk)] = ctd_deterministic(model, t, tk)
-
     periods = swap.periods(bundle.plan.t0)  # period j ends on dates[j], row j of the table
     sign = 1.0 if swap.payer else -1.0
     fixings: dict[float, np.ndarray] = {}
@@ -617,7 +611,9 @@ def synthetic_replication_pnl(
         live = [j for j, (_, e_, _) in enumerate(periods) if e_ > t + 1e-12]
         if live:
             ctd_cond = table.evaluate(k, u)  # the anchors are a prefix of the observation times
-        for j in live:
+            ends = [periods[j][1] for j in live]
+            synth = {name: _synthetic_factors(model, name, t, ends, nodes_per_year) for name in schemes}
+        for n, j in enumerate(live):
             s, e_, tau = periods[j]
             p_end = _conditional_bond(model.domestic, t, e_, u0)
             if t >= s - 1e-9:
@@ -627,7 +623,7 @@ def synthetic_replication_pnl(
                 ell = (p_start / p_end - 1.0) / tau
             leg = sign * swap.notional * tau * p_end * (ell - swap.fixed_rate)
             for name in schemes:
-                pi[name] = pi[name] + (ctd_cond[j] - synth[name][(t, e_)]) * leg
+                pi[name] = pi[name] + (ctd_cond[j] - synth[name][n]) * leg
         if prev_t is None:
             pnl = pi
         else:

@@ -11,6 +11,7 @@ from ctdhedge.config import (
     serialize_config,
 )
 from ctdhedge.ctd import NumericalError
+from explicit_serialize_config import serialize_config as explicit_serialize_config
 
 MINIMAL = """
 seed = 77
@@ -110,6 +111,20 @@ class TestParsing:
         assert cfg.theta_intervals_per_year == 12
         apply_override(cfg, "hedge.strategies", "stochastic,none")
         assert cfg.hedge_strategies == "stochastic,none"
+
+    @pytest.mark.parametrize(
+        "name", ["experiment1", "experiment2", "fig2_sensitivity", "fig5_sensitivity", "swap_pnl"]
+    )
+    def test_serializer_matches_explicit_reference(self, name):
+        cfg = load_config(name)
+        assert serialize_config(cfg) == explicit_serialize_config(cfg)
+        for dotted, value in (("horizon.maturity", "20"), ("spread.1.xi", "0.002"),
+                              ("mc.antithetic", "true"), ("hedge.strategies", "stochastic,none"),
+                              ("acceptance.criteria", "a01"),
+                              ("pnl.payment_dates", "1, 2.5, 4"), ("pnl.fixed_rate", "0.013"),
+                              ("pnl.schemes", "none, common_factor"), ("correlation.rho_0_2", "0.1")):
+            apply_override(cfg, dotted, value)
+            assert serialize_config(cfg) == explicit_serialize_config(cfg), dotted
 
     def test_bundled_configs_resolve(self):
         assert bundled_config_path("experiment1") is not None

@@ -799,22 +799,43 @@ class TestMultiMaturity:
     def test_table_matches_single_maturity_tables_bitwise(self):
         model = load_config("experiment2").build_model()
         anchors = np.linspace(0.0, 7.0, 29)  # quarter years, t0 and every maturity included
-        table = ConditionalCtdTable(model, anchors, self.MATURITIES, nodes_per_dim=5)
-        assert table.maturity == 7.0
-        refs = [SingleMaturityCtdTable(model, anchors, T, nodes_per_dim=5) for T in self.MATURITIES]
         rng = np.random.default_rng(7)
-        for a, t in enumerate(anchors):
-            sds = np.sqrt([model.spread(i).variance(t) for i in (1, 2)])
-            u = rng.normal(0.0, 1.0, (40, 2)) * 6.0 * sds  # some states beyond the clamp
-            got = table.evaluate(a, u)
-            assert got.shape == (len(self.MATURITIES), 40)
-            for k, ref in enumerate(refs):
-                assert got[k].tobytes() == ref.evaluate(a, u).tobytes(), (t, self.MATURITIES[k])
-                if t >= self.MATURITIES[k]:
-                    assert np.all(got[k] == 1.0)
-        # t0 has no dispersion, so one value serves every state
-        at_t0 = table.evaluate(0, rng.normal(0.0, 1e-3, (5, 2)))
-        assert np.all(at_t0 == table.evaluate(0, np.zeros((1, 2))))
+        # the swap layout's many maturities, and the hedge layout: 9 nodes, one maturity
+        for nodes, maturities in ((5, self.MATURITIES), (9, (7.0,))):
+            table = ConditionalCtdTable(model, anchors, maturities, nodes_per_dim=nodes)
+            assert table.maturity == 7.0
+            refs = [SingleMaturityCtdTable(model, anchors, T, nodes_per_dim=nodes) for T in maturities]
+            for a, t in enumerate(anchors):
+                sds = np.sqrt([model.spread(i).variance(t) for i in (1, 2)])
+                u = rng.normal(0.0, 1.0, (40, 2)) * 6.0 * sds  # some states beyond the clamp
+                got = table.evaluate(a, u)
+                assert got.shape == (len(maturities), 40)
+                for k, ref in enumerate(refs):
+                    assert got[k].tobytes() == ref.evaluate(a, u).tobytes(), (nodes, t, maturities[k])
+                    if t >= maturities[k]:
+                        assert np.all(got[k] == 1.0)
+            # t0 has no dispersion, so one value serves every state
+            at_t0 = table.evaluate(0, rng.normal(0.0, 1e-3, (5, 2)))
+            assert np.all(at_t0 == table.evaluate(0, np.zeros((1, 2))))
+
+    def test_linear_table_matches_single_maturity_tables(self):
+        # below four nodes per dimension the tables interpolate linearly; with
+        # the maturities stacked on one table scipy leaves its two-dimensional
+        # linear fast path, which rounds differently in the last bits
+        cfg = load_config("experiment1")
+        model = cfg.build_model()
+        anchors = (0.0, 2.5, 5.0, 8.0)
+        maturities = (4.0, 7.0, cfg.maturity)
+        rng = np.random.default_rng(11)
+        for nodes in (2, 3):
+            table = ConditionalCtdTable(model, anchors, maturities, nodes_per_dim=nodes)
+            refs = [SingleMaturityCtdTable(model, anchors, T, nodes_per_dim=nodes) for T in maturities]
+            for a, t in enumerate(anchors):
+                sds = np.sqrt([model.spread(i).variance(t) for i in (1, 2)])
+                u = rng.normal(0.0, 1.0, (200, 2)) * 6.0 * sds
+                got = table.evaluate(a, u)
+                for k, ref in enumerate(refs):
+                    np.testing.assert_allclose(got[k], ref.evaluate(a, u), rtol=1e-14, atol=0.0)
 
     def test_maturity_grids_are_not_prefixes(self):
         # the case the union grid exists for: a maturity's grid that is not

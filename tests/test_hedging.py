@@ -15,9 +15,11 @@ from ctdhedge import (
     ctd_common_factor,
     hedging,
 )
-from ctdhedge.ctd import NumericalError, ctd_deterministic
+from ctdhedge.ctd import CommonFactorState, GaussianVectorSnapshot, NumericalError, ctd_deterministic
 from ctdhedge.hedging import (
     CrossingSchedule,
+    HedgeWeights,
+    Portfolio,
     QuadraticForm,
     _box_qp,
     _conditional_bond,
@@ -38,6 +40,7 @@ from ctdhedge.instruments import SwapSpec, par_rate, zcb_domestic, zcb_foreign
 from ctdhedge.montecarlo import SimulationPlan, simulate
 from ctdhedge.spread_model import ModelValidationError
 from single_maturity_table import SingleMaturityCtdTable
+import per_position_revaluation as per_position
 import three_pass_strategy as three_pass
 from three_pass_strategy import three_pass_strategy
 
@@ -525,6 +528,80 @@ class TestPathEvaluation:
         plan = SimulationPlan(500, 4, 10.0, seed=9, observation_times=(0.0, 5.0, 10.0))
         bundle = simulate(crossing_model, plan)
         assert np.allclose(bundle.bank_factor(0.0, 5.0), 1.0, atol=1e-15)
+
+
+def _builder_portfolios(model, t0, T, npy):
+    """One portfolio from every builder, on one model and horizon."""
+    _, _, stochastic = stochastic_strategy(model, t0, T, "cash_neutral", npy)
+    basics = [build_basic_portfolio(model, i, t0, T, npy) for i in range(1, model.n_spreads + 1)]
+    deterministic = build_deterministic_portfolio(model, None, t0, T, npy)
+    return [build_none_portfolio(model, t0, T, npy), *basics, deterministic, stochastic]
+
+
+class TestLegSum:
+    """
+    One leg sum prices portfolios at inception and along paths, against the
+    per-position loops it replaced: experiment2, whose forwards deliver at
+    the crossing 3.6, observed before and after delivery, and its spreads
+    under a stochastic domestic rate, where P(t, S) != 1.
+    """
+
+    OBSERVATIONS = (0.0, 1.0, 2.5, 3.6, 5.0, 7.0, 10.0)
+
+    @pytest.fixture(params=["experiment2", "stochastic_domestic"])
+    def market(self, request, small_spread_model):
+        model = load_config("experiment2").build_model()
+        if request.param == "stochastic_domestic":
+            model = MarketModel(small_spread_model.domestic, model.spreads, model.correlations)
+            assert _conditional_bond(model.domestic, 1.0, 3.6, np.zeros(1))[0] != 1.0
+        portfolios = _builder_portfolios(model, 0.0, 10.0, 24)
+        deliveries = {p.delivery for pf in portfolios for p in pf.positions if p.kind == "forward"}
+        assert any(0.0 < s < 10.0 for s in deliveries)
+        return model, portfolios
+
+    def test_inception_cash_and_position_values_bitwise(self, market):
+        model, portfolios = market
+        for pf in portfolios:
+            draft = Portfolio(pf.name, pf.maturity, pf.positions, 0.0)
+            assert pf.cash == -per_position.position_value(draft, model, 0.0, 24), pf.name
+            for t in (0.0, 1.0, 3.6, 7.0):
+                got = pf.position_value(model, t, 24)
+                want = per_position.position_value(pf, model, t, 24)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (pf.name, t)
+
+    def test_path_statistics_bitwise(self, market):
+        model, portfolios = market
+        plan = SimulationPlan(1_000, 8, 10.0, seed=3, observation_times=self.OBSERVATIONS)
+        bundle = simulate(model, plan)
+        got = evaluate_portfolio_paths(portfolios, bundle)
+        want = per_position.evaluate_portfolio_paths(portfolios, bundle)
+        assert [s.name for s in got] == [s.name for s in want]
+        for a, b in zip(got, want):
+            for field in ("times", "mean", "sd", "sd_se", "samples"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), (a.name, field)
+
+
+def test_constructors_copy_the_arrays_they_freeze():
+    given = {
+        "grid": np.array([0.0, 1.0]), "values": np.array([0.01, 0.02]), "vector": np.zeros(2),
+        "alpha": np.array([0.5, -0.5]), "means": np.array([0.01, 0.02]), "covariance": 1e-4 * np.eye(2),
+        "component_means": np.array([0.01, 0.02]), "component_vars": np.array([1e-4, 2e-4]),
+    }
+    objects = [
+        SpreadCurve(given["grid"], given["values"]),
+        QuadraticForm(np.eye(2), given["vector"]),
+        HedgeWeights(given["alpha"], "free", 0.0, False),
+        GaussianVectorSnapshot(given["means"], given["covariance"], 1.0),
+        CommonFactorState(1.0, 0.0, 1e-4, given["component_means"], given["component_vars"], 0.0),
+    ]
+    for name, array in given.items():
+        held = next(getattr(obj, name) for obj in objects if hasattr(obj, name))
+        assert not held.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 0.0
+        before = held.copy()
+        array[0] += 1.0  # the caller's array stays the caller's
+        assert held.tobytes() == before.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
