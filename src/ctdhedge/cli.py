@@ -231,7 +231,8 @@ def _run_pnl(cfg: ExperimentConfig, model, out: Path, svg: bool) -> int:
     plan = SimulationPlan(cfg.mc_paths, cfg.mc_steps_per_year, T, cfg.seed,
                           antithetic=cfg.mc_antithetic, t0=cfg.t0,
                           observation_times=tuple(rebal))
-    samples = synthetic_replication_pnl(model, swap, cfg.pnl_schemes, simulate(model, plan))
+    samples = synthetic_replication_pnl(model, swap, cfg.pnl_schemes, simulate(model, plan),
+                                        cfg.nodes_per_year)
     rows = []
     for scheme in cfg.pnl_schemes:
         pnl = samples[scheme]

@@ -62,7 +62,7 @@ _FIELDS = {
             "notional": ("pnl_notional", float),
             "rebalance_per_year": ("pnl_rebalance_per_year", int),
             "schemes": ("pnl_schemes", _strs)},
-    "acceptance": {"criteria": ("acceptance_criteria", str)},
+    "acceptance": {"criteria": ("acceptance_criteria", _joined)},
 }
 _SECTIONS = (*_FIELDS, "domestic", "spread", "correlation")
 _COMMANDS = ("price", "sensitivity", "hedge", "simulate-pnl", "calibrate-theta", "acceptance")

@@ -576,14 +576,8 @@ class CommonFactorResult:
 
 def _spread_snapshot_arrays(model: MarketModel, times: np.ndarray, anchor: float):
     """Means and covariances of the spread vector along a grid."""
-    n = model.n_spreads
-    mu = np.empty((times.size, n))
-    for i in range(1, n + 1):
-        mu[:, i - 1] = model.spread(i).mean_curve(times)
-    cov = np.empty((times.size, n, n))
-    for k, t in enumerate(times):
-        cov[k] = model.spread_covariance(float(t), start=anchor)
-    return mu, cov
+    mu = np.stack([s.mean_curve(times) for s in model.spreads], axis=1)
+    return mu, model.spread_covariance(times, start=anchor)
 
 
 def _fit_gamma_batch(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -727,6 +721,19 @@ def ctd_common_factor(
     exp(-int E[max]) * (1 + Psi / 2).
     """
     return ctd_common_factor_detailed(model, t0, T, nodes_per_year).value
+
+
+CTD_METHODS = ("none", "deterministic", "common_factor")
+
+
+def _ctd_factors(model: MarketModel, method: str, t: float, maturities: Sequence[float],
+                 nodes_per_year: int) -> list[float]:
+    """CTD factors at t, one per increasing maturity; common_factor prices all in one pass."""
+    if method == "none":
+        return [1.0] * len(maturities)
+    if method == "deterministic":
+        return [ctd_deterministic(model, t, T) for T in maturities]
+    return [r[0] for r in _cf_pipeline(model, t, maturities, nodes_per_year)] if len(maturities) else []
 
 
 def shifted_max_ctd(

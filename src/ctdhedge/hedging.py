@@ -27,12 +27,13 @@ from typing import Sequence
 import numpy as np
 
 from .ctd import (
+    CTD_METHODS,
     ConditionalCtdTable,
     NumericalError,
     _cf_pipeline,
+    _ctd_factors,
     _forecast_curves,
     ctd_common_factor,
-    ctd_deterministic,
 )
 from .curves import SpreadCurve, max_curve_breakpoints
 from .instruments import SwapSpec, zcb_domestic, zcb_foreign
@@ -148,10 +149,7 @@ def assemble_quadratic(
     n = model.n_spreads
     r1 = bond_moment(model.domestic, t0, T, 1)
     r2 = bond_moment(model.domestic, t0, T, 2)
-    e = np.empty(n + 1)
-    e[0] = 1.0
-    for i in range(1, n + 1):
-        e[i] = bond_moment(model.spread(i), t0, T, 1)
+    e = np.array([1.0] + [bond_moment(s, t0, T, 1) for s in model.spreads])
     q = np.empty((n + 1, n + 1))
     for i in range(n + 1):
         for j in range(i, n + 1):
@@ -164,10 +162,7 @@ def assemble_quadratic(
             q[i, j] = q[j, i] = joint * r2 - e[i] * e[j] * r1 * r1
     # the plain factor and every shifted factor from one pipeline pass
     ctd, _, _, _, _, shifted = _cf_pipeline(model, t0, (T,), nodes_per_year, pivots=range(1, n + 1))[0]
-    b = np.empty(n + 1)
-    b[0] = ctd * (r2 - r1 * r1)
-    for i in range(1, n + 1):
-        b[i] = shifted[i - 1] * r2 - ctd * e[i] * r1 * r1
+    b = np.array([ctd * (r2 - r1 * r1)] + [s * r2 - ctd * ei * r1 * r1 for s, ei in zip(shifted, e[1:])])
     return QuadraticForm(q, b, np.concatenate(([ctd * r1], e * r1)))
 
 
@@ -541,18 +536,6 @@ def evaluate_portfolio_paths(
 # synthetic replication of a swap's CTD factors
 # ---------------------------------------------------------------------------
 
-PNL_SCHEMES = ("none", "deterministic", "common_factor")
-
-
-def _synthetic_factors(model, scheme, t, maturities, nodes_per_year):
-    """The synthetic discount factors of one scheme at time t, one per maturity after t."""
-    if scheme == "none":
-        return [1.0] * len(maturities)
-    if scheme == "deterministic":
-        return [ctd_deterministic(model, t, T) for T in maturities]
-    return [r[0] for r in _cf_pipeline(model, t, maturities, nodes_per_year)]
-
-
 def synthetic_replication_pnl(
     model: MarketModel,
     swap: SwapSpec,
@@ -581,8 +564,8 @@ def synthetic_replication_pnl(
     if isinstance(schemes, str):
         raise ModelValidationError("schemes must be a sequence of scheme names")
     schemes = tuple(dict.fromkeys(schemes))
-    if not schemes or any(name not in PNL_SCHEMES for name in schemes):
-        raise ModelValidationError(f"schemes must be a non-empty selection of {PNL_SCHEMES}")
+    if not schemes or any(name not in CTD_METHODS for name in schemes):
+        raise ModelValidationError(f"schemes must be a non-empty selection of {CTD_METHODS}")
     times = bundle.times
     for tk in swap.payment_dates:
         if not np.any(np.abs(times - tk) < 1e-9):
@@ -612,7 +595,7 @@ def synthetic_replication_pnl(
         if live:
             ctd_cond = table.evaluate(k, u)  # the anchors are a prefix of the observation times
             ends = [periods[j][1] for j in live]
-            synth = {name: _synthetic_factors(model, name, t, ends, nodes_per_year) for name in schemes}
+            synth = {name: _ctd_factors(model, name, t, ends, nodes_per_year) for name in schemes}
         for n, j in enumerate(live):
             s, e_, tau = periods[j]
             p_end = _conditional_bond(model.domestic, t, e_, u0)

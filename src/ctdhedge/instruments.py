@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ctd import _cf_pipeline, ctd_deterministic
+from .ctd import CTD_METHODS, _ctd_factors
 from .spread_model import MarketModel, ModelValidationError, bond_moment
 
 __all__ = [
@@ -27,9 +27,6 @@ __all__ = [
     "swap_value_ctd",
     "par_rate",
 ]
-
-CTD_METHODS = ("none", "deterministic", "common_factor")
-
 
 @dataclass(frozen=True)
 class SwapSpec:
@@ -163,17 +160,8 @@ def swap_value_ctd(
     if ctd_method not in CTD_METHODS:
         raise ModelValidationError(f"ctd_method must be one of {CTD_METHODS}")
     legs = _leg_values(model, swap, t)
-    maturities = [maturity for maturity, _ in legs]
-    if ctd_method == "none":
-        factors = [1.0] * len(legs)
-    elif ctd_method == "deterministic":
-        factors = [ctd_deterministic(model, t, maturity) for maturity in maturities]
-    else:  # one pipeline pass prices every leg
-        factors = [r[0] for r in _cf_pipeline(model, t, maturities, nodes_per_year)] if legs else []
-    total = 0.0
-    for factor, (_, value) in zip(factors, legs):
-        total += factor * value
-    return float(total)
+    factors = _ctd_factors(model, ctd_method, t, [maturity for maturity, _ in legs], nodes_per_year)
+    return float(sum(factor * value for factor, (_, value) in zip(factors, legs)))
 
 
 def par_rate(model: MarketModel, payment_dates: Sequence[float], t: float | None = None) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spread_model import MarketModel, ModelValidationError
+from .spread_model import MarketModel, ModelValidationError, _ou_covariance
 
 __all__ = ["SimulationPlan", "PathBundle", "simulate", "mc_ctd", "mc_expectation", "dump_paths"]
 
@@ -111,11 +111,8 @@ class PathBundle:
     def displacements(self, t: float) -> np.ndarray:
         """Centred OU offsets u_i(t) of the spread processes, [paths, N]."""
         k = self.observation_index(t)
-        model = self.model
-        out = np.empty((self.n_paths, model.n_spreads))
-        for i in range(1, model.n_spreads + 1):
-            out[:, i - 1] = self.values[:, k, i] - model.spread(i).mean_curve(float(t))
-        return out
+        means = [s.mean_curve(float(t)) for s in self.model.spreads]
+        return self.values[:, k, 1:] - np.array(means)
 
     def bank_factor(self, t0: float, t1: float) -> np.ndarray:
         """Pathwise accrual exp(int_t0^t1 r_0) between observation nodes."""
@@ -125,16 +122,10 @@ class PathBundle:
 
 def _step_covariance(model: MarketModel, dt: float, idx: np.ndarray) -> np.ndarray:
     """Exact covariance of the OU innovations over one step (procs in idx)."""
-    kappas = np.array([model.domestic.kappa] + [s.kappa for s in model.spreads])[idx]
-    xis = np.array([model.domestic.xi] + [s.xi for s in model.spreads])[idx]
-    corr = model.correlations.entries[np.ix_(idx, idx)]
-    n = idx.size
-    cov = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            ksum = kappas[i] + kappas[j]
-            cov[i, j] = xis[i] * xis[j] * corr[i, j] * (-math.expm1(-ksum * dt)) / ksum
-    return cov
+    specs = [model.domestic, *model.spreads]
+    kappa = np.array([specs[j].kappa for j in idx])
+    xi = np.array([specs[j].xi for j in idx])
+    return _ou_covariance(kappa, xi, model.correlations.entries[np.ix_(idx, idx)], dt)
 
 
 def _safe_cholesky(cov: np.ndarray) -> np.ndarray:
@@ -170,9 +161,7 @@ def simulate(model: MarketModel, plan: SimulationPlan) -> PathBundle:
     specs = [model.domestic] + list(model.spreads)
 
     # forecast means for every process along the whole step grid, computed once
-    means_grid = np.empty((grid.size, n_proc))
-    for j, s in enumerate(specs):
-        means_grid[:, j] = s.mean_curve(grid)
+    means_grid = np.stack([s.mean_curve(grid) for s in specs], axis=1)
 
     # zero-volatility processes never leave their forecast curve
     stoch_idx = np.array([j for j, s in enumerate(specs) if s.xi > 0.0], dtype=int)

@@ -13,13 +13,12 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ctd import ctd_common_factor, ctd_deterministic
+from .ctd import CTD_METHODS, _ctd_factors, ctd_common_factor, ctd_deterministic
 from .spread_model import MarketModel, ModelValidationError
 
 __all__ = ["BumpRequest", "ctd_sensitivity", "sensitivity_profile", "SweepRow", "NumericsWarning"]
 
 _KINDS = ("xi", "mean_level")
-_METHODS = ("deterministic", "common_factor")
 
 
 class NumericsWarning(UserWarning):
@@ -55,12 +54,6 @@ def _bumped(model: MarketModel, request: BumpRequest, direction: float) -> Marke
     return model.with_spread(request.index, spec.bumped_level(direction * request.epsilon))
 
 
-def _price(model: MarketModel, t0: float, T: float, method: str, nodes_per_year: int) -> float:
-    if method == "deterministic":
-        return ctd_deterministic(model, t0, T)
-    return ctd_common_factor(model, t0, T, nodes_per_year)
-
-
 def ctd_sensitivity(
     model: MarketModel,
     t0: float,
@@ -77,15 +70,15 @@ def ctd_sensitivity(
     a large discrepancy (quadrature noise dominating the quotient) emits a
     NumericsWarning.
     """
-    if method not in _METHODS:
-        raise ModelValidationError(f"method must be one of {_METHODS}")
-    up = _price(_bumped(model, request, +1.0), t0, T, method, nodes_per_year)
-    down = _price(_bumped(model, request, -1.0), t0, T, method, nodes_per_year)
+    if method not in CTD_METHODS[1:]:
+        raise ModelValidationError(f"method must be one of {CTD_METHODS[1:]}")
+    up = _ctd_factors(_bumped(model, request, +1.0), method, t0, (T,), nodes_per_year)[0]
+    down = _ctd_factors(_bumped(model, request, -1.0), method, t0, (T,), nodes_per_year)[0]
     estimate = (up - down) / (2.0 * request.epsilon)
     if check_epsilon:
         wide = BumpRequest(request.kind, request.index, 2.0 * request.epsilon)
-        up2 = _price(_bumped(model, wide, +1.0), t0, T, method, nodes_per_year)
-        down2 = _price(_bumped(model, wide, -1.0), t0, T, method, nodes_per_year)
+        up2 = _ctd_factors(_bumped(model, wide, +1.0), method, t0, (T,), nodes_per_year)[0]
+        down2 = _ctd_factors(_bumped(model, wide, -1.0), method, t0, (T,), nodes_per_year)[0]
         estimate2 = (up2 - down2) / (4.0 * request.epsilon)
         scale = max(abs(estimate2), 1e-12)
         if abs(estimate - estimate2) > 0.25 * scale + 1e-10:
@@ -158,8 +151,8 @@ def _profile_row(model, t0, T, kind, value, index, epsilon, nodes_per_year) -> S
     if kind == "xi" and value == 0.0:
         # one-sided fallback at the volatility boundary
         req = BumpRequest(kind, index, epsilon)
-        up = _price(_bumped(model, req, +1.0), t0, T, "common_factor", nodes_per_year)
-        base = _price(model, t0, T, "common_factor", nodes_per_year)
+        up = ctd_common_factor(_bumped(model, req, +1.0), t0, T, nodes_per_year)
+        base = ctd_common_factor(model, t0, T, nodes_per_year)
         dcf = (up - base) / epsilon
         ddet = 0.0
     else:

@@ -9,7 +9,8 @@ written throughout as the decomposition q(t) = qhat(t) + u(t) with qhat the
 deterministic forecast curve and u a centred Ornstein-Uhlenbeck process
 started at zero.  All first and second moments of spreads, their time
 integrals and the induced zero-coupon bond factors are available in closed
-form and implemented here.
+form and implemented here; every point covariance of the processes comes
+from one array kernel, `_ou_covariance`.
 """
 
 from __future__ import annotations
@@ -207,16 +208,14 @@ class MarketModel:
         return MarketModel(self.domestic, spreads, self.correlations)
 
     def spread_covariance(self, t, start: float | None = None) -> np.ndarray:
-        """Covariance matrix of (q_1(t), ..., q_N(t)), noise from `start`."""
-        n = self.n_spreads
-        cov = np.empty((n, n))
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                c = spread_cross_covariance(
-                    self.spread(i), self.spread(j), self.rho(i, j), t, t, start=start
-                )
-                cov[i - 1, j - 1] = cov[j - 1, i - 1] = c
-        return cov
+        """Covariance of (q_1(t), ..., q_N(t)), noise from `start`: [N, N], or
+        [m, N, N] for a 1-D array of m times."""
+        elapsed = np.asarray(t, dtype=float) - (self.t0 if start is None else start)
+        if np.any(elapsed < -1e-12):
+            raise ModelValidationError("covariance times must not precede the start")
+        kappa = np.array([s.kappa for s in self.spreads])
+        xi = np.array([s.xi for s in self.spreads])
+        return _ou_covariance(kappa, xi, self.correlations.entries[1:, 1:], elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +293,19 @@ def spread_mean(spec: HullWhiteSpec, t: float) -> float:
 # second-order analytics
 # ---------------------------------------------------------------------------
 
+# libm's expm1 element by element: numpy's vector expm1 can differ in the last bit
+_expm1 = np.frompyfunc(math.expm1, 1, 1)
+
+
+def _ou_covariance(kappa, xi, corr, elapsed) -> np.ndarray:
+    """Cov[u_i(s + dt), u_j(s + dt)] = xi_i xi_j rho_ij / (k_i + k_j) * (1 - e^{-(k_i + k_j) dt})
+    of P centred OU processes started at zero at s: [..., P, P] for dt of any shape."""
+    c = kappa[:, None] + kappa[None, :]
+    scale = xi[:, None] * xi[None, :] * corr / c
+    dt = np.asarray(elapsed, dtype=float)[..., None, None]
+    return scale * -np.asarray(_expm1(-c * dt), dtype=float)
+
+
 def spread_cross_covariance(
     spec_i: HullWhiteSpec,
     spec_j: HullWhiteSpec,
@@ -312,12 +324,29 @@ def spread_cross_covariance(
     if u < t0 - 1e-12 or v < t0 - 1e-12:
         raise ModelValidationError("covariance times must not precede the start")
     ki, kj = spec_i.kappa, spec_j.kappa
-    c = ki + kj
     m = min(u, v)
-    # xi_i xi_j rho / (ki+kj) * e^{-(ki u + kj v)} (e^{c min(u,v)} - e^{c t0}),
-    # evaluated as expm1 of the elapsed time for stability
-    scale = spec_i.xi * spec_j.xi * rho_ij / c
-    return float(scale * math.exp(-(ki * (u - m) + kj * (v - m))) * (-math.expm1(-c * (m - t0))))
+    cov = _ou_covariance(np.array([ki, kj]), np.array([spec_i.xi, spec_j.xi]),
+                         np.array([[1.0, rho_ij], [rho_ij, 1.0]]), m - t0)[0, 1]
+    return float(cov * math.exp(-(ki * (u - m) + kj * (v - m))))
+
+
+# below this kappa * tau the direct bracket of `integral_covariance` loses more
+# than 3e-10 to cancellation (about 3e-16 / (kappa tau)^2)
+_SMALL_KT = 1e-3
+
+
+def _phi(x: float) -> tuple[float, float, float]:
+    """g = (1 - e^-x) / x, h = (1 - g) / x and k = (1/2 - h) / x, from their
+    Taylor series below x = 1/2, where the quotients cancel."""
+    if x >= 0.5:
+        g = -math.expm1(-x) / x
+        h = (1.0 - g) / x
+        return g, h, (0.5 - h) / x
+    k = 0.0
+    for m in range(16, -1, -1):  # k = sum_m (-x)^m / (m + 3)!
+        k = 1.0 / math.factorial(m + 3) - x * k
+    h = 0.5 - x * k
+    return 1.0 - x * h, h, k
 
 
 def integral_covariance(
@@ -341,12 +370,19 @@ def integral_covariance(
         return 0.0
     xi_ = spec_i.kappa * tau
     xj_ = spec_j.kappa * tau
-    # bracket in cancellation-free form: each term is O(1) as kappa*tau -> 0
-    hi = (xi_ + math.expm1(-xi_)) / xi_**2
-    hj = (xj_ + math.expm1(-xj_)) / xj_**2
-    ei = -math.expm1(-xi_)
-    ej = -math.expm1(-xj_)
-    bracket = tau * tau * (hi + hj - ei * ej / (xi_ * xj_))
+    if min(xi_, xj_) < _SMALL_KT:
+        # h(x) + h(y) - g(x) g(y) for x <= y, with g, h, k of `_phi`, regrouped
+        # as [1/2 + h(y) - g(y)] + x (h(x) g(y) - k(x)) so no O(1) terms cancel
+        x, y = sorted((xi_, xj_))
+        (gx, hx, kx), (gy, hy, ky) = _phi(x), _phi(y)
+        head = y * (0.5 - (1.0 + y) * ky) if y < 0.5 else 0.5 + hy - gy
+        bracket = tau * tau * (head + x * (hx * gy - kx))
+    else:  # the same bracket, direct
+        hi = (xi_ + math.expm1(-xi_)) / xi_**2
+        hj = (xj_ + math.expm1(-xj_)) / xj_**2
+        ei = -math.expm1(-xi_)
+        ej = -math.expm1(-xj_)
+        bracket = tau * tau * (hi + hj - ei * ej / (xi_ * xj_))
     return float(spec_i.xi * spec_j.xi * rho_ij / (spec_i.kappa + spec_j.kappa) * bracket)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from . import ctd as _ctd
-from .config import load_config
+from .config import ConfigError, load_config
 from .curves import SpreadCurve
 from .hedging import (
     assemble_quadratic,
@@ -691,6 +691,8 @@ def run_suite(criteria: str = "all") -> list[CaseResult]:
     if criteria not in ("all", ""):
         wanted = [c.strip() for c in criteria.split(",")]
         selected = [cid for cid in selected if any(w in cid for w in wanted)]
+        if not selected:
+            raise ConfigError(f"acceptance criteria {criteria!r} match no case id")
     return [run_case(cid) for cid in selected]
 
 

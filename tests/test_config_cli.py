@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from ctdhedge import hedging
+from ctdhedge import cli, hedging
 from ctdhedge.cli import main
 from ctdhedge.config import (
     ConfigError,
@@ -205,6 +206,21 @@ class TestCli:
         assert main(["price", "--config", str(cfg), "--out", str(plain)]) == 0
         assert "[acceptance]" not in (plain / "effective.cfg").read_text()
 
+    def test_acceptance_criteria_select_several_cases(self, tmp_path):
+        out = tmp_path / "a"
+        assert main(["acceptance", "--config", "experiment1", "--set", "acceptance.criteria=a01,x05",
+                     "--out", str(out)]) == 0
+        rows = (out / "acceptance_report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["a01_theta_calibration", "x05_operation_coverage"]
+        assert parse_config((out / "effective.cfg").read_text()).acceptance_criteria == "a01,x05"
+
+    def test_acceptance_criteria_matching_nothing_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "a"
+        assert main(["acceptance", "--config", "experiment1", "--set",
+                     "acceptance.criteria=nosuchcase", "--out", str(out)]) == 2
+        assert "match no case id" in capsys.readouterr().err
+        assert not (out / "acceptance_report.csv").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def fail(*args):
             raise NumericalError("solver diverged")
@@ -278,3 +294,19 @@ class TestCli:
         assert lines[0].startswith("scheme,mean,sd,q05")
         assert len(lines) == 3
         assert (out / "pnl_hist.csv").exists()
+
+    def test_pnl_command_passes_nodes_per_year(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(model, swap, schemes, bundle, nodes_per_year=24):
+            seen.append(nodes_per_year)
+            return {name: np.linspace(0.0, 1.0, bundle.n_paths) for name in schemes}
+
+        monkeypatch.setattr(cli, "synthetic_replication_pnl", spy)
+        text = MINIMAL + "\n[pnl]\npayment_dates = 1.0, 2.0\nschemes = none, common_factor\n"
+        args = ["simulate-pnl", "--out", str(tmp_path / "out"), "--paths", "300"]
+        assert main([*args, "--config", str(self._write(tmp_path, text)), "--grid", "6"]) == 0
+        assert main([*args, "--config", str(self._write(tmp_path, text))]) == 0
+        unset = text.replace("nodes_per_year = 24\n", "")
+        assert main([*args, "--config", str(self._write(tmp_path, unset))]) == 0
+        assert seen == [6, 24, 48]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,11 @@ class TestSwaps:
                     want += ctd_common_factor(model, t, maturity, npy) * value
                 got = swap_value_ctd(model, swap, t, "common_factor", npy)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_unknown_ctd_method_rejected(self):
+        message = "ctd_method must be one of ('none', 'deterministic', 'common_factor')"
+        with pytest.raises(ModelValidationError, match=re.escape(message)):
+            swap_value_ctd(FLAT2, SwapSpec(1.0, 0.005, self.DATES), 0.0, "bogus")
 
     def test_payment_dates_validated(self):
         with pytest.raises(ModelValidationError):

@@ -15,7 +15,9 @@ from ctdhedge import (
 )
 from ctdhedge import montecarlo
 from ctdhedge.montecarlo import SimulationPlan, dump_paths, mc_covariance, mc_ctd, mc_expectation, simulate
+from ctdhedge.config import load_config
 from ctdhedge.spread_model import ModelValidationError
+from scalar_covariance import scalar_step_covariance
 
 
 def _model(xi0=0.006):
@@ -222,6 +224,17 @@ class TestProcessMajorLayout:
         monkeypatch.setenv("CTD_THREADS", raw)
         with pytest.raises(ModelValidationError, match="CTD_THREADS"):
             simulate(_model(), SimulationPlan(100, 2, 1.0, seed=1))
+
+    @pytest.mark.parametrize("name", ["experiment1", "experiment2", "swap_pnl"])
+    def test_bundled_models_match_scalar_step_covariance(self, monkeypatch, name):
+        cfg = load_config(name)
+        model = cfg.build_model()
+        plan = SimulationPlan(2000, cfg.mc_steps_per_year, cfg.maturity, seed=5, t0=cfg.t0,
+                              observation_times=tuple(np.linspace(cfg.t0, cfg.maturity, 9)))
+        kernel = simulate(model, plan)
+        monkeypatch.setattr(montecarlo, "_step_covariance", scalar_step_covariance)
+        assert _same_bytes(simulate(model, plan),
+                           (kernel.values, kernel.integrals, kernel.max_integral))
 
 
 class TestEstimators:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -28,6 +29,11 @@ class TestBumpRequest:
             BumpRequest("xi", 1, epsilon=0.0)
         with pytest.raises(ModelValidationError):
             BumpRequest("xi", 0)
+
+    def test_method_restricted_to_the_priced_routes(self):
+        message = "method must be one of ('deterministic', 'common_factor')"
+        with pytest.raises(ModelValidationError, match=re.escape(message)):
+            ctd_sensitivity(_flat_model(), 0.0, 10.0, BumpRequest("mean_level", 1), method="none")
 
     def test_xi_bump_must_stay_nonnegative(self):
         model = _flat_model()

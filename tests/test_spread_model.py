@@ -17,7 +17,15 @@ from ctdhedge import (
     theta_continuous,
     theta_piecewise,
 )
+from ctdhedge import montecarlo
+from ctdhedge.ctd import _model_time_grid
+from ctdhedge.hedging import assemble_quadratic
 from ctdhedge.spread_model import ModelValidationError
+from scalar_covariance import (
+    scalar_cross_covariance,
+    scalar_spread_covariance,
+    scalar_step_covariance,
+)
 
 H = 12.0
 FLAT = SpreadCurve.constant(0.014, 0.0, H)
@@ -213,3 +221,124 @@ class TestJointBondMoment:
     def test_against_frozen_mc(self):
         mc, se = 0.76272711, 4.826e-05
         assert abs(joint_bond_moment(S1, S2, 0.5, 0.0, 10.0) - mc) < 3 * se
+
+
+def _generated_model(n, negative, seed):
+    """n spreads and a stochastic domestic rate; the spread correlations are
+    all nonnegative or all negative, the domestic ones of either sign."""
+    rng = np.random.default_rng(seed)
+    dom = HullWhiteSpec(float(rng.uniform(0.01, 0.3)), float(rng.uniform(1e-3, 1e-2)),
+                        SpreadCurve.constant(0.02, 0.0, H))
+    spreads = [
+        HullWhiteSpec(
+            float(rng.uniform(0.005, 0.5)),
+            float(rng.uniform(5e-4, 1e-2)),
+            SpreadCurve([0.0, float(rng.uniform(1.0, 11.0)), H], rng.uniform(-0.02, 0.02, 3)),
+        )
+        for _ in range(n)
+    ]
+    a = rng.uniform(0.2, 1.0, n)
+    corr = np.eye(n + 1)
+    corr[1:, 1:] = (-0.9 / max(n - 1, 1) if negative else 0.8) * np.outer(a, a)
+    corr[0, 1:] = corr[1:, 0] = rng.uniform(-0.05, 0.05, n)
+    np.fill_diagonal(corr, 1.0)
+    return MarketModel(dom, spreads, CorrelationMatrix(corr))
+
+
+_GENERATED = [(n, negative) for n in range(1, 9) for negative in (False, True)]
+
+
+class TestCovarianceKernel:
+    """The one OU covariance kernel against the scalar writings it replaced."""
+
+    @pytest.mark.parametrize("n,negative", _GENERATED)
+    @pytest.mark.parametrize("anchor", [0.0, 2.75])
+    def test_spread_covariance_stack_matches_scalar_loop_bitwise(self, n, negative, anchor):
+        model = _generated_model(n, negative, 100 * n + negative)
+        times = _model_time_grid(model, anchor, 9.5, 48)
+        stack = model.spread_covariance(times, start=anchor)
+        ref = np.stack([scalar_spread_covariance(model, float(t), start=anchor) for t in times])
+        assert stack.shape == (times.size, n, n)
+        assert stack.tobytes() == ref.tobytes()
+        point = model.spread_covariance(float(times[7]), start=anchor)
+        assert point.shape == (n, n)
+        assert point.tobytes() == ref[7].tobytes()
+        if anchor == 0.0:
+            assert model.spread_covariance(times).tobytes() == ref.tobytes()
+
+    def test_spread_covariance_rejects_times_before_the_start(self):
+        model = _generated_model(3, False, 7)
+        with pytest.raises(ModelValidationError):
+            model.spread_covariance(np.array([2.0, 1.0]), start=1.5)
+
+    @pytest.mark.parametrize("n,negative", _GENERATED)
+    def test_cross_covariance_matches_scalar(self, n, negative):
+        model = _generated_model(n, negative, 200 + 10 * n + negative)
+        grid = [0.0, 0.4, 2.75, 6.1, 11.0]
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                args = (model.spread(i), model.spread(j), model.rho(i, j))
+                for start in (None, 0.4):
+                    for u in grid[1:]:
+                        for v in grid[1:]:
+                            got = spread_cross_covariance(*args, u, v, start=start)
+                            ref = scalar_cross_covariance(*args, u, v, start=start)
+                            if u == v:
+                                assert got.hex() == ref.hex()
+                            else:
+                                assert got == pytest.approx(ref, rel=5e-16, abs=0.0)
+
+    @pytest.mark.parametrize("n,negative", _GENERATED)
+    def test_step_covariance_matches_scalar(self, n, negative):
+        model = _generated_model(n, negative, 300 + 10 * n + negative)
+        idx = np.arange(n + 1)
+        for dt in (1.0 / 80, 1.0 / 12, 0.37):
+            got = montecarlo._step_covariance(model, dt, idx)
+            ref = scalar_step_covariance(model, dt, idx)
+            np.testing.assert_allclose(got, ref, rtol=5e-16, atol=0.0)
+            assert np.array_equal(got, got.T)
+
+
+def _mp_integral_covariance(ki, kj, xi_i, xi_j, rho, tau):
+    """Cov[int u_i, int u_j] over [0, tau] in 50-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a, b, t = mpmath.mpf(ki), mpmath.mpf(kj), mpmath.mpf(tau)
+
+        def e(k):
+            return -mpmath.expm1(-k * t) / k
+
+        value = mpmath.mpf(xi_i) * xi_j * rho * (t - e(a) - e(b) + e(a + b)) / (a * b)
+        return float(value)
+
+
+class TestSmallKappaIntegralCovariance:
+    """integral_covariance within 1e-9 relative of 50-digit arithmetic at
+    every kappa * tau, including the kappa -> 0 edge."""
+
+    @pytest.mark.parametrize("kappa", [1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 1.0, 50.0])
+    @pytest.mark.parametrize("tau", [1e-3, 0.25, 10.0, 30.0])
+    def test_against_mpmath(self, kappa, tau):
+        curve = SpreadCurve.constant(0.01, 0.0, 40.0)
+        for kappa_j in (kappa, 1.7 * kappa, 0.5):
+            si = HullWhiteSpec(kappa, 0.01, curve)
+            sj = HullWhiteSpec(kappa_j, 0.02, curve)
+            ref = _mp_integral_covariance(kappa, kappa_j, 0.01, 0.02, -0.3, tau)
+            for got in (integral_covariance(si, sj, -0.3, 0.0, tau),
+                        integral_covariance(sj, si, -0.3, 0.0, tau)):
+                assert abs(got / ref - 1.0) <= 1e-9
+
+    def test_brownian_limit_at_tiny_kappa(self):
+        spec = HullWhiteSpec(1e-9, 0.01, FLAT)
+        got = integral_covariance(spec, spec, 1.0, 0.0, 10.0)
+        assert got == pytest.approx(0.01**2 * 1000.0 / 3.0, rel=1e-8)
+
+    def test_assemble_quadratic_at_tiny_kappa(self):
+        model = MarketModel(
+            HullWhiteSpec(1e-9, 0.006, SpreadCurve.constant(0.02, 0.0, H)),
+            [S1.bumped_xi(0.0018), HullWhiteSpec(1e-9, 0.0023, S2.mean_curve)],
+            CorrelationMatrix.from_single(0.3),
+        )
+        form = assemble_quadratic(model, 0.0, 10.0, 24)
+        assert np.all(np.isfinite(form.matrix)) and np.all(np.isfinite(form.vector))
+        assert np.linalg.eigvalsh(form.matrix)[0] > 0.0
