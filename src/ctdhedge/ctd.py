@@ -22,6 +22,7 @@ around it.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,6 +30,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .curves import SpreadCurve, max_curve_breakpoints, max_curve_integral
+from .montecarlo import block_workers
 from .spread_model import MarketModel, ModelValidationError
 
 __all__ = [
@@ -240,7 +242,11 @@ def max_cdf(state: CommonFactorState, x) -> float | np.ndarray:
 # moments of the maximum
 # ---------------------------------------------------------------------------
 
-_MOMENT_CHUNK = 4096
+_MOMENT_CHUNK = 512
+# a pass of at most this many rows runs its chunks inline: the worker threads'
+# malloc arenas keep freed chunk buffers, which raised the peak RSS of short
+# passes (the desk quotes' hold at most about 600 rows) by 1-2.5 MB
+_POOL_MIN_ROWS = 1024
 _PANEL_X64, _PANEL_W64 = _gauss_legendre(64)
 
 
@@ -315,7 +321,10 @@ def _panel_moments(
     and covariances [len(pivots), m].  Regular rows (every component
     stochastic and, when floored, a nondegenerate common factor) and the
     rest run in separate chunks of the same kernel, so regular chunks skip
-    the hard-floor work.
+    the hard-floor work.  A pass of more than `_POOL_MIN_ROWS` rows runs its
+    chunks on `CTD_THREADS` worker threads (`block_workers`); each chunk
+    writes only its own rows and every row reduces along its own panel, so
+    the results do not depend on the chunk size or the worker count.
     """
     mu = np.asarray(mu, dtype=float)
     idio_var = np.asarray(idio_var, dtype=float)
@@ -327,12 +336,24 @@ def _panel_moments(
     regular = np.all(idio_var > 0.0, axis=1)
     if floored:
         regular &= common_var > 0.0
-    for rows in (np.flatnonzero(regular), np.flatnonzero(~regular)):
-        for lo in range(0, rows.size, _MOMENT_CHUNK):
-            sel = rows[lo : lo + _MOMENT_CHUNK]
-            mean[sel], var[sel], cov[:, sel] = _panel_chunk(
-                mu[sel], idio_var[sel], common_var[sel], floored, panel, pivots
-            )
+    chunks = [
+        rows[lo : lo + _MOMENT_CHUNK]
+        for rows in (np.flatnonzero(regular), np.flatnonzero(~regular))
+        for lo in range(0, rows.size, _MOMENT_CHUNK)
+    ]
+
+    def run(sel: np.ndarray) -> None:
+        mean[sel], var[sel], cov[:, sel] = _panel_chunk(
+            mu[sel], idio_var[sel], common_var[sel], floored, panel, pivots
+        )
+
+    workers = min(len(chunks), block_workers()) if m > _POOL_MIN_ROWS else 1
+    if workers == 1:
+        for sel in chunks:
+            run(sel)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, chunks))
     return mean, var, cov
 
 
@@ -462,6 +483,21 @@ def max_moments(state: CommonFactorState) -> tuple[float, float]:
 # variance of the time integral
 # ---------------------------------------------------------------------------
 
+def _interp_rows(x: float, t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """
+    `np.interp(x, t, row)` for every row of v at once, bit for bit: the same
+    bracketing node, end values outside the grid and node values on nodes,
+    and the same slope * (x - t_j) + v_j in between.
+    """
+    j = int(np.searchsorted(t, x, side="right")) - 1
+    if j < 0:
+        return v[..., 0]
+    if j >= t.size - 1 or t[j] == x:
+        return v[..., j]
+    slope = (v[..., j + 1] - v[..., j]) / (t[j + 1] - t[j])
+    return slope * (x - t[j]) + v[..., j]
+
+
 def integral_variance_estimator(times, variances, t0: float, T: float):
     """
     Diffusion-based proxy for Var[int_t0^T M(t) dt].
@@ -493,8 +529,7 @@ def integral_variance_estimator(times, variances, t0: float, T: float):
     v2 = np.atleast_2d(v)
     inside = (t > t0) & (t < T)
     grid = np.concatenate(([t0], t[inside], [T]))
-    v_lo = np.array([np.interp(t0, t, row) for row in v2])[:, None]
-    v_hi = np.array([np.interp(T, t, row) for row in v2])[:, None]
+    v_lo, v_hi = (_interp_rows(x, t, v2)[:, None] for x in (t0, T))
     vv = np.hstack([v_lo, v2[:, inside], v_hi])
 
     h = np.diff(grid)  # [n-1]

@@ -455,7 +455,7 @@ def stochastic_strategy(
 
 def _conditional_bond(spec, t, T, u):
     """P(t, T | displacement u) of one Hull-White process (domestic or spread)."""
-    load = (1.0 - math.exp(-spec.kappa * (T - t))) / spec.kappa
+    load = -math.expm1(-spec.kappa * (T - t)) / spec.kappa  # no cancellation as kappa * tau -> 0
     base = -spec.mean_curve.integral(t, T) + 0.5 * integral_covariance(spec, spec, 1.0, t, T)
     return np.exp(base - load * u)
 

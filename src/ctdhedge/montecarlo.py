@@ -13,7 +13,9 @@ reused across steps and is transposed into the (path, observation, process)
 bundle layout only at observation nodes.  Blocks run concurrently on
 `CTD_THREADS` worker threads (default: the CPUs this process may use);
 numpy releases the interpreter lock inside the random fills and array
-loops, and the results do not depend on the worker count.
+loops, and the results do not depend on the worker count.  The same
+`block_workers` count sizes the thread pool of the moment kernel's row
+chunks (`ctd._panel_moments`).
 """
 
 from __future__ import annotations
@@ -204,7 +206,11 @@ _PATH_BLOCK = 16384
 
 
 def block_workers() -> int:
-    """Simulation block workers: `CTD_THREADS`, else the CPUs this process may use."""
+    """
+    Worker threads for the simulation blocks and the moment kernel's chunks:
+    `CTD_THREADS`, else the CPUs this process may use.  Results do not
+    depend on it.
+    """
     raw = os.environ.get("CTD_THREADS")
     if raw is None:
         if hasattr(os, "sched_getaffinity"):

@@ -488,6 +488,9 @@ def _a10() -> CaseResult:
                          "--set", "horizon.maturity=5"]),
         ("hedge", ["--config", "experiment1", "--paths", "2000",
                    "--set", "horizon.maturity=4", "--set", "hedge.sd_points_per_year=1"]),
+        # a multi-maturity table whose passes span several threaded kernel chunks
+        ("simulate-pnl", ["--config", "swap_pnl", "--paths", "2000",
+                          "--set", "horizon.maturity=3", "--set", "pnl.payment_dates=1,2,3"]),
     ]
     ok = True
     msgs = []

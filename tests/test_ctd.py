@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from ctdhedge import (
     max_moments,
     shifted_max_ctd,
 )
+from ctdhedge import ctd
 from ctdhedge.ctd import (
     _PANEL_HALF_WIDTH,
     _PANEL_W,
@@ -28,6 +30,7 @@ from ctdhedge.ctd import (
     _PANEL_X64,
     ConditionalCtdTable,
     _cf_pipeline,
+    _interp_rows,
     _model_time_grid,
     _panel_moments,
     _phi,
@@ -771,6 +774,112 @@ class TestPanelKernel:
             for p in range(cov.shape[0]):
                 ref_cov = _pivot_max_covariance(mu, idio, common, ref_mean, p)
                 np.testing.assert_allclose(cov[p], ref_cov, rtol=1e-10, atol=1e-18)
+
+
+class TestThreadedKernel:
+    """The kernel's chunks on CTD_THREADS workers: results independent of chunking and workers."""
+
+    @staticmethod
+    def _mixed_rows(k):
+        rng = np.random.default_rng(40 + k)
+        kinds = ["regular", "zero_common", "pure"] + (["partial"] if k > 1 else [])  # partial: k >= 2
+        parts = [_kernel_states(rng, 900 if kind == "regular" else 100, k, kind) for kind in kinds]
+        order = rng.permutation(sum(p[0].shape[0] for p in parts))
+        return [np.concatenate(arrays)[order] for arrays in zip(*parts)]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_bytes_independent_of_chunk_and_workers(self, monkeypatch, k):
+        mu, idio, common = self._mixed_rows(k)
+        monkeypatch.setattr(ctd, "_POOL_MIN_ROWS", 0)  # every pass of several chunks takes the pool
+        for floored, pivots in ((True, range(k)), (True, ()), (False, ())):
+            ref = None
+            for chunk in (4096, 1024, 512, 7, 1):
+                monkeypatch.setattr(ctd, "_MOMENT_CHUNK", chunk)
+                # rows are independent, so the small chunks run on a prefix of the rows
+                rows = slice(None) if chunk > 7 else slice(0, 150)
+                for threads in ("1", "2", "3"):
+                    monkeypatch.setenv("CTD_THREADS", threads)
+                    out = _panel_moments(mu[rows], idio[rows], common[rows], floored, pivots=pivots)
+                    ref = out if ref is None else ref
+                    for got, want in zip(out, ref):
+                        assert got.tobytes() == want[..., rows].tobytes(), (floored, chunk, threads)
+
+    def test_short_passes_run_inline(self, monkeypatch):
+        monkeypatch.setenv("CTD_THREADS", "2")
+        monkeypatch.setattr(ctd, "ThreadPoolExecutor", None)  # any pool would fail
+        mu, idio, common = (a[: ctd._POOL_MIN_ROWS] for a in self._mixed_rows(2))
+        _panel_moments(mu, idio, common, True, pivots=range(2))
+
+    @staticmethod
+    def _table(monkeypatch, threads):
+        monkeypatch.setenv("CTD_THREADS", threads)
+        model = load_config("experiment2").build_model()
+        return model, ConditionalCtdTable(model, (0.0, 1.0, 2.5), (2.7, 5.0), nodes_per_dim=5)
+
+    def test_table_independent_of_workers(self, monkeypatch):
+        model, one = self._table(monkeypatch, "1")
+        _, two = self._table(monkeypatch, "2")
+        rng = np.random.default_rng(5)
+        for a, t in enumerate(one.anchor_times):
+            sds = np.sqrt([model.spread(i).variance(t) for i in (1, 2)])
+            u = rng.normal(0.0, 1.0, (50, 2)) * 3.0 * sds
+            assert one.evaluate(a, u).tobytes() == two.evaluate(a, u).tobytes()
+
+    def test_traced_entry_points_stay_on_main_thread(self, monkeypatch):
+        # the benchmark's tracer wraps these with unsynchronised state, so a
+        # threaded table build must call them from the calling thread only
+        seen = {}
+
+        def record(name, fn):
+            def wrapper(*args, **kwargs):
+                seen.setdefault(name, set()).add(threading.current_thread())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ctd, "integral_variance_estimator",
+                            record("psi", ctd.integral_variance_estimator))
+        monkeypatch.setattr(MarketModel, "spread_covariance",
+                            record("cov", MarketModel.spread_covariance))
+        monkeypatch.setattr(ctd, "max_curve_breakpoints", record("kinks", ctd.max_curve_breakpoints))
+        monkeypatch.setattr(ctd, "_panel_chunk", record("chunk", ctd._panel_chunk))
+        self._table(monkeypatch, "2")
+        main = threading.main_thread()
+        for name in ("psi", "cov", "kinks"):
+            assert seen[name] == {main}, name
+        assert seen["chunk"] - {main}, "no chunk ran on a worker"
+
+
+class TestInterpRows:
+    """The end values of the Psi estimator: np.interp row by row, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_np_interp_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        t = np.unique(rng.uniform(0.0, 12.0, 40))
+        v = rng.uniform(0.0, 1e-4, (6, t.size))
+        on_nodes = t[rng.integers(0, t.size, 4)]
+        inside = rng.uniform(t[0], t[-1], 4)
+        for x in np.concatenate([on_nodes, inside, t[[0, -1]], [t[0] - 1e-13, t[-1] + 1e-13]]):
+            want = np.array([np.interp(x, t, row) for row in v])
+            assert _interp_rows(x, t, v).tobytes() == want.tobytes(), x
+            assert _interp_rows(x, t, v[0]).tobytes() == np.interp(x, t, v[0]).tobytes(), x
+
+    @pytest.mark.parametrize("ends", ["nodes", "inside"])
+    def test_estimator_matches_row_loop_bitwise(self, monkeypatch, ends):
+        rng = np.random.default_rng(9)
+        t = np.unique(rng.uniform(0.0, 12.0, 30))
+        v = rng.uniform(0.0, 1e-4, (5, t.size))
+        if ends == "nodes":
+            t0, T = t[3], t[-4]
+        else:
+            t0, T = rng.uniform(t[1], t[2]), rng.uniform(t[-3], t[-2])
+        got = [integral_variance_estimator(t, curves, t0, T) for curves in (v, v[0])]
+        monkeypatch.setattr(
+            ctd, "_interp_rows", lambda x, t, v: np.array([np.interp(x, t, row) for row in v])
+        )
+        want = [integral_variance_estimator(t, curves, t0, T) for curves in (v, v[0])]
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1]
 
 
 class TestPipeline:

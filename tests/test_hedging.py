@@ -467,6 +467,23 @@ class TestOnePassStrategy:
             assert len(calls) == 3
 
 
+class TestConditionalBond:
+    @pytest.mark.parametrize("kappa", [1e-9, 0.0076])
+    @pytest.mark.parametrize("tau", [1.0 / 80.0, 10.0])
+    def test_load_against_mpmath(self, kappa, tau):
+        # zero volatility and a zero curve leave P = exp(-load * u); a
+        # displacement of 1 / load puts the exponent near -1, where exp and
+        # the relative error of the load are both well conditioned
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            load = -mpmath.expm1(-mpmath.mpf(kappa) * mpmath.mpf(tau)) / mpmath.mpf(kappa)
+            u = float(1 / load)
+            want = mpmath.exp(-load * u)
+        spec = HullWhiteSpec(kappa, 0.0, SpreadCurve.constant(0.0, 0.0, 12.0))
+        got = _conditional_bond(spec, 0.0, tau, np.array([u]))[0]
+        assert abs(got / float(want) - 1.0) <= 1e-15
+
+
 class TestPathEvaluation:
     def test_zero_volatility_sd_is_zero(self):
         h = 12.0
