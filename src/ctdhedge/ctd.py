@@ -242,9 +242,15 @@ def max_cdf(state: CommonFactorState, x) -> float | np.ndarray:
 # moments of the maximum
 # ---------------------------------------------------------------------------
 
-_MOMENT_CHUNK = 512
-# a pass of at most this many rows runs its chunks inline: the worker threads'
-# malloc arenas keep freed chunk buffers, which raised the peak RSS of short
+# rows per chunk at most.  Smaller chunks make more, shorter numpy calls, so
+# two threads wait on each other for the interpreter lock more often (about
+# 10k waits per swap_pnl operation at 512 rows, 4k at 1024), and on a loaded
+# host every wait may have to wake a descheduled core; larger ones fall out of
+# cache (one thread takes 26% longer over hedge_mc's passes at 4096 rows than
+# at 512)
+_MOMENT_CHUNK = 1024
+# a pass of at most this many rows runs its chunks inline: a worker thread's
+# malloc arena keeps freed chunk buffers, which raised the peak RSS of short
 # passes (the desk quotes' hold at most about 600 rows) by 1-2.5 MB
 _POOL_MIN_ROWS = 1024
 _PANEL_X64, _PANEL_W64 = _gauss_legendre(64)
@@ -321,10 +327,12 @@ def _panel_moments(
     and covariances [len(pivots), m].  Regular rows (every component
     stochastic and, when floored, a nondegenerate common factor) and the
     rest run in separate chunks of the same kernel, so regular chunks skip
-    the hard-floor work.  A pass of more than `_POOL_MIN_ROWS` rows runs its
-    chunks on `CTD_THREADS` worker threads (`block_workers`); each chunk
-    writes only its own rows and every row reduces along its own panel, so
-    the results do not depend on the chunk size or the worker count.
+    the hard-floor work.  A pass of more than `_POOL_MIN_ROWS` rows splits
+    each kind into equal chunks, as many as a multiple of the `CTD_THREADS`
+    worker count (`block_workers`), and the calling thread and the other
+    workers take them in turn; each chunk writes only its own rows and every
+    row reduces along its own panel, so the results do not depend on the
+    chunking or the worker count.
     """
     mu = np.asarray(mu, dtype=float)
     idio_var = np.asarray(idio_var, dtype=float)
@@ -336,24 +344,29 @@ def _panel_moments(
     regular = np.all(idio_var > 0.0, axis=1)
     if floored:
         regular &= common_var > 0.0
-    chunks = [
-        rows[lo : lo + _MOMENT_CHUNK]
-        for rows in (np.flatnonzero(regular), np.flatnonzero(~regular))
-        for lo in range(0, rows.size, _MOMENT_CHUNK)
-    ]
+    workers = block_workers() if m > _POOL_MIN_ROWS else 1
+    chunks = []
+    for rows in (np.flatnonzero(regular), np.flatnonzero(~regular)):
+        n = -(-rows.size // _MOMENT_CHUNK)
+        n = min(rows.size, -(-n // workers) * workers)
+        chunks += np.array_split(rows, n) if n else []
+    todo = iter(chunks)  # each next() hands a chunk to one thread, under the interpreter lock
 
-    def run(sel: np.ndarray) -> None:
-        mean[sel], var[sel], cov[:, sel] = _panel_chunk(
-            mu[sel], idio_var[sel], common_var[sel], floored, panel, pivots
-        )
+    def drain() -> None:
+        for sel in todo:
+            mean[sel], var[sel], cov[:, sel] = _panel_chunk(
+                mu[sel], idio_var[sel], common_var[sel], floored, panel, pivots
+            )
 
-    workers = min(len(chunks), block_workers()) if m > _POOL_MIN_ROWS else 1
+    workers = min(len(chunks), workers)
     if workers == 1:
-        for sel in chunks:
-            run(sel)
+        drain()
     else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, chunks))
+        with ThreadPoolExecutor(workers - 1) as pool:
+            helpers = [pool.submit(drain) for _ in range(workers - 1)]
+            drain()
+            for helper in helpers:
+                helper.result()
     return mean, var, cov
 
 

@@ -14,8 +14,8 @@ bundle layout only at observation nodes.  Blocks run concurrently on
 `CTD_THREADS` worker threads (default: the CPUs this process may use);
 numpy releases the interpreter lock inside the random fills and array
 loops, and the results do not depend on the worker count.  The same
-`block_workers` count sizes the thread pool of the moment kernel's row
-chunks (`ctd._panel_moments`).
+`block_workers` count of threads, the calling one among them, shares the
+moment kernel's row chunks (`ctd._panel_moments`).
 """
 
 from __future__ import annotations

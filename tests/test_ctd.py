@@ -810,6 +810,27 @@ class TestThreadedKernel:
         mu, idio, common = (a[: ctd._POOL_MIN_ROWS] for a in self._mixed_rows(2))
         _panel_moments(mu, idio, common, True, pivots=range(2))
 
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_pooled_pass_splits_evenly_and_caller_drains(self, monkeypatch, threads):
+        monkeypatch.setenv("CTD_THREADS", str(threads))
+        monkeypatch.setattr(ctd, "_MOMENT_CHUNK", 256)
+        sizes, seen = [], set()
+        ctd_chunk = ctd._panel_chunk
+
+        def chunk(mu, idio_var, common_var, *args):
+            sizes.append((bool(np.all(idio_var > 0.0) and np.all(common_var > 0.0)), mu.shape[0]))
+            seen.add(threading.current_thread())
+            return ctd_chunk(mu, idio_var, common_var, *args)
+
+        monkeypatch.setattr(ctd, "_panel_chunk", chunk)
+        mu, idio, common = self._mixed_rows(2)  # 900 regular rows, 300 others
+        _panel_moments(mu, idio, common, True, pivots=range(2))
+        for regular, rows in ((True, 900), (False, 300)):
+            kind = [n for r, n in sizes if r == regular]
+            assert sum(kind) == rows and len(kind) % threads == 0, (regular, kind)
+            assert max(kind) <= 256 and max(kind) - min(kind) <= 1, (regular, kind)
+        assert threading.main_thread() in seen
+
     @staticmethod
     def _table(monkeypatch, threads):
         monkeypatch.setenv("CTD_THREADS", threads)
