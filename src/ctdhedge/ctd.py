@@ -11,12 +11,13 @@ Two pricing routes are implemented:
 
 The same machinery prices the shifted maximum exp(-int max(q_i, q_1+q_i,
 ..., q_N+q_i)) needed by the hedging covariances, and conditional factors
-re-anchored at a simulated market state for portfolio revaluation.  One
-panel kernel (`_panel_moments`) integrates the moments of the maximum and
-the pivot covariances, and one pipeline (`_cf_pipeline`: grid, snapshots,
-gamma, moments, Psi, value) serves every stochastic factor, for every
-maturity of one anchor in one pass; the public pricers are thin wrappers
-around it.
+re-anchored at a simulated market state for portfolio revaluation.  Every
+maximum is floored at the domestic zero spread, the shifted one being q_i
+plus the floored maximum.  One panel kernel (`_panel_moments`) integrates
+the moments of the floored maximum and the pivot covariances, and one
+pipeline (`_cf_pipeline`: grid, snapshots, gamma, moments, Psi, value)
+serves every stochastic factor, for every maturity of one anchor in one
+pass; the public pricers are thin wrappers around it.
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ class CommonFactorState:
     C is centred Gaussian with variance gamma * sigma_min_sq, each A_i is
     Gaussian with the component mean and the residual variance, and all
     factors are independent.  The maximum of interest is
-    max(0, C + max_i A_i) when `floor_at_zero` is set and C + max_i A_i
-    otherwise (the shifted-maximum variant).
+    max(0, C + max_i A_i): the domestic currency's zero spread is always
+    deliverable.
     """
 
     time: float
@@ -139,7 +140,6 @@ class CommonFactorState:
     component_means: np.ndarray
     component_vars: np.ndarray
     common_var: float
-    floor_at_zero: bool = True
 
     def __post_init__(self):
         mu = np.atleast_1d(np.array(self.component_means, dtype=float))
@@ -159,7 +159,6 @@ class CommonFactorState:
     def from_snapshot(
         cls,
         snapshot: GaussianVectorSnapshot,
-        floor_at_zero: bool = True,
         gamma: float | None = None,
     ) -> "CommonFactorState":
         if gamma is None:
@@ -174,7 +173,6 @@ class CommonFactorState:
             component_means=snapshot.means,
             component_vars=residual,
             common_var=common_var,
-            floor_at_zero=floor_at_zero,
         )
 
     @property
@@ -212,12 +210,13 @@ def _inner_max_cdf(y: np.ndarray, means: np.ndarray, sds: np.ndarray) -> np.ndar
 
 def max_cdf(state: CommonFactorState, x) -> float | np.ndarray:
     """
-    Cumulative distribution function of the (floored) common-factor maximum.
+    Cumulative distribution function of the common-factor maximum
+    max(0, C + max_i A_i).
 
     Evaluates the convolution of the common-factor density with the product
     of the component cdfs by Gauss-Legendre quadrature over +-8 standard
-    deviations of the common factor.  For the floored variant the value is
-    0 for x <= 0.
+    deviations of the common factor.  The zero floor makes the value 0 for
+    x <= 0.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     sds = np.sqrt(state.component_vars)
@@ -231,8 +230,7 @@ def max_cdf(state: CommonFactorState, x) -> float | np.ndarray:
         g = _inner_max_cdf(arr[:, None] - z[None, :], state.component_means, sds)
         vals = np.sum(g * w[None, :], axis=1)
         vals = np.clip(vals, 0.0, 1.0)
-    if state.floor_at_zero:
-        vals = np.where(arr <= 0.0, 0.0, vals)
+    vals = np.where(arr <= 0.0, 0.0, vals)
     if np.asarray(x).ndim == 0:
         return float(vals[0])
     return vals
@@ -315,19 +313,18 @@ def _panel_moments(
     mu: np.ndarray,
     idio_var: np.ndarray,
     common_var: np.ndarray,
-    floored: bool,
     panel: tuple[np.ndarray, np.ndarray] | None = None,
     pivots: Sequence[int] = (),
 ):
     """
-    Mean and variance of M = max(0?, C + max_i A_i) for a batch of states,
-    and Cov[C + A_p, M] for every 0-based pivot p (floored states only).
+    Mean and variance of M = max(0, C + max_i A_i) for a batch of states,
+    and Cov[C + A_p, M] for every 0-based pivot p.
 
     mu, idio_var: [m, k]; common_var: [m].  Returns mean [m], variance [m]
     and covariances [len(pivots), m].  Regular rows (every component
-    stochastic and, when floored, a nondegenerate common factor) and the
-    rest run in separate chunks of the same kernel, so regular chunks skip
-    the hard-floor work.  A pass of more than `_POOL_MIN_ROWS` rows splits
+    stochastic and a nondegenerate common factor) and the rest run in
+    separate chunks of the same kernel, so regular chunks skip the
+    hard-floor work.  A pass of more than `_POOL_MIN_ROWS` rows splits
     each kind into equal chunks, as many as a multiple of the `CTD_THREADS`
     worker count (`block_workers`), and the calling thread and the other
     workers take them in turn; each chunk writes only its own rows and every
@@ -341,9 +338,7 @@ def _panel_moments(
     mean = np.empty(m)
     var = np.empty(m)
     cov = np.empty((len(pivots), m))
-    regular = np.all(idio_var > 0.0, axis=1)
-    if floored:
-        regular &= common_var > 0.0
+    regular = np.all(idio_var > 0.0, axis=1) & (common_var > 0.0)
     workers = block_workers() if m > _POOL_MIN_ROWS else 1
     chunks = []
     for rows in (np.flatnonzero(regular), np.flatnonzero(~regular)):
@@ -355,7 +350,7 @@ def _panel_moments(
     def drain() -> None:
         for sel in todo:
             mean[sel], var[sel], cov[:, sel] = _panel_chunk(
-                mu[sel], idio_var[sel], common_var[sel], floored, panel, pivots
+                mu[sel], idio_var[sel], common_var[sel], panel, pivots
             )
 
     workers = min(len(chunks), workers)
@@ -370,7 +365,7 @@ def _panel_moments(
     return mean, var, cov
 
 
-def _panel_chunk(mu, idio_var, common_var, floored, panel, pivots):
+def _panel_chunk(mu, idio_var, common_var, panel, pivots):
     """
     One chunk of `_panel_moments`.
 
@@ -393,8 +388,7 @@ def _panel_chunk(mu, idio_var, common_var, floored, panel, pivots):
     sc = np.where(sc_pos, np.sqrt(common_var), 1.0)[:, None]
     with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
         m0 = np.where(stoch, -np.inf, mu).max(axis=1)
-        if floored:
-            m0 = np.where(sc_pos, m0, np.maximum(m0, 0.0))
+        m0 = np.where(sc_pos, m0, np.maximum(m0, 0.0))
         hard = np.isfinite(m0)
         folds = bool(hard.any())
         m0f = np.where(hard, m0, 0.0)
@@ -419,8 +413,6 @@ def _panel_chunk(mu, idio_var, common_var, floored, panel, pivots):
                 w[~stoch[:, i]] = 0.0
             acc[0] += np.sum(w * y, axis=1)
             acc[1] += np.sum(w * y * y, axis=1)
-            if not floored:
-                continue
             # the lower tails, as in _floor_values; inline, so that no more
             # [m, g] temporaries are alive at once than the expressions need
             t = y / sc
@@ -458,12 +450,9 @@ def _panel_chunk(mu, idio_var, common_var, floored, panel, pivots):
                     others = np.prod(np.delete(cdf0, p, axis=1), axis=1)
                     e_am[n] += np.where(hard, lower0 * others * g0, 0.0)
 
-        tail = sc_pos if floored else np.zeros(m, dtype=bool)
         e1, e2, l1, l2, e_fd = acc
-        mean = e1 + np.where(tail, l1, 0.0)
-        second = common_var + e2 - np.where(tail, l2, 0.0)
-        if floored:
-            mean = np.maximum(mean, 0.0)
+        mean = np.maximum(e1 + np.where(sc_pos, l1, 0.0), 0.0)
+        second = common_var + e2 - np.where(sc_pos, l2, 0.0)
         var = np.maximum(second - mean * mean, 0.0)
         cov = np.empty((len(pivots), m))
         for n, p in enumerate(pivots):
@@ -478,16 +467,15 @@ def max_moments(state: CommonFactorState) -> tuple[float, float]:
     Mean and variance of the common-factor maximum at one time.
 
     Semi-analytic: the moments of the inner maximum are integrated against
-    per-component Gaussian panels and the zero floor (when present) is
-    applied through exact rectification identities, conditioning on the
-    common factor.  Equivalent to integrating the survival function of
-    `max_cdf` but uniformly accurate for vanishing volatilities.
+    per-component Gaussian panels and the zero floor is applied through
+    exact rectification identities, conditioning on the common factor.
+    Equivalent to integrating the survival function of `max_cdf` but
+    uniformly accurate for vanishing volatilities.
     """
     mean, var, _ = _panel_moments(
         state.component_means[None, :],
         state.component_vars[None, :],
         np.asarray([state.common_var]),
-        state.floor_at_zero,
     )
     return float(mean[0]), float(var[0])
 
@@ -526,8 +514,8 @@ def integral_variance_estimator(times, variances, t0: float, T: float):
         raise ModelValidationError("times must be strictly increasing")
     if v.shape[-1] != t.size:
         raise ModelValidationError("variance curve and grid have different lengths")
-    if np.any(v < -1e-18):
-        raise ModelValidationError("variance curve must be nonnegative")
+    if not (np.all(np.isfinite(v)) and np.all(v >= -1e-18)):
+        raise ModelValidationError("variance curve must be finite and nonnegative")
     if t[0] > t0 + 1e-12 or t[-1] < T - 1e-12:
         raise ModelValidationError(
             f"grid [{t[0]:g}, {t[-1]:g}] does not cover [{t0:g}, {T:g}]"
@@ -614,7 +602,6 @@ class CommonFactorResult:
     psi: float
     gamma: np.ndarray
     gamma_clamped: int
-    floor_at_zero: bool
 
     @property
     def mean_integral(self) -> float:
@@ -717,7 +704,6 @@ def _cf_pipeline(
         mu.reshape(states * ns, n),
         np.broadcast_to(idio, (states, ns, n)).reshape(states * ns, n),
         np.broadcast_to(common, (states, ns)).reshape(states * ns),
-        True,
         panel,
         [p - 1 for p in pivots],
     )
@@ -758,7 +744,7 @@ def ctd_common_factor_detailed(
 ) -> CommonFactorResult:
     """Stochastic CTD factor with its intermediate curves exposed."""
     value, psi, moments, gamma, clamped, _ = _cf_pipeline(model, t0, (T,), nodes_per_year)[0]
-    return CommonFactorResult(value, moments, psi, gamma, clamped, True)
+    return CommonFactorResult(value, moments, psi, gamma, clamped)
 
 
 def ctd_common_factor(

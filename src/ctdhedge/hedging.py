@@ -66,7 +66,7 @@ __all__ = [
     "synthetic_replication_pnl",
 ]
 
-ALPHA0_POLICIES = ("free", "cash_neutral", "zero")
+ALPHA0_POLICIES = ("cash_neutral", "zero")
 _DEGENERATE_DIAG = 1e-14
 # active-set iterations allowed per coordinate of the hedge QP before it is a failure
 _QP_ITERATIONS_PER_DIM = 10
@@ -252,7 +252,7 @@ def solve_min_variance(
     When the domestic bond carries no variance (its row of the covariance
     matrix vanishes, e.g. a deterministic domestic rate), the weight
     alpha_0 drops out of the objective.  It is then fixed by policy:
-    "zero" or "free" leave it at zero, "cash_neutral" solves for zero
+    "zero" leaves it at zero, "cash_neutral" solves for zero
     portfolio price at inception from the form's `prices`.
     """
     if alpha0_policy not in ALPHA0_POLICIES:
@@ -504,10 +504,9 @@ def evaluate_portfolio_paths(
         u = bundle.displacements(t)
         u0 = bundle.values[:, k, 0] - model.domestic.mean_curve(t)
         pdom = _conditional_bond(model.domestic, t, maturity, u0)
-        if t < maturity:  # the anchors are a prefix of the observation times
-            choice = table.evaluate(k, u)[0] * pdom
-        else:
-            choice = np.ones(n_paths)
+        # the anchors are a prefix of the observation times; at the maturity
+        # the table's row and pdom are exactly 1
+        choice = table.evaluate(k, u)[0] * pdom
         bonds = {0: pdom}
         for i in range(1, model.n_spreads + 1):
             bonds[i] = _conditional_bond(model.spread(i), t, maturity, u[:, i - 1]) * pdom

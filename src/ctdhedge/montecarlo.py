@@ -316,9 +316,7 @@ def mc_ctd(bundle: PathBundle, t0: float, T: float) -> tuple[float, float]:
     Returns (estimate, standard error); both t0 and T must be observation
     nodes of the bundle.
     """
-    k0, k1 = bundle.observation_index(t0), bundle.observation_index(T)
-    samples = np.exp(-(bundle.max_integral[:, k1] - bundle.max_integral[:, k0]))
-    return _estimate(samples)
+    return mc_expectation(bundle, "ctd", t0, T)
 
 
 def _payoff_samples(bundle: PathBundle, payoff: str, k0: int, k1: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from one array kernel, `_ou_covariance`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -58,34 +58,28 @@ class HullWhiteSpec:
         Volatility (absolute rate per sqrt-year).  Zero is allowed and
         collapses the process onto its forecast curve.
     mean_curve : SpreadCurve
-        Deterministic forecast qhat(t); also the process mean.
-    initial_value : float, optional
-        Level at the curve start.  Defaults to the curve value there and
-        must match it when given explicitly.
+        Deterministic forecast qhat(t); also the process mean, which
+        starts at the read-only `initial_value`.
     """
 
     kappa: float
     xi: float
     mean_curve: SpreadCurve
-    initial_value: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if not self.kappa > 0.0:
             raise ModelValidationError(f"kappa must be positive, got {self.kappa}")
         if self.xi < 0.0:
             raise ModelValidationError(f"xi must be nonnegative, got {self.xi}")
-        anchor = self.mean_curve(self.mean_curve.start)
-        if self.initial_value is None:
-            object.__setattr__(self, "initial_value", anchor)
-        elif abs(self.initial_value - anchor) > 1e-12:
-            raise ModelValidationError(
-                f"initial_value {self.initial_value} does not match the curve "
-                f"start level {anchor}"
-            )
 
     @property
     def t0(self) -> float:
         return self.mean_curve.start
+
+    @property
+    def initial_value(self) -> float:
+        """Level at the curve start."""
+        return self.mean_curve(self.mean_curve.start)
 
     def variance(self, t, start: float | None = None):
         """Marginal variance of the spread at time t (accrued from `start`)."""
@@ -100,10 +94,10 @@ class HullWhiteSpec:
         return out
 
     def bumped_xi(self, new_xi: float) -> "HullWhiteSpec":
-        return HullWhiteSpec(self.kappa, new_xi, self.mean_curve, None)
+        return HullWhiteSpec(self.kappa, new_xi, self.mean_curve)
 
     def bumped_level(self, delta: float) -> "HullWhiteSpec":
-        return HullWhiteSpec(self.kappa, self.xi, self.mean_curve.shifted(delta), None)
+        return HullWhiteSpec(self.kappa, self.xi, self.mean_curve.shifted(delta))
 
 
 @dataclass(frozen=True)
@@ -137,15 +131,10 @@ class CorrelationMatrix:
         object.__setattr__(self, "entries", m)
 
     @classmethod
-    def from_single(cls, rho_12: float, n: int = 2, rho_0i: Sequence[float] | None = None):
-        """Convenience builder for two spreads with one mutual correlation."""
-        if n != 2:
-            raise ModelValidationError("from_single builds two-spread matrices only")
+    def from_single(cls, rho_12: float):
+        """Two spreads correlated by rho_12, both independent of the domestic driver."""
         m = np.eye(3)
         m[1, 2] = m[2, 1] = rho_12
-        if rho_0i is not None:
-            m[0, 1] = m[1, 0] = rho_0i[0]
-            m[0, 2] = m[2, 0] = rho_0i[1]
         return cls(m)
 
     @property

@@ -192,6 +192,12 @@ class TestCli:
             assert code == 2, strategies
             assert "unknown strategy" in capsys.readouterr().err
 
+    def test_unknown_cash_weight_policy_exit_code(self, tmp_path, capsys):
+        code = main(["hedge", "--config", str(self._write(tmp_path)), "--out", str(tmp_path / "o"),
+                     "--set", "hedge.alpha0_policy=free"])
+        assert code == 2
+        assert "alpha0_policy must be one of ('cash_neutral', 'zero')" in capsys.readouterr().err
+
     def test_acceptance_criteria_override(self, tmp_path):
         cfg = self._write(tmp_path)
         out = tmp_path / "a"

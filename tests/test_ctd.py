@@ -41,7 +41,7 @@ from ctdhedge.spread_model import ModelValidationError
 from single_maturity_table import SingleMaturityCtdTable
 
 
-def _state(means, total_vars, gamma, floored=True):
+def _state(means, total_vars, gamma):
     means = np.asarray(means, dtype=float)
     total = np.asarray(total_vars, dtype=float)
     smin = float(total.min())
@@ -53,7 +53,6 @@ def _state(means, total_vars, gamma, floored=True):
         component_means=means,
         component_vars=total - common,
         common_var=common,
-        floor_at_zero=floored,
     )
 
 
@@ -467,10 +466,6 @@ class TestMaxCdf:
         assert vals[0] == 0.0
         assert vals[-1] == pytest.approx(1.0, abs=1e-9)
 
-    def test_unfloored_allows_negative_arguments(self):
-        st = _state([-0.01], [1e-6], 0.0, floored=False)
-        assert max_cdf(st, -0.01) == pytest.approx(0.5, abs=1e-12)
-
 
 class TestMaxMoments:
     def test_rectified_standard_normal(self):
@@ -508,13 +503,6 @@ class TestMaxMoments:
         mean, var = max_moments(st)
         assert abs(mean - 0.0037473450) < 3 * 1.09e-06
         assert var == pytest.approx(1.1803004e-05, rel=2e-3)
-
-    def test_unfloored_matches_direct_moments(self):
-        st = _state([0.002, -0.001], [0.004**2, 0.006**2], 0.4, floored=False)
-        mean, var = max_moments(st)
-        # frozen from the same 1e7-draw oracle without the floor
-        assert abs(mean - 0.0032790979) < 3 * 1.3e-06
-        assert var == pytest.approx(1.6843710e-05, rel=2e-3)
 
     def test_variance_nonnegative_on_random_states(self):
         rng = np.random.default_rng(3)
@@ -554,6 +542,14 @@ class TestIntegralVarianceEstimator:
         t = np.linspace(0.0, 5.0, 6)
         with pytest.raises(ModelValidationError):
             integral_variance_estimator(t, np.ones(6), 0.0, 10.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-12])
+    def test_rejects_nonfinite_or_negative_variance(self, bad):
+        t = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ModelValidationError):
+            integral_variance_estimator(t, [1e-4, bad, 1e-4, 1e-4, 1e-4], 0.0, 1.0)
+        with pytest.raises(ModelValidationError):  # one bad curve in a batch
+            integral_variance_estimator(t, [[1e-4] * 5, [1e-4, bad, 1e-4, 1e-4, 1e-4]], 0.0, 1.0)
 
 
 class TestDeterministicCtd:
@@ -726,18 +722,17 @@ class TestPanelKernel:
     def test_regular_rows_match_references_bitwise(self, k):
         rng = np.random.default_rng(k)
         mu, idio, common = _kernel_states(rng, 300, k, "regular")
-        mean, var, cov = _panel_moments(mu, idio, common, True, pivots=range(k))
+        mean, var, cov = _panel_moments(mu, idio, common, pivots=range(k))
         ref_mean, ref_var = _moments_fast(mu, idio, common, True, _PANEL_X, _PANEL_W)
         assert mean.tobytes() == ref_mean.tobytes()
         assert var.tobytes() == ref_var.tobytes()
         for p in range(k):
             ref_cov = _pivot_max_covariance(mu, idio, common, ref_mean, p)
             assert cov[p].tobytes() == ref_cov.tobytes()
-        for panel, floored in (((_PANEL_X64, _PANEL_W64), True), ((_PANEL_X, _PANEL_W), False)):
-            mean, var, _ = _panel_moments(mu, idio, common, floored, panel)
-            ref_mean, ref_var = _moments_fast(mu, idio, common, floored, *panel)
-            assert mean.tobytes() == ref_mean.tobytes()
-            assert var.tobytes() == ref_var.tobytes()
+        mean, var, _ = _panel_moments(mu, idio, common, (_PANEL_X64, _PANEL_W64))
+        ref_mean, ref_var = _moments_fast(mu, idio, common, True, _PANEL_X64, _PANEL_W64)
+        assert mean.tobytes() == ref_mean.tobytes()
+        assert var.tobytes() == ref_var.tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("kind", ["pure", "pure_zero_common"])
@@ -747,17 +742,13 @@ class TestPanelKernel:
         # regular rows in the same batch take their own chunks
         reg = _kernel_states(rng, 50, k, "regular")
         batch = [np.concatenate(pair) for pair in zip((mu, idio, common), reg)]
-        mean, var, cov = _panel_moments(*batch, True, pivots=range(k))
+        mean, var, cov = _panel_moments(*batch, pivots=range(k))
         ref_mean, ref_var = _batched_moments_core(mu, idio, common, True)
         assert mean[:50].tobytes() == ref_mean.tobytes()
         assert var[:50].tobytes() == ref_var.tobytes()
         for p in range(k):
             ref_cov = _pivot_max_covariance(mu, idio, common, ref_mean, p)
             assert cov[p, :50].tobytes() == ref_cov.tobytes()
-        mean, var, _ = _panel_moments(mu, idio, common, False)
-        ref_mean, ref_var = _batched_moments_core(mu, idio, common, False)
-        assert mean.tobytes() == ref_mean.tobytes()
-        assert var.tobytes() == ref_var.tobytes()
 
     @pytest.mark.parametrize(
         "k, kind",
@@ -766,14 +757,13 @@ class TestPanelKernel:
     def test_degenerate_rows_match_references(self, k, kind):
         rng = np.random.default_rng(20 + k)
         mu, idio, common = _kernel_states(rng, 200, k, kind)
-        for floored in (True, False):
-            mean, var, cov = _panel_moments(mu, idio, common, floored, pivots=range(k) if floored else ())
-            ref_mean, ref_var = _batched_moments_core(mu, idio, common, floored)
-            np.testing.assert_allclose(mean, ref_mean, rtol=1e-10, atol=1e-18)
-            np.testing.assert_allclose(var, ref_var, rtol=1e-10, atol=1e-18)
-            for p in range(cov.shape[0]):
-                ref_cov = _pivot_max_covariance(mu, idio, common, ref_mean, p)
-                np.testing.assert_allclose(cov[p], ref_cov, rtol=1e-10, atol=1e-18)
+        mean, var, cov = _panel_moments(mu, idio, common, pivots=range(k))
+        ref_mean, ref_var = _batched_moments_core(mu, idio, common, True)
+        np.testing.assert_allclose(mean, ref_mean, rtol=1e-10, atol=1e-18)
+        np.testing.assert_allclose(var, ref_var, rtol=1e-10, atol=1e-18)
+        for p in range(k):
+            ref_cov = _pivot_max_covariance(mu, idio, common, ref_mean, p)
+            np.testing.assert_allclose(cov[p], ref_cov, rtol=1e-10, atol=1e-18)
 
 
 class TestThreadedKernel:
@@ -791,7 +781,7 @@ class TestThreadedKernel:
     def test_bytes_independent_of_chunk_and_workers(self, monkeypatch, k):
         mu, idio, common = self._mixed_rows(k)
         monkeypatch.setattr(ctd, "_POOL_MIN_ROWS", 0)  # every pass of several chunks takes the pool
-        for floored, pivots in ((True, range(k)), (True, ()), (False, ())):
+        for pivots in (range(k), ()):
             ref = None
             for chunk in (4096, 1024, 512, 7, 1):
                 monkeypatch.setattr(ctd, "_MOMENT_CHUNK", chunk)
@@ -799,16 +789,16 @@ class TestThreadedKernel:
                 rows = slice(None) if chunk > 7 else slice(0, 150)
                 for threads in ("1", "2", "3"):
                     monkeypatch.setenv("CTD_THREADS", threads)
-                    out = _panel_moments(mu[rows], idio[rows], common[rows], floored, pivots=pivots)
+                    out = _panel_moments(mu[rows], idio[rows], common[rows], pivots=pivots)
                     ref = out if ref is None else ref
                     for got, want in zip(out, ref):
-                        assert got.tobytes() == want[..., rows].tobytes(), (floored, chunk, threads)
+                        assert got.tobytes() == want[..., rows].tobytes(), (len(pivots), chunk, threads)
 
     def test_short_passes_run_inline(self, monkeypatch):
         monkeypatch.setenv("CTD_THREADS", "2")
         monkeypatch.setattr(ctd, "ThreadPoolExecutor", None)  # any pool would fail
         mu, idio, common = (a[: ctd._POOL_MIN_ROWS] for a in self._mixed_rows(2))
-        _panel_moments(mu, idio, common, True, pivots=range(2))
+        _panel_moments(mu, idio, common, pivots=range(2))
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_pooled_pass_splits_evenly_and_caller_drains(self, monkeypatch, threads):
@@ -824,7 +814,7 @@ class TestThreadedKernel:
 
         monkeypatch.setattr(ctd, "_panel_chunk", chunk)
         mu, idio, common = self._mixed_rows(2)  # 900 regular rows, 300 others
-        _panel_moments(mu, idio, common, True, pivots=range(2))
+        _panel_moments(mu, idio, common, pivots=range(2))
         for regular, rows in ((True, 900), (False, 300)):
             kind = [n for r, n in sizes if r == regular]
             assert sum(kind) == rows and len(kind) % threads == 0, (regular, kind)

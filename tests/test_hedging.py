@@ -87,10 +87,11 @@ class TestQuadraticProgram:
         b = np.array([0.0, 1e-3, -2e-4])
         prices = [0.96, 1.0, 0.97, 0.98]
         form = QuadraticForm(q, b, prices)
-        for policy, expected0 in (("zero", 0.0), ("free", 0.0)):
-            w = solve_min_variance(form, policy)
-            assert w.alpha0_degenerate
-            assert w.alpha[0] == expected0
+        w = solve_min_variance(form, "zero")
+        assert w.alpha0_degenerate
+        assert w.alpha[0] == 0.0
+        with pytest.raises(ModelValidationError, match="alpha0_policy"):
+            solve_min_variance(form, "free")
         w = solve_min_variance(form, "cash_neutral")
         recon = prices[1] * w.alpha[0] + prices[2] * w.alpha[1] + prices[3] * w.alpha[2]
         assert prices[0] + recon == pytest.approx(0.0, abs=1e-12)
@@ -607,7 +608,7 @@ def test_constructors_copy_the_arrays_they_freeze():
     objects = [
         SpreadCurve(given["grid"], given["values"]),
         QuadraticForm(np.eye(2), given["vector"]),
-        HedgeWeights(given["alpha"], "free", 0.0, False),
+        HedgeWeights(given["alpha"], "zero", 0.0, False),
         GaussianVectorSnapshot(given["means"], given["covariance"], 1.0),
         CommonFactorState(1.0, 0.0, 1e-4, given["component_means"], given["component_vars"], 0.0),
     ]

@@ -266,6 +266,12 @@ class TestEstimators:
         assert cov == pytest.approx(float(np.var(samples, ddof=1)), rel=1e-10)
         assert se > 0
 
+    def test_ctd_is_the_ctd_payoff_bitwise(self):
+        bundle = simulate(_model(), SimulationPlan(2_000, 12, 5.0, seed=3, observation_times=(2.0,)))
+        for t0, T in ((0.0, 5.0), (2.0, 5.0), (0.0, 2.0)):
+            got = np.array(mc_ctd(bundle, t0, T))
+            assert got.tobytes() == np.array(mc_expectation(bundle, "ctd", t0, T)).tobytes(), (t0, T)
+
     def test_requested_time_must_be_observed(self):
         bundle = simulate(_model(), SimulationPlan(100, 2, 1.0, seed=1))
         with pytest.raises(ModelValidationError):

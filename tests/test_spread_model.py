@@ -40,10 +40,14 @@ class TestValidation:
         with pytest.raises(ModelValidationError):
             HullWhiteSpec(0.1, -0.001, FLAT)
 
-    def test_initial_value_must_match_curve(self):
-        HullWhiteSpec(0.1, 0.001, FLAT, initial_value=0.014)
-        with pytest.raises(ModelValidationError):
-            HullWhiteSpec(0.1, 0.001, FLAT, initial_value=0.015)
+    def test_initial_value_is_the_curve_start(self):
+        spec = HullWhiteSpec(0.1, 0.001, SpreadCurve([0.5, 10.0], [0.014, 0.02]))
+        assert spec.initial_value == 0.014
+        assert spec.bumped_level(0.001).initial_value == spec.mean_curve.shifted(0.001)(0.5)
+        with pytest.raises(TypeError):
+            HullWhiteSpec(0.1, 0.001, FLAT, initial_value=0.014)
+        with pytest.raises(AttributeError):
+            spec.initial_value = 0.015
 
     def test_correlation_matrix_checks(self):
         CorrelationMatrix(np.eye(3))
