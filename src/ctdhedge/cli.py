@@ -54,7 +54,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="ctd-out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the seed")
     parser.add_argument("--paths", type=int, default=None, help="override mc paths")
-    parser.add_argument("--grid", type=int, default=None, help="override nodes per year")
     parser.add_argument("--svg", action="store_true", help="also write SVG charts")
     args = parser.parse_args(argv)
 
@@ -71,8 +70,6 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.paths is not None:
             cfg.mc_paths = args.paths
-        if args.grid is not None:
-            cfg.nodes_per_year = args.grid
         model = cfg.build_model()
     except (ConfigError, ModelValidationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -139,17 +136,19 @@ def _run_sensitivity(cfg: ExperimentConfig, model, out: Path, svg: bool) -> int:
 
 
 def _strategy_names(cfg: ExperimentConfig, model) -> list[str]:
+    known = ["stochastic", "deterministic", "none"] + [
+        f"basic_q{i}" for i in range(1, model.n_spreads + 1)
+    ]
     if cfg.hedge_strategies == "all":
-        return ["stochastic", "deterministic", "none"] + [
-            f"basic_q{i}" for i in range(1, model.n_spreads + 1)
-        ]
+        return known
     names = [s.strip() for s in cfg.hedge_strategies.split(",") if s.strip()]
-    for name in names:
-        basic = name.startswith("basic_q") and name.removeprefix("basic_q").isdecimal()
-        if name not in ("stochastic", "deterministic", "none") and not basic:
+    for k, name in enumerate(names):
+        if name not in known:
             raise ConfigError(
-                f"unknown strategy {name!r}: expected stochastic, deterministic, none or basic_q<i>"
+                f"unknown strategy {name!r}: expected one of {', '.join(known)} (none is basic_q0)"
             )
+        if name in names[:k]:
+            raise ConfigError(f"strategy {name!r} is listed twice")
     return names
 
 
@@ -173,8 +172,7 @@ def _run_hedge(cfg: ExperimentConfig, model, out: Path, svg: bool) -> int:
 
     obs = np.unique(np.concatenate([np.linspace(t0, T, int(round((T - t0) * cfg.sd_points_per_year)) + 1),
                                     [t0, T]]))
-    plan = SimulationPlan(cfg.mc_paths, cfg.mc_steps_per_year, T, cfg.seed,
-                          antithetic=cfg.mc_antithetic, t0=t0,
+    plan = SimulationPlan(cfg.mc_paths, cfg.mc_steps_per_year, T, cfg.seed, t0=t0,
                           observation_times=tuple(obs))
     bundle = simulate(model, plan)
     stats = evaluate_portfolio_paths(portfolios, bundle, n_samples=cfg.sample_paths)
@@ -228,8 +226,7 @@ def _run_pnl(cfg: ExperimentConfig, model, out: Path, svg: bool) -> int:
         np.linspace(cfg.t0, T, int(round((T - cfg.t0) * cfg.pnl_rebalance_per_year)) + 1),
         np.asarray(swap.payment_dates),
     ]))
-    plan = SimulationPlan(cfg.mc_paths, cfg.mc_steps_per_year, T, cfg.seed,
-                          antithetic=cfg.mc_antithetic, t0=cfg.t0,
+    plan = SimulationPlan(cfg.mc_paths, cfg.mc_steps_per_year, T, cfg.seed, t0=cfg.t0,
                           observation_times=tuple(rebal))
     samples = synthetic_replication_pnl(model, swap, cfg.pnl_schemes, simulate(model, plan),
                                         cfg.nodes_per_year)

@@ -41,6 +41,14 @@ def _rate(value):
     return value if value == "par" else float(value)
 
 
+def _count(value) -> int:
+    """A positive whole number, for the keys that size a grid or a sample."""
+    n = int(value)
+    if n != value or n < 1:
+        raise ValueError(value)
+    return n
+
+
 # (ExperimentConfig attribute, conversion) per key, in the order
 # `serialize_config` writes them; the process sections [domestic] and
 # [spread.N] keep their keys in a dict per process
@@ -48,19 +56,18 @@ _PROCESS_FIELDS = {"kappa": float, "xi": float, "curve.grid": _floats, "curve.va
 _TOP_FIELDS = {"seed": ("seed", int), "command": ("command", str)}
 _FIELDS = {
     "horizon": {"t0": ("t0", float), "maturity": ("maturity", float),
-                "nodes_per_year": ("nodes_per_year", int)},
-    "mc": {"paths": ("mc_paths", int), "steps_per_year": ("mc_steps_per_year", int),
-           "antithetic": ("mc_antithetic", bool)},
+                "nodes_per_year": ("nodes_per_year", _count)},
+    "mc": {"paths": ("mc_paths", _count), "steps_per_year": ("mc_steps_per_year", _count)},
     "hedge": {"strategies": ("hedge_strategies", _joined), "alpha0_policy": ("alpha0_policy", str),
-              "sd_points_per_year": ("sd_points_per_year", int),
-              "sample_paths": ("sample_paths", int)},
+              "sd_points_per_year": ("sd_points_per_year", _count),
+              "sample_paths": ("sample_paths", _count)},
     "sensitivity": {"kind": ("sens_kind", str), "index": ("sens_index", int),
                     "sweep_start": ("sweep_start", float), "sweep_stop": ("sweep_stop", float),
-                    "sweep_count": ("sweep_count", int), "epsilon": ("epsilon", float)},
-    "theta": {"intervals_per_year": ("theta_intervals_per_year", int)},
+                    "sweep_count": ("sweep_count", _count), "epsilon": ("epsilon", float)},
+    "theta": {"intervals_per_year": ("theta_intervals_per_year", _count)},
     "pnl": {"payment_dates": ("pnl_payment_dates", _floats), "fixed_rate": ("pnl_fixed_rate", _rate),
             "notional": ("pnl_notional", float),
-            "rebalance_per_year": ("pnl_rebalance_per_year", int),
+            "rebalance_per_year": ("pnl_rebalance_per_year", _count),
             "schemes": ("pnl_schemes", _strs)},
     "acceptance": {"criteria": ("acceptance_criteria", _joined)},
 }
@@ -82,7 +89,6 @@ class ExperimentConfig:
     correlations: dict = field(default_factory=dict)
     mc_paths: int = 100_000
     mc_steps_per_year: int = 80
-    mc_antithetic: bool = False
     hedge_strategies: str = "all"
     alpha0_policy: str = "cash_neutral"
     sd_points_per_year: int = 4
@@ -135,8 +141,6 @@ class ExperimentConfig:
 
 def _parse_scalar(text: str):
     raw = text.strip()
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
     if "," in raw:
         return tuple(_parse_scalar(part) for part in raw.split(",") if part.strip())
     try:
@@ -261,8 +265,6 @@ def apply_override(cfg: ExperimentConfig, dotted: str, value: str) -> None:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.12g}"
     if isinstance(value, (tuple, list, np.ndarray)):

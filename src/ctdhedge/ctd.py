@@ -825,10 +825,11 @@ class ConditionalCtdTable:
     with one conditional common-factor pass (`_cf_pipeline` on 64-node
     panels) for all the strictly increasing `maturities` after the anchor.
     The log factors of these live maturities form the last axis of one
-    table per anchor (cubic with four or more nodes per dimension), so
-    `evaluate` interpolates once per query batch.  It clamps the states to
-    the grid's edge, `half_width_sds` standard deviations out, and returns
-    one row per maturity; rows of maturities at or before the anchor are 1.
+    cubic table per anchor, so `evaluate` interpolates once per query
+    batch; `nodes_per_dim` must be at least 4, the fewest a cubic spline
+    takes.  `evaluate` clamps the states to the grid's edge,
+    `half_width_sds` standard deviations out, and returns one row per
+    maturity; rows of maturities at or before the anchor are 1.
     `maturity` is the last maturity, the tables' horizon.
     """
 
@@ -843,13 +844,14 @@ class ConditionalCtdTable:
     ):
         from scipy.interpolate import RegularGridInterpolator
 
+        if nodes_per_dim < 4:
+            raise ModelValidationError(f"cubic tables need nodes_per_dim >= 4, got {nodes_per_dim}")
         self.model = model
         self.maturities = _check_maturities(maturities)
         self.maturity = float(self.maturities[-1])
         self.anchor_times = np.asarray(anchor_times, dtype=float)
         n = model.n_spreads
         panel = (_PANEL_X64, _PANEL_W64)
-        method = "cubic" if nodes_per_dim >= 4 else "linear"
         # per anchor: the settled rows, the displacement axes (None without a
         # grid) and the live log factors (one table, or floats without a grid)
         self._anchors: list = []
@@ -871,7 +873,7 @@ class ConditionalCtdTable:
                     results = _cf_pipeline(model, t, live, nodes_per_year, pts, panel=panel)
                     values = np.stack([np.log(r[0]) for r in results], axis=-1)
                     logs = RegularGridInterpolator(
-                        axes, values.reshape([nodes_per_dim] * n + [live.size]), method=method,
+                        axes, values.reshape([nodes_per_dim] * n + [live.size]), method="cubic",
                         bounds_error=False, fill_value=None,
                     )
             self._anchors.append((self.maturities.size - live.size, axes, logs))

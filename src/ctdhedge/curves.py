@@ -120,15 +120,6 @@ class SpreadCurve:
         """Curve with the time origin moved by `offset`."""
         return SpreadCurve(self.grid + offset, self.values)
 
-    def restricted(self, a: float, b: float) -> "SpreadCurve":
-        """Curve restricted to [a, b] (nodes at a and b inserted)."""
-        self._check_domain(np.asarray([a, b], dtype=float))
-        if b <= a:
-            raise ValueError("restriction needs a < b")
-        inner = self.grid[(self.grid > a) & (self.grid < b)]
-        nodes = np.concatenate(([a], inner, [b]))
-        return SpreadCurve(nodes, np.interp(nodes, self.grid, self.values))
-
 
 def _pairwise_crossings(nodes: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Intersection times of curve segments between consecutive nodes.

@@ -498,7 +498,7 @@ def evaluate_portfolio_paths(
     table = ConditionalCtdTable(model, times[times <= maturity], (maturity,))
     n_paths = bundle.n_paths
     out = []
-    values = {p.name: np.empty((n_paths, times.size)) for p in portfolios}
+    values = [np.empty((n_paths, times.size)) for _ in portfolios]
     for k, t in enumerate(times):
         t = float(t)
         u = bundle.displacements(t)
@@ -511,13 +511,12 @@ def evaluate_portfolio_paths(
         for i in range(1, model.n_spreads + 1):
             bonds[i] = _conditional_bond(model.spread(i), t, maturity, u[:, i - 1]) * pdom
         bank = bundle.bank_factor(bundle.plan.t0, t)
-        for p in portfolios:
-            values[p.name][:, k] = _leg_sum(
+        for p, v in zip(portfolios, values):
+            v[:, k] = _leg_sum(
                 p.positions, t, p.cash * bank, lambda: choice, bonds.__getitem__,
                 lambda S: _conditional_bond(model.domestic, t, S, u0),
             )
-    for p in portfolios:
-        v = values[p.name]
+    for p, v in zip(portfolios, values):
         mean = v.mean(axis=0)
         sd = v.std(axis=0, ddof=1)
         centered = v - mean[None, :]

@@ -109,13 +109,13 @@ def forward_bond(model: MarketModel, contract: ForwardBondContract, t: float) ->
     )
 
 
-def forward_ibor(model: MarketModel, swap: SwapSpec, t: float, k: int, t0: float | None = None) -> float:
+def forward_ibor(model: MarketModel, swap: SwapSpec, t: float, k: int) -> float:
     """
     Simple-compounded forward rate of the swap's k-th period (1-based):
-    (P(t, T_{k-1}) - P(t, T_k)) / (tau_k P(t, T_k)).
+    (P(t, T_{k-1}) - P(t, T_k)) / (tau_k P(t, T_k)), with T_0 the model's
+    start.
     """
-    start = model.t0 if t0 is None else t0
-    periods = swap.periods(start)
+    periods = swap.periods(model.t0)
     if not 1 <= k <= len(periods):
         raise ModelValidationError(f"period index {k} out of range")
     s, e, tau = periods[k - 1]
@@ -164,9 +164,9 @@ def swap_value_ctd(
     return float(sum(factor * value for factor, (_, value) in zip(factors, legs)))
 
 
-def par_rate(model: MarketModel, payment_dates: Sequence[float], t: float | None = None) -> float:
-    """Fixed rate that prices the plain swap to zero at time t."""
-    t = model.t0 if t is None else t
+def par_rate(model: MarketModel, payment_dates: Sequence[float]) -> float:
+    """Fixed rate that prices the plain swap to zero at the model's start."""
+    t = model.t0
     swap = SwapSpec(1.0, 0.0, tuple(payment_dates))
     annuity = 0.0
     floating = 0.0

@@ -28,7 +28,7 @@ import numpy as np
 
 from .spread_model import MarketModel, ModelValidationError, _ou_covariance
 
-__all__ = ["SimulationPlan", "PathBundle", "simulate", "mc_ctd", "mc_expectation", "dump_paths"]
+__all__ = ["SimulationPlan", "PathBundle", "simulate", "mc_ctd", "mc_expectation"]
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,15 @@ class SimulationPlan:
     The transition scheme is fixed to the exact Ornstein-Uhlenbeck step;
     `steps_per_year` only controls the resolution of pathwise integrals.
     `observation_times` (defaults to {t0, T}) selects the grid nodes at
-    which states and running integrals are stored on the bundle.
+    which states and running integrals are stored on the bundle.  Every
+    path draws its own shocks, so the paths are independent and the
+    estimators' standard errors are the plain sample ones.
     """
 
     n_paths: int
     steps_per_year: int
     horizon: float
     seed: int
-    antithetic: bool = False
     t0: float = 0.0
     observation_times: tuple[float, ...] | None = None
 
@@ -57,8 +58,6 @@ class SimulationPlan:
             raise ModelValidationError("steps_per_year must be at least 1")
         if self.horizon <= self.t0:
             raise ModelValidationError("horizon must exceed the start time")
-        if self.antithetic and self.n_paths % 2:
-            raise ModelValidationError("antithetic sampling needs an even path count")
 
     def step_grid(self) -> np.ndarray:
         n = max(1, int(round((self.horizon - self.t0) * self.steps_per_year)))
@@ -150,9 +149,7 @@ def simulate(model: MarketModel, plan: SimulationPlan) -> PathBundle:
 
     Returns a bundle with states and running integrals at the plan's
     observation times.  Identical plans (same seed) give bitwise-identical
-    results at any `CTD_THREADS`.  Paths advance in blocks of 16384;
-    antithetic sampling pairs, within each block of n_b paths, path p with
-    path p + n_b/2.
+    results at any `CTD_THREADS`.  Paths advance in blocks of 16384.
     """
     workers = block_workers()
     grid = plan.step_grid()
@@ -237,12 +234,11 @@ def _simulate_block(
     rng = np.random.Generator(
         np.random.Philox(key=np.array([plan.seed % 2**64, block], dtype=np.uint64))
     )
-    draw = n // 2 if plan.antithetic else n
     n_stoch = stoch_idx.size
 
     u = np.zeros((n_stoch, n))
-    z = np.empty((draw, n_stoch))
-    shock = np.empty((draw, n_stoch))
+    z = np.empty((n, n_stoch))
+    shock = np.empty((n, n_stoch))
     level = np.empty((n_proc, n))
     prev_level = np.empty((n_proc, n))
     integrals = np.zeros((n_proc, n))
@@ -279,11 +275,7 @@ def _simulate_block(
         if n_stoch:
             u *= decay[:, None]
             np.matmul(z, chol.T, out=shock)
-            if plan.antithetic:
-                u[:, :draw] += shock.T
-                u[:, draw:] -= shock.T
-            else:
-                u += shock.T
+            u += shock.T
         level[:] = means_grid[k + 1][:, None]
         for r, j in enumerate(stoch_idx):
             level[j] += u[r]
@@ -385,24 +377,3 @@ def mc_covariance(bundle: PathBundle, payoff_a: str, payoff_b: str) -> tuple[flo
     prod = da * db
     se = float(np.std(prod, ddof=1) / math.sqrt(n))
     return cov, se
-
-
-def dump_paths(bundle: PathBundle, path: str, max_paths: int | None = None) -> None:
-    """
-    Write one row per path and observation time as headered CSV.
-
-    Columns: path, time, then each process level, its running integral, and
-    the running integral of the spread maximum.
-    """
-    n = bundle.n_paths if max_paths is None else min(max_paths, bundle.n_paths)
-    names = ["r0"] + [f"q{i}" for i in range(1, bundle.model.n_spreads + 1)]
-    header = ["path", "time"] + names + [f"int_{c}" for c in names] + ["int_max"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for p in range(n):
-            for k, t in enumerate(bundle.times):
-                row = [str(p), f"{t:.12g}"]
-                row += [f"{v:.12g}" for v in bundle.values[p, k]]
-                row += [f"{v:.12g}" for v in bundle.integrals[p, k]]
-                row.append(f"{bundle.max_integral[p, k]:.12g}")
-                fh.write(",".join(row) + "\n")

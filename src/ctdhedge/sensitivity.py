@@ -4,25 +4,22 @@ Central two-sided differences in either a spread's volatility or the level
 of its forecast curve, for the deterministic and the common-factor pricer.
 The deterministic factor has no volatility exposure at all and reacts to a
 level change only through the spread that is currently maximal, which is
-exactly the digital behaviour these profiles are built to exhibit.
+exactly the digital behaviour these profiles are built to exhibit.  A
+volatility bump must keep xi - epsilon >= 0: a sweep that starts below the
+bump size fails with ModelValidationError rather than shrinking the bump.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 from .ctd import CTD_METHODS, _ctd_factors, ctd_common_factor, ctd_deterministic
 from .spread_model import MarketModel, ModelValidationError
 
-__all__ = ["BumpRequest", "ctd_sensitivity", "sensitivity_profile", "SweepRow", "NumericsWarning"]
+__all__ = ["BumpRequest", "ctd_sensitivity", "sensitivity_profile", "SweepRow"]
 
 _KINDS = ("xi", "mean_level")
-
-
-class NumericsWarning(UserWarning):
-    """A difference quotient looks dominated by quadrature noise."""
 
 
 @dataclass(frozen=True)
@@ -61,34 +58,18 @@ def ctd_sensitivity(
     request: BumpRequest,
     method: str = "common_factor",
     nodes_per_year: int = 48,
-    check_epsilon: bool = False,
 ) -> float:
     """
     Central difference quotient of the CTD factor in the requested parameter.
 
-    With `check_epsilon` the estimate is recomputed at twice the bump size;
-    a large discrepancy (quadrature noise dominating the quotient) emits a
-    NumericsWarning.
+    A volatility bump that would take xi below zero raises
+    ModelValidationError.
     """
     if method not in CTD_METHODS[1:]:
         raise ModelValidationError(f"method must be one of {CTD_METHODS[1:]}")
     up = _ctd_factors(_bumped(model, request, +1.0), method, t0, (T,), nodes_per_year)[0]
     down = _ctd_factors(_bumped(model, request, -1.0), method, t0, (T,), nodes_per_year)[0]
-    estimate = (up - down) / (2.0 * request.epsilon)
-    if check_epsilon:
-        wide = BumpRequest(request.kind, request.index, 2.0 * request.epsilon)
-        up2 = _ctd_factors(_bumped(model, wide, +1.0), method, t0, (T,), nodes_per_year)[0]
-        down2 = _ctd_factors(_bumped(model, wide, -1.0), method, t0, (T,), nodes_per_year)[0]
-        estimate2 = (up2 - down2) / (4.0 * request.epsilon)
-        scale = max(abs(estimate2), 1e-12)
-        if abs(estimate - estimate2) > 0.25 * scale + 1e-10:
-            warnings.warn(
-                f"difference quotient unstable: {estimate:.6g} at eps={request.epsilon:g} "
-                f"vs {estimate2:.6g} at 2*eps; consider a larger bump",
-                NumericsWarning,
-                stacklevel=2,
-            )
-    return estimate
+    return (up - down) / (2.0 * request.epsilon)
 
 
 @dataclass(frozen=True)
@@ -120,8 +101,9 @@ def sensitivity_profile(
     its level at the start equals each sweep value, and the sensitivity is
     taken in that level.  kind "xi": all spread volatilities are set to the
     sweep value and the quotient is taken one spread at a time, producing
-    one row per (value, spread).  Rows are ordered by sweep value, then
-    spread index.
+    one row per (value, spread); every sweep value must be at least
+    `epsilon`, or the bump raises ModelValidationError.  Rows are ordered
+    by sweep value, then spread index.
     """
     if kind not in _KINDS:
         raise ModelValidationError(f"sweep kind must be one of {_KINDS}")
@@ -146,24 +128,12 @@ def sensitivity_profile(
 
 
 def _profile_row(model, t0, T, kind, value, index, epsilon, nodes_per_year) -> SweepRow:
-    if kind == "xi" and value - epsilon < 0.0:
-        epsilon = max(value / 2.0, 1e-8) if value > 0 else 1e-8
-    if kind == "xi" and value == 0.0:
-        # one-sided fallback at the volatility boundary
-        req = BumpRequest(kind, index, epsilon)
-        up = ctd_common_factor(_bumped(model, req, +1.0), t0, T, nodes_per_year)
-        base = ctd_common_factor(model, t0, T, nodes_per_year)
-        dcf = (up - base) / epsilon
-        ddet = 0.0
-    else:
-        req = BumpRequest(kind, index, epsilon)
-        dcf = ctd_sensitivity(model, t0, T, req, "common_factor", nodes_per_year)
-        ddet = ctd_sensitivity(model, t0, T, req, "deterministic", nodes_per_year)
+    req = BumpRequest(kind, index, epsilon)
     return SweepRow(
         parameter=value,
         bump_index=index,
         ctd_det=ctd_deterministic(model, t0, T),
         ctd_cf=ctd_common_factor(model, t0, T, nodes_per_year),
-        dctd_det=ddet,
-        dctd_cf=dcf,
+        dctd_det=ctd_sensitivity(model, t0, T, req, "deterministic", nodes_per_year),
+        dctd_cf=ctd_sensitivity(model, t0, T, req, "common_factor", nodes_per_year),
     )

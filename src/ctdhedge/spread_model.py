@@ -81,12 +81,11 @@ class HullWhiteSpec:
         """Level at the curve start."""
         return self.mean_curve(self.mean_curve.start)
 
-    def variance(self, t, start: float | None = None):
-        """Marginal variance of the spread at time t (accrued from `start`)."""
-        s = self.t0 if start is None else start
-        dt = np.asarray(t, dtype=float) - s
+    def variance(self, t):
+        """Marginal variance of the spread at time t (accrued from the curve start)."""
+        dt = np.asarray(t, dtype=float) - self.t0
         if np.any(dt < -1e-12):
-            raise ModelValidationError("variance requested before the anchor time")
+            raise ModelValidationError("variance requested before the curve start")
         dt = np.maximum(dt, 0.0)
         out = self.xi**2 * (-np.expm1(-2.0 * self.kappa * dt)) / (2.0 * self.kappa)
         if np.asarray(t).ndim == 0:
@@ -176,11 +175,6 @@ class MarketModel:
     @property
     def t0(self) -> float:
         return self.domestic.t0
-
-    @property
-    def horizon(self) -> float:
-        """Largest maturity covered by every curve in the model."""
-        return min([self.domestic.mean_curve.end] + [s.mean_curve.end for s in self.spreads])
 
     def spread(self, i: int) -> HullWhiteSpec:
         """Spread process by 1-based index; index 0 is not a stored process."""

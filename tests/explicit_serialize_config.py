@@ -34,7 +34,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         "[mc]",
         f"paths = {cfg.mc_paths}",
         f"steps_per_year = {cfg.mc_steps_per_year}",
-        f"antithetic = {_fmt(cfg.mc_antithetic)}",
         "",
         "[hedge]",
         f"strategies = {cfg.hedge_strategies}",

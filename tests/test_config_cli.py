@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ctdhedge import cli, hedging
 from ctdhedge.cli import main
 from ctdhedge.config import (
+    _FIELDS,
+    _TOP_FIELDS,
     ConfigError,
+    ExperimentConfig,
     apply_override,
     bundled_config_path,
     load_config,
@@ -120,12 +125,20 @@ class TestParsing:
         cfg = load_config(name)
         assert serialize_config(cfg) == explicit_serialize_config(cfg)
         for dotted, value in (("horizon.maturity", "20"), ("spread.1.xi", "0.002"),
-                              ("mc.antithetic", "true"), ("hedge.strategies", "stochastic,none"),
+                              ("mc.paths", "500"), ("hedge.strategies", "stochastic,none"),
                               ("acceptance.criteria", "a01"),
                               ("pnl.payment_dates", "1, 2.5, 4"), ("pnl.fixed_rate", "0.013"),
                               ("pnl.schemes", "none, common_factor"), ("correlation.rho_0_2", "0.1")):
             apply_override(cfg, dotted, value)
             assert serialize_config(cfg) == explicit_serialize_config(cfg), dotted
+
+    def test_key_tables_name_every_field_once(self):
+        # a key removed on one side only leaves a field no file can set, or a
+        # key that names no field
+        targets = [attr for attr, _ in _TOP_FIELDS.values()]
+        targets += [attr for keys in _FIELDS.values() for attr, _ in keys.values()]
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert sorted(targets) == sorted(fields - {"domestic", "spreads", "correlations"})
 
     def test_bundled_configs_resolve(self):
         assert bundled_config_path("experiment1") is not None
@@ -186,11 +199,43 @@ class TestCli:
 
     def test_unknown_strategy_exit_code(self, tmp_path, capsys):
         cfg = self._write(tmp_path)
-        for strategies in ("basic_qx", "basic_q", "stochastic,bogus"):
+        for strategies in ("basic_qx", "basic_q", "stochastic,bogus", "none,basic_q0", "basic_q3",
+                           "basic_q01"):
             code = main(["hedge", "--config", str(cfg), "--out", str(tmp_path / "o"),
                          "--set", f"hedge.strategies={strategies}"])
             assert code == 2, strategies
             assert "unknown strategy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategies, twice", [
+        ("none,stochastic,stochastic", "stochastic"), ("basic_q1, none ,basic_q1", "basic_q1"),
+    ])
+    def test_repeated_strategy_exit_code(self, tmp_path, capsys, strategies, twice):
+        code = main(["hedge", "--config", str(self._write(tmp_path)), "--out", str(tmp_path / "o"),
+                     "--set", f"hedge.strategies={strategies}"])
+        assert code == 2
+        assert f"strategy {twice!r} is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "hedge_report.csv").exists()
+
+    @pytest.mark.parametrize("command, key", [
+        ("hedge", "hedge.sd_points_per_year"), ("hedge", "hedge.sample_paths"),
+        ("sensitivity", "sensitivity.sweep_count"), ("simulate-pnl", "pnl.rebalance_per_year"),
+        ("calibrate-theta", "theta.intervals_per_year"), ("price", "horizon.nodes_per_year"),
+        ("hedge", "mc.paths"), ("simulate-pnl", "mc.steps_per_year"),
+    ])
+    @pytest.mark.parametrize("value", ["-1", "0", "2.5"])
+    def test_count_keys_take_positive_integers(self, tmp_path, capsys, command, key, value):
+        text = MINIMAL + "\n[pnl]\npayment_dates = 1.0, 2.0\n"
+        code = main([command, "--config", str(self._write(tmp_path, text)),
+                     "--out", str(tmp_path / "o"), "--paths", "100", "--set", f"{key}={value}"])
+        assert code == 2
+        name = key.partition(".")[2]
+        assert f"configuration error: --set {key}: invalid {name} {value}" in capsys.readouterr().err
+
+    def test_xi_sweep_below_the_bump_exit_code(self, tmp_path, capsys):
+        code = main(["sensitivity", "--config", "fig2_sensitivity", "--out", str(tmp_path / "o"),
+                     "--set", "sensitivity.sweep_start=0", "--set", "sensitivity.sweep_count=2"])
+        assert code == 2
+        assert "xi bump of 0.0002 takes spread 1 below zero" in capsys.readouterr().err
 
     def test_unknown_cash_weight_policy_exit_code(self, tmp_path, capsys):
         code = main(["hedge", "--config", str(self._write(tmp_path)), "--out", str(tmp_path / "o"),
@@ -311,7 +356,8 @@ class TestCli:
         monkeypatch.setattr(cli, "synthetic_replication_pnl", spy)
         text = MINIMAL + "\n[pnl]\npayment_dates = 1.0, 2.0\nschemes = none, common_factor\n"
         args = ["simulate-pnl", "--out", str(tmp_path / "out"), "--paths", "300"]
-        assert main([*args, "--config", str(self._write(tmp_path, text)), "--grid", "6"]) == 0
+        assert main([*args, "--config", str(self._write(tmp_path, text)),
+                     "--set", "horizon.nodes_per_year=6"]) == 0
         assert main([*args, "--config", str(self._write(tmp_path, text))]) == 0
         unset = text.replace("nodes_per_year = 24\n", "")
         assert main([*args, "--config", str(self._write(tmp_path, unset))]) == 0

@@ -938,24 +938,11 @@ class TestMultiMaturity:
             at_t0 = table.evaluate(0, rng.normal(0.0, 1e-3, (5, 2)))
             assert np.all(at_t0 == table.evaluate(0, np.zeros((1, 2))))
 
-    def test_linear_table_matches_single_maturity_tables(self):
-        # below four nodes per dimension the tables interpolate linearly; with
-        # the maturities stacked on one table scipy leaves its two-dimensional
-        # linear fast path, which rounds differently in the last bits
-        cfg = load_config("experiment1")
-        model = cfg.build_model()
-        anchors = (0.0, 2.5, 5.0, 8.0)
-        maturities = (4.0, 7.0, cfg.maturity)
-        rng = np.random.default_rng(11)
-        for nodes in (2, 3):
-            table = ConditionalCtdTable(model, anchors, maturities, nodes_per_dim=nodes)
-            refs = [SingleMaturityCtdTable(model, anchors, T, nodes_per_dim=nodes) for T in maturities]
-            for a, t in enumerate(anchors):
-                sds = np.sqrt([model.spread(i).variance(t) for i in (1, 2)])
-                u = rng.normal(0.0, 1.0, (200, 2)) * 6.0 * sds
-                got = table.evaluate(a, u)
-                for k, ref in enumerate(refs):
-                    np.testing.assert_allclose(got[k], ref.evaluate(a, u), rtol=1e-14, atol=0.0)
+    @pytest.mark.parametrize("nodes", [2, 3])
+    def test_tables_are_cubic_only(self, nodes):
+        model = load_config("experiment1").build_model()
+        with pytest.raises(ModelValidationError, match=f"nodes_per_dim >= 4, got {nodes}"):
+            ConditionalCtdTable(model, (0.0, 2.5), (4.0,), nodes_per_dim=nodes)
 
     def test_maturity_grids_are_not_prefixes(self):
         # the case the union grid exists for: a maturity's grid that is not

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import product as _iter_product
 
@@ -541,6 +542,18 @@ class TestPathEvaluation:
         se_var = math.sqrt(max(np.mean(centered**4) - realized**2, 0.0) / pi.size)
         allowance = 0.2 * float(np.abs(weights.alpha) @ np.abs(form.vector))
         assert abs(predicted - realized) < 4 * se_var + allowance
+
+    def test_same_named_portfolios_keep_their_own_values(self, crossing_model):
+        plan = SimulationPlan(1_000, 4, 10.0, seed=3, observation_times=(0.0, 5.0, 10.0))
+        bundle = simulate(crossing_model, plan)
+        q1, q2 = (build_basic_portfolio(crossing_model, i, 0.0, 10.0) for i in (1, 2))
+        twin = dataclasses.replace(q2, name=q1.name)
+        pair = evaluate_portfolio_paths([q1, twin], bundle)
+        for got, pf in zip(pair, (q1, q2)):
+            (alone,) = evaluate_portfolio_paths([pf], bundle)
+            assert got.sd.tobytes() == alone.sd.tobytes()
+            assert got.samples.tobytes() == alone.samples.tobytes()
+        assert pair[0].sd.tobytes() != pair[1].sd.tobytes()
 
     def test_cash_account_constant_without_rates(self, crossing_model):
         plan = SimulationPlan(500, 4, 10.0, seed=9, observation_times=(0.0, 5.0, 10.0))

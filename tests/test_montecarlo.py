@@ -14,7 +14,7 @@ from ctdhedge import (
     spread_cross_covariance,
 )
 from ctdhedge import montecarlo
-from ctdhedge.montecarlo import SimulationPlan, dump_paths, mc_covariance, mc_ctd, mc_expectation, simulate
+from ctdhedge.montecarlo import SimulationPlan, mc_covariance, mc_ctd, mc_expectation, simulate
 from ctdhedge.config import load_config
 from ctdhedge.spread_model import ModelValidationError
 from scalar_covariance import scalar_step_covariance
@@ -40,8 +40,12 @@ def _wide_model(n_spreads, xi0):
     return MarketModel(dom, spreads, CorrelationMatrix(0.7 * np.eye(n) + 0.3 * np.ones((n, n))))
 
 
-def _row_major_simulate(model, plan):
-    """Reference: the row-major (paths, proc) block loop, run block after block."""
+def _row_major_simulate(model, plan, antithetic):
+    """Reference: the row-major (paths, proc) block loop, run block after block.
+
+    `antithetic` mirrors each block's shocks (path p with p + n/2); the
+    simulator draws every path's own shocks, which is the False branch.
+    """
     grid, obs = plan.step_grid(), plan.observation_grid()
     obs_set = {round(float(t), 12) for t in obs}
     specs = [model.domestic] + list(model.spreads)
@@ -58,7 +62,7 @@ def _row_major_simulate(model, plan):
         n = hi - lo
         rng = np.random.Generator(
             np.random.Philox(key=np.array([plan.seed % 2**64, block], dtype=np.uint64)))
-        draw = n // 2 if plan.antithetic else n
+        draw = n // 2 if antithetic else n
         u = np.zeros((n, stoch_idx.size))
         level = np.tile(means_grid[0], (n, 1))
         integrals = np.zeros((n, n_proc))
@@ -81,7 +85,7 @@ def _row_major_simulate(model, plan):
             integrals += (0.5 * dt) * level
             max_int += (0.5 * dt) * prev_max
             u *= decay[None, :]
-            if plan.antithetic:
+            if antithetic:
                 shock = z @ chol.T
                 u[:draw] += shock
                 u[draw:] -= shock
@@ -111,8 +115,6 @@ class TestPlan:
             SimulationPlan(1, 10, 10.0, seed=1)
         with pytest.raises(ModelValidationError):
             SimulationPlan(100, 0, 10.0, seed=1)
-        with pytest.raises(ModelValidationError):
-            SimulationPlan(101, 10, 10.0, seed=1, antithetic=True)
         with pytest.raises(ModelValidationError):
             SimulationPlan(100, 10, 0.0, seed=1)
 
@@ -162,43 +164,18 @@ class TestSimulate:
         prod = (q1 - q1.mean()) * (q2 - q2.mean())
         assert abs(float(np.cov(q1, q2)[0, 1]) - cov) < 4 * np.std(prod, ddof=1) / math.sqrt(q1.size)
 
-    def test_antithetic_unbiased(self):
-        model = _model()
-        base = simulate(model, SimulationPlan(40_000, 8, 8.0, seed=7))
-        anti = simulate(model, SimulationPlan(40_000, 8, 8.0, seed=7, antithetic=True))
-        e0, s0 = mc_ctd(base, 0.0, 8.0)
-        e1, s1 = mc_ctd(anti, 0.0, 8.0)
-        assert abs(e0 - e1) < 4 * math.hypot(s0, s1)
-
-    def test_antithetic_pairs_mirror(self):
-        # pairs are formed within each path block: p with p + n_b/2
-        model = _model()
-        block = montecarlo._PATH_BLOCK
-        for n_paths, blocks in ((1000, [(0, 1000)]),
-                                (block + 600, [(0, block), (block, block + 600)])):
-            bundle = simulate(model, SimulationPlan(n_paths, 4, 2.0, seed=3, antithetic=True))
-            u = bundle.values[:, -1, 0] - model.domestic.mean_curve(2.0)
-            for lo, hi in blocks:
-                half = (hi - lo) // 2
-                assert np.allclose(u[lo:lo + half], -u[lo + half:hi], atol=1e-15)
-        # a mirror across the whole bundle would pair different paths
-        assert not np.allclose(u[:300], -u[n_paths // 2:n_paths // 2 + 300])
-
 
 class TestProcessMajorLayout:
     """The block loop reproduces the row-major reference byte for byte."""
 
-    @pytest.mark.parametrize(
-        "n_spreads, xi0, antithetic",
-        [(1, 0.0, False), (4, 0.006, False), (4, 0.0, True), (1, 0.006, True)],
-    )
-    def test_matches_row_major_reference(self, n_spreads, xi0, antithetic):
+    @pytest.mark.parametrize("n_spreads, xi0", [(1, 0.0), (4, 0.006)])
+    def test_matches_row_major_reference(self, n_spreads, xi0):
         model = _wide_model(n_spreads, xi0)
         # two blocks (one partial) and off-grid observations, so step sizes differ
         plan = SimulationPlan(montecarlo._PATH_BLOCK + 600, 4, 3.0, seed=2024,
-                              antithetic=antithetic, observation_times=(0.3, 1.1, 2.55))
+                              observation_times=(0.3, 1.1, 2.55))
         assert len({round(float(d), 12) for d in np.diff(plan.step_grid())}) > 1
-        assert _same_bytes(simulate(model, plan), _row_major_simulate(model, plan))
+        assert _same_bytes(simulate(model, plan), _row_major_simulate(model, plan, False))
 
     def test_zero_volatility_model_matches_reference(self):
         model = MarketModel(
@@ -207,7 +184,7 @@ class TestProcessMajorLayout:
             CorrelationMatrix(np.eye(2)),
         )
         plan = SimulationPlan(64, 12, 10.0, seed=1, observation_times=(2.5,))
-        assert _same_bytes(simulate(model, plan), _row_major_simulate(model, plan))
+        assert _same_bytes(simulate(model, plan), _row_major_simulate(model, plan, False))
 
     def test_independent_of_worker_count(self, monkeypatch):
         model = _wide_model(2, 0.006)
@@ -276,13 +253,3 @@ class TestEstimators:
         bundle = simulate(_model(), SimulationPlan(100, 2, 1.0, seed=1))
         with pytest.raises(ModelValidationError):
             mc_ctd(bundle, 0.0, 0.37)
-
-
-def test_dump_paths(tmp_path):
-    bundle = simulate(_model(), SimulationPlan(10, 2, 1.0, seed=5, observation_times=(0.5,)))
-    target = tmp_path / "paths.csv"
-    dump_paths(bundle, str(target), max_paths=3)
-    lines = target.read_text().splitlines()
-    assert lines[0] == "path,time,r0,q1,q2,int_r0,int_q1,int_q2,int_max"
-    assert len(lines) == 1 + 3 * bundle.times.size
-    assert lines[1].startswith("0,0,")

@@ -1,11 +1,10 @@
 import re
-import warnings
 
 import numpy as np
 import pytest
 
 from ctdhedge import CorrelationMatrix, HullWhiteSpec, MarketModel, SpreadCurve, ctd_deterministic
-from ctdhedge.sensitivity import BumpRequest, NumericsWarning, ctd_sensitivity, sensitivity_profile
+from ctdhedge.sensitivity import BumpRequest, ctd_sensitivity, sensitivity_profile
 from ctdhedge.spread_model import ModelValidationError
 
 H = 25.0
@@ -80,21 +79,6 @@ class TestStochasticQuotients:
                 got = ctd_sensitivity(model, 0.0, 20.0, BumpRequest("xi", i, 2e-4))
                 assert got <= 0.0
 
-    def test_instability_warning_fires_across_the_kink(self):
-        # the doubled bump straddles the deterministic crossover differently,
-        # so the two quotients disagree and the diagnostic must trip
-        model = _flat_model()
-        with pytest.warns(NumericsWarning):
-            ctd_sensitivity(model, 0.0, 10.0, BumpRequest("mean_level", 2, 1e-3),
-                            "deterministic", check_epsilon=True)
-
-    def test_smooth_estimate_stays_silent(self):
-        model = _flat_model()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", NumericsWarning)
-            ctd_sensitivity(model, 0.0, 10.0, BumpRequest("mean_level", 1, 1e-4),
-                            "common_factor", check_epsilon=True)
-
 
 class TestProfiles:
     def test_level_sweep_structure(self):
@@ -117,6 +101,21 @@ class TestProfiles:
         rows = sensitivity_profile(model, 0.0, 10.0, "xi", [0.001, 0.002])
         assert [(r.parameter, r.bump_index) for r in rows] == [
             (0.001, 1), (0.001, 2), (0.002, 1), (0.002, 2)]
+
+    @pytest.mark.parametrize("start", [0.0, 1e-4])
+    def test_xi_sweep_below_the_bump_fails(self, start):
+        # the bump is never shrunk or made one-sided at the volatility edge
+        with pytest.raises(ModelValidationError, match="xi bump of 0.0002 takes spread 1 below zero"):
+            sensitivity_profile(_flat_model(), 0.0, 10.0, "xi", [start, 0.001], epsilon=2e-4)
+
+    def test_xi_sweep_at_the_bump_size_is_central(self):
+        model = _flat_model()
+        (row, _) = sensitivity_profile(model, 0.0, 10.0, "xi", [2e-4], epsilon=2e-4)
+        swept = model
+        for i in (1, 2):
+            swept = swept.with_spread(i, swept.spread(i).bumped_xi(2e-4))
+        assert row.dctd_cf == ctd_sensitivity(swept, 0.0, 10.0, BumpRequest("xi", 1, 2e-4))
+        assert row.dctd_det == 0.0
 
     def test_level_sweep_needs_index(self):
         with pytest.raises(ModelValidationError):
