@@ -135,6 +135,12 @@ def _run_sensitivity(cfg: ExperimentConfig, model, out: Path, svg: bool) -> int:
     return 0
 
 
+def _once_each(names, what: str) -> None:
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ConfigError(f"{what} {name!r} is listed twice")
+
+
 def _strategy_names(cfg: ExperimentConfig, model) -> list[str]:
     known = ["stochastic", "deterministic", "none"] + [
         f"basic_q{i}" for i in range(1, model.n_spreads + 1)
@@ -142,13 +148,12 @@ def _strategy_names(cfg: ExperimentConfig, model) -> list[str]:
     if cfg.hedge_strategies == "all":
         return known
     names = [s.strip() for s in cfg.hedge_strategies.split(",") if s.strip()]
-    for k, name in enumerate(names):
+    for name in names:
         if name not in known:
             raise ConfigError(
                 f"unknown strategy {name!r}: expected one of {', '.join(known)} (none is basic_q0)"
             )
-        if name in names[:k]:
-            raise ConfigError(f"strategy {name!r} is listed twice")
+    _once_each(names, "strategy")
     return names
 
 
@@ -218,6 +223,7 @@ def _run_hedge(cfg: ExperimentConfig, model, out: Path, svg: bool) -> int:
 
 
 def _run_pnl(cfg: ExperimentConfig, model, out: Path, svg: bool) -> int:
+    _once_each(cfg.pnl_schemes, "scheme")
     swap = cfg.swap()
     if cfg.pnl_fixed_rate == "par":
         swap = type(swap)(swap.notional, par_rate(model, swap.payment_dates), swap.payment_dates)

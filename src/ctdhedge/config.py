@@ -41,10 +41,18 @@ def _rate(value):
     return value if value == "par" else float(value)
 
 
+def _whole(value) -> int:
+    """A whole number, exact at any size; 3.9 is refused, not truncated."""
+    n = int(value)
+    if n != value:
+        raise ValueError(value)
+    return n
+
+
 def _count(value) -> int:
     """A positive whole number, for the keys that size a grid or a sample."""
-    n = int(value)
-    if n != value or n < 1:
+    n = _whole(value)
+    if n < 1:
         raise ValueError(value)
     return n
 
@@ -53,7 +61,7 @@ def _count(value) -> int:
 # `serialize_config` writes them; the process sections [domestic] and
 # [spread.N] keep their keys in a dict per process
 _PROCESS_FIELDS = {"kappa": float, "xi": float, "curve.grid": _floats, "curve.values": _floats}
-_TOP_FIELDS = {"seed": ("seed", int), "command": ("command", str)}
+_TOP_FIELDS = {"seed": ("seed", _whole), "command": ("command", str)}
 _FIELDS = {
     "horizon": {"t0": ("t0", float), "maturity": ("maturity", float),
                 "nodes_per_year": ("nodes_per_year", _count)},
@@ -61,7 +69,7 @@ _FIELDS = {
     "hedge": {"strategies": ("hedge_strategies", _joined), "alpha0_policy": ("alpha0_policy", str),
               "sd_points_per_year": ("sd_points_per_year", _count),
               "sample_paths": ("sample_paths", _count)},
-    "sensitivity": {"kind": ("sens_kind", str), "index": ("sens_index", int),
+    "sensitivity": {"kind": ("sens_kind", str), "index": ("sens_index", _whole),
                     "sweep_start": ("sweep_start", float), "sweep_stop": ("sweep_stop", float),
                     "sweep_count": ("sweep_count", _count), "epsilon": ("epsilon", float)},
     "theta": {"intervals_per_year": ("theta_intervals_per_year", _count)},
@@ -143,11 +151,13 @@ def _parse_scalar(text: str):
     raw = text.strip()
     if "," in raw:
         return tuple(_parse_scalar(part) for part in raw.split(",") if part.strip())
+    # an integer literal stays an exact int, whatever its size
     try:
-        if raw.lower().startswith("0x"):
-            return int(raw, 16)
-        f = float(raw)
-        return int(f) if f.is_integer() and ("e" not in raw.lower() and "." not in raw) else f
+        return int(raw, 16) if raw.lower().startswith("0x") else int(raw)
+    except ValueError:
+        pass
+    try:
+        return float(raw)
     except ValueError:
         return raw
 

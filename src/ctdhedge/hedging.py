@@ -495,7 +495,11 @@ def evaluate_portfolio_paths(
         raise ModelValidationError("portfolios must share one maturity")
     maturity = maturities.pop()
     times = bundle.times
-    table = ConditionalCtdTable(model, times[times <= maturity], (maturity,))
+    if times[-1] > maturity:
+        raise ModelValidationError(
+            f"observation time {times[-1]:g} is past the portfolios' maturity {maturity:g}"
+        )
+    table = ConditionalCtdTable(model, times, (maturity,))
     n_paths = bundle.n_paths
     out = []
     values = [np.empty((n_paths, times.size)) for _ in portfolios]
@@ -504,7 +508,7 @@ def evaluate_portfolio_paths(
         u = bundle.displacements(t)
         u0 = bundle.values[:, k, 0] - model.domestic.mean_curve(t)
         pdom = _conditional_bond(model.domestic, t, maturity, u0)
-        # the anchors are a prefix of the observation times; at the maturity
+        # the anchors are the observation times; at the maturity
         # the table's row and pdom are exactly 1
         choice = table.evaluate(k, u)[0] * pdom
         bonds = {0: pdom}

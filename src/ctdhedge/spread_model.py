@@ -140,10 +140,6 @@ class CorrelationMatrix:
     def size(self) -> int:
         return self.entries.shape[0]
 
-    def spread(self, i: int, j: int) -> float:
-        """Correlation between spread drivers i and j (1-based)."""
-        return float(self.entries[i, j])
-
 
 @dataclass(frozen=True)
 class MarketModel:

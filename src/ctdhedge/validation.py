@@ -5,6 +5,19 @@ exercises, and decides pass/fail against a fixed numeric tolerance or an
 ordinal property.  Statistical cases use frozen seeds.  The registry is
 machine-checked for coverage: the suite fails if any public operation has
 no case exercising it.
+
+To add a case, decorate a function of no arguments that returns
+`(passed, summary)`:
+
+    @_case("a11_example", "claim in plain words", ("operation",), limit_s=30)
+    def _a11() -> tuple[bool, str]:
+        gap = ...
+        return gap < 1e-6, f"gap {gap:.2e} (limit 1e-6)"
+
+The registration times the function, fails it when it takes `limit_s`
+seconds or more (no limit when omitted), appends the elapsed time and the
+limit to the summary, and builds the CaseResult from the registered id,
+claim and operations; a case never times itself or names its own id.
 """
 
 from __future__ import annotations
@@ -93,9 +106,20 @@ class CaseResult:
 _REGISTRY: dict[str, tuple] = {}
 
 
-def _case(case_id: str, claim: str, operations: tuple[str, ...]):
+def _case(case_id: str, claim: str, operations: tuple[str, ...], limit_s: float | None = None):
+    """Register a case function; the module docstring says what its runner adds."""
+
     def wrap(fn):
-        _REGISTRY[case_id] = (claim, operations, fn)
+        def run() -> CaseResult:
+            start = time.perf_counter()
+            passed, summary = fn()
+            elapsed = time.perf_counter() - start
+            if limit_s is not None:
+                passed = passed and elapsed < limit_s
+                summary += f"; {elapsed:.1f}s (limit {limit_s:g}s)"
+            return CaseResult(case_id, claim, operations, bool(passed), summary, elapsed)
+
+        _REGISTRY[case_id] = (claim, operations, run)
         return fn
 
     return wrap
@@ -106,11 +130,6 @@ def _experiment_model(name: str):
     return cfg, cfg.build_model()
 
 
-def _result(case_id, passed, summary, start) -> CaseResult:
-    claim, ops, _ = _REGISTRY[case_id]
-    return CaseResult(case_id, claim, ops, bool(passed), summary, time.time() - start)
-
-
 # ---------------------------------------------------------------------------
 # acceptance criteria
 # ---------------------------------------------------------------------------
@@ -119,9 +138,9 @@ def _result(case_id, passed, summary, start) -> CaseResult:
     "a01_theta_calibration",
     "piecewise long-term mean reproduces the forecast at every grid node",
     ("theta_piecewise",),
+    limit_s=1,
 )
-def _a1() -> CaseResult:
-    start = time.time()
+def _a1() -> tuple[bool, str]:
     grid = np.linspace(0.0, 10.0, 121)
     worst = 0.0
     for name in ("experiment1", "experiment2"):
@@ -131,11 +150,7 @@ def _a1() -> CaseResult:
             theta = theta_piecewise(spec, grid)
             mean = mean_under_piecewise_theta(spec, grid, theta)
             worst = max(worst, float(np.max(np.abs(mean - spec.mean_curve(grid)))))
-    elapsed = time.time() - start
-    passed = worst < 1e-12 and elapsed < 1.0
-    return _result("a01_theta_calibration", passed,
-                   f"max |mean error| {worst:.2e} (limit 1e-12), {elapsed:.2f}s (limit 1s)",
-                   start)
+    return worst < 1e-12, f"max |mean error| {worst:.2e} (limit 1e-12)"
 
 
 def _fig2_model():
@@ -155,20 +170,16 @@ def _fig2_model():
     "common-factor factor sits inside the 99% Monte Carlo band (1e5 paths, 80 steps/year)",
     ("ctd_common_factor", "simulate", "mc_ctd", "max_moments", "fit_gamma",
      "integral_variance_estimator"),
+    limit_s=30,
 )
-def _a2() -> CaseResult:
-    start = time.time()
+def _a2() -> tuple[bool, str]:
     model = _fig2_model()
     cf = _ctd.ctd_common_factor(model, 0.0, 20.0)
     plan = SimulationPlan(100_000, 80, 20.0, seed=932024)
     est, se = mc_ctd(simulate(model, plan), 0.0, 20.0)
     band = 2.576 * se
     dev = cf - est
-    elapsed = time.time() - start
-    passed = abs(dev) < band and elapsed < 30.0
-    return _result("a02_cf_inside_mc_band", passed,
-                   f"cf {cf:.6f} mc {est:.6f} dev {dev:+.2e} band +-{band:.2e}, "
-                   f"{elapsed:.1f}s (limit 30s)", start)
+    return abs(dev) < band, f"cf {cf:.6f} mc {est:.6f} dev {dev:+.2e} band +-{band:.2e}"
 
 
 def _sample_admissible_model(rng: np.random.Generator):
@@ -191,9 +202,9 @@ def _sample_admissible_model(rng: np.random.Generator):
     "a03_deterministic_upper_bound",
     "stochastic factor never exceeds the deterministic factor across sampled models",
     ("ctd_deterministic", "ctd_common_factor"),
+    limit_s=60,
 )
-def _a3() -> CaseResult:
-    start = time.time()
+def _a3() -> tuple[bool, str]:
     rng = np.random.default_rng(57721)
     violations = []
     worst = -math.inf
@@ -205,11 +216,8 @@ def _a3() -> CaseResult:
         worst = max(worst, gap)
         if gap > 1e-8:
             violations.append((k, gap))
-    elapsed = time.time() - start
-    passed = not violations and elapsed < 60.0
-    summary = (f"{len(violations)} violations in 200 samples, worst gap {worst:+.2e} "
-               f"(limit 1e-8), {elapsed:.1f}s (limit 60s)")
-    return _result("a03_deterministic_upper_bound", passed, summary, start)
+    summary = f"{len(violations)} violations in 200 samples, worst gap {worst:+.2e} (limit 1e-8)"
+    return not violations, summary
 
 
 @_case(
@@ -217,8 +225,7 @@ def _a3() -> CaseResult:
     "with volatilities at 1e-7 the stochastic factor matches the deterministic one",
     ("ctd_deterministic", "ctd_common_factor"),
 )
-def _a4() -> CaseResult:
-    start = time.time()
+def _a4() -> tuple[bool, str]:
     worst = 0.0
     for name in ("experiment1", "experiment2"):
         _, model = _experiment_model(name)
@@ -228,9 +235,7 @@ def _a4() -> CaseResult:
         det = _ctd.ctd_deterministic(tiny, 0.0, 10.0)
         cf = _ctd.ctd_common_factor(tiny, 0.0, 10.0)
         worst = max(worst, abs(cf - det))
-    passed = worst < 1e-6
-    return _result("a04_zero_volatility_collapse", passed,
-                   f"max |cf - det| {worst:.2e} (limit 1e-6)", start)
+    return worst < 1e-6, f"max |cf - det| {worst:.2e} (limit 1e-6)"
 
 
 @_case(
@@ -240,8 +245,7 @@ def _a4() -> CaseResult:
     ("assemble_quadratic", "bond_moment", "joint_bond_moment", "shifted_max_ctd",
      "integral_covariance", "spread_cross_covariance", "mc_expectation", "simulate"),
 )
-def _a5() -> CaseResult:
-    start = time.time()
+def _a5() -> tuple[bool, str]:
     _, model = _experiment_model("experiment1")
     t0, T = 0.0, 10.0
     form = assemble_quadratic(model, t0, T)
@@ -278,10 +282,9 @@ def _a5() -> CaseResult:
     quad = float(simpson(inner, x=grid))
     closed = integral_covariance(s1, s2, rho, t0, T)
     quad_rel = abs(closed / quad - 1.0)
-    passed = not bad and quad_rel < 1e-6
     summary = (f"entries: {', '.join(detail)}; offenders: {bad or 'none'}; "
                f"quadrature rel err {quad_rel:.2e} (limit 1e-6)")
-    return _result("a05_hedge_covariance_analytics", passed, summary, start)
+    return not bad and quad_rel < 1e-6, summary
 
 
 @_case(
@@ -290,8 +293,7 @@ def _a5() -> CaseResult:
     "schedule finds the reported switch time",
     ("solve_min_variance", "assemble_quadratic", "crossing_schedule"),
 )
-def _a6() -> CaseResult:
-    start = time.time()
+def _a6() -> tuple[bool, str]:
     windows = {
         "experiment1": ((-0.53, -0.43), (-0.41, -0.31)),
         "experiment2": ((-0.39, -0.29), (-0.49, -0.39)),
@@ -316,7 +318,7 @@ def _a6() -> CaseResult:
             a0 = float(weights.alpha[0])
             ok &= abs(a0 + 0.19) <= 0.03
             msgs.append(f"cash-neutral a0 {a0:+.3f} (target -0.19 +-0.03)")
-    return _result("a06_weight_regression", ok, "; ".join(msgs), start)
+    return ok, "; ".join(msgs)
 
 
 def _portfolio_suite(name: str, paths: int, sd_points_per_year: int = 4, seed: int = 72024):
@@ -343,9 +345,9 @@ def _portfolio_suite(name: str, paths: int, sd_points_per_year: int = 4, seed: i
     "interior node, at 4 standard errors",
     ("evaluate_portfolio_paths", "build_deterministic_portfolio", "build_basic_portfolio",
      "build_none_portfolio", "simulate"),
+    limit_s=120,
 )
-def _a7() -> CaseResult:
-    start = time.time()
+def _a7() -> tuple[bool, str]:
     msgs = []
     ok = True
     for name in ("experiment1", "experiment2"):
@@ -360,10 +362,7 @@ def _a7() -> CaseResult:
                 ok = False
             worst = min(worst, float(np.min(margin)))
         msgs.append(f"{name}: min margin {worst:+.2e}")
-    elapsed = time.time() - start
-    ok &= elapsed < 120.0
-    return _result("a07_variance_dominance", ok,
-                   "; ".join(msgs) + f"; {elapsed:.0f}s (limit 120s)", start)
+    return ok, "; ".join(msgs)
 
 
 @_case(
@@ -372,8 +371,7 @@ def _a7() -> CaseResult:
     ("build_deterministic_portfolio", "build_basic_portfolio", "build_none_portfolio",
      "evaluate_portfolio_paths"),
 )
-def _a8() -> CaseResult:
-    start = time.time()
+def _a8() -> tuple[bool, str]:
     targets = {
         "experiment1": {"none": 0.045, "deterministic": 0.017, "stochastic": 0.025},
         "experiment2": {"none": 0.039, "deterministic": 0.021, "stochastic": 0.027,
@@ -390,7 +388,7 @@ def _a8() -> CaseResult:
             msgs.append(f"{name}/{strategy} {got:+.4f} vs {wanted:+.3f}"
                         + ("" if good else " <- off (check curve constants, not engine,"
                            " if a02-a07 pass)"))
-    return _result("a08_terminal_values", ok, "; ".join(msgs), start)
+    return ok, "; ".join(msgs)
 
 
 @_case(
@@ -400,8 +398,7 @@ def _a8() -> CaseResult:
     ("ctd_sensitivity", "sensitivity_profile", "synthetic_replication_pnl",
      "swap_value_ctd", "swap_value", "forward_ibor", "zcb_domestic"),
 )
-def _a9() -> CaseResult:
-    start = time.time()
+def _a9() -> tuple[bool, str]:
     horizon = 25.0
     q1 = 0.014
     dom = HullWhiteSpec(0.01, 0.0, SpreadCurve.constant(0.0, 0.0, horizon))
@@ -468,7 +465,7 @@ def _a9() -> CaseResult:
     pnl_ok = sds["common_factor"] < sds["deterministic"] < sds["none"]
     ok &= pnl_ok
     msgs.append("pnl sd " + " < ".join(f"{k}:{v:.4e}" for k, v in sds.items()) + f" ordered: {pnl_ok}")
-    return _result("a09_sensitivity_structure", ok, "; ".join(msgs), start)
+    return ok, "; ".join(msgs)
 
 
 @_case(
@@ -477,10 +474,9 @@ def _a9() -> CaseResult:
     "independent of the thread cap",
     ("run",),
 )
-def _a10() -> CaseResult:
+def _a10() -> tuple[bool, str]:
     import tempfile
 
-    start = time.time()
     jobs = [
         ("price", ["--config", "experiment1"]),
         ("calibrate-theta", ["--config", "experiment2"]),
@@ -520,7 +516,7 @@ def _a10() -> CaseResult:
                 ok &= same
                 msgs.append(f"{cmd}: {'byte-identical' if same else 'MISMATCH'} across "
                             f"{len(digests)} runs")
-    return _result("a10_cli_determinism", ok, "; ".join(msgs), start)
+    return ok, "; ".join(msgs)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +528,7 @@ def _a10() -> CaseResult:
     "the continuous long-term mean reproduces the forecast under a fine mean recursion",
     ("theta_continuous", "spread_mean"),
 )
-def _x1() -> CaseResult:
-    start = time.time()
+def _x1() -> tuple[bool, str]:
     curve = SpreadCurve([0.0, 3.6, 10.0], [0.002, 0.0035, 0.001])
     spec = HullWhiteSpec(0.35, 0.004, curve)
     grid = np.linspace(0.0, 10.0, 20001)
@@ -541,9 +536,7 @@ def _x1() -> CaseResult:
     theta = np.array([theta_continuous(spec, float(t)) for t in mids])
     mean = mean_under_piecewise_theta(spec, grid, theta)
     err = float(np.max(np.abs(mean - np.array([spread_mean(spec, float(t)) for t in grid]))))
-    passed = err < 5e-7
-    return _result("x01_continuous_theta", passed,
-                   f"ODE-refined mean error {err:.2e} (limit 5e-7)", start)
+    return err < 5e-7, f"ODE-refined mean error {err:.2e} (limit 5e-7)"
 
 
 @_case(
@@ -551,8 +544,7 @@ def _x1() -> CaseResult:
     "the analytic maximum cdf matches a large direct simulation of the construction",
     ("max_cdf", "fit_gamma", "max_moments"),
 )
-def _x2() -> CaseResult:
-    start = time.time()
+def _x2() -> tuple[bool, str]:
     rng = np.random.default_rng(12024)
     snapshot = _ctd.GaussianVectorSnapshot(
         means=[0.002, -0.001],
@@ -571,8 +563,7 @@ def _x2() -> CaseResult:
     mean, var = _ctd.max_moments(state)
     mom_ok = abs(mean - m.mean()) < 4 * m.std() / math.sqrt(n)
     passed = sup < 1e-3 and mom_ok  # binomial noise at 1e7 samples is ~1.6e-4
-    return _result("x02_max_cdf_empirical", passed,
-                   f"sup cdf gap {sup:.2e}, mean gap {abs(mean - m.mean()):.2e}", start)
+    return passed, f"sup cdf gap {sup:.2e}, mean gap {abs(mean - m.mean()):.2e}"
 
 
 @_case(
@@ -582,8 +573,7 @@ def _x2() -> CaseResult:
     ("zcb_domestic", "zcb_foreign", "forward_bond", "forward_ibor", "swap_value",
      "swap_value_ctd", "ctd_deterministic"),
 )
-def _x3() -> CaseResult:
-    start = time.time()
+def _x3() -> tuple[bool, str]:
     horizon = 15.0
     dom = HullWhiteSpec(0.04, 0.007, SpreadCurve.linear(0.0, horizon, 0.02, 0.025))
     model = MarketModel(
@@ -622,7 +612,7 @@ def _x3() -> CaseResult:
     ok &= abs(v_none - v_plain) < 1e-12
     msgs.append(f"ctd none == plain {abs(v_none - v_plain):.1e}")
     ok &= math.isfinite(v_det)
-    return _result("x03_instrument_identities", ok, "; ".join(msgs), start)
+    return ok, "; ".join(msgs)
 
 
 @_case(
@@ -631,8 +621,7 @@ def _x3() -> CaseResult:
     ("bond_moment", "joint_bond_moment", "mc_expectation", "simulate",
      "spread_cross_covariance"),
 )
-def _x4() -> CaseResult:
-    start = time.time()
+def _x4() -> tuple[bool, str]:
     _, model = _experiment_model("experiment1")
     plan = SimulationPlan(200_000, 40, 10.0, seed=42024)
     bundle = simulate(model, plan)
@@ -657,7 +646,7 @@ def _x4() -> CaseResult:
     dev = (cov_cf - emp) / (float(np.std(prod, ddof=1)) / math.sqrt(q1.size))
     ok &= abs(dev) < 3.0
     msgs.append(f"cross-cov {dev:+.1f}se")
-    return _result("x04_oracle_bond_moments", ok, "; ".join(msgs), start)
+    return ok, "; ".join(msgs)
 
 
 @_case(
@@ -665,14 +654,12 @@ def _x4() -> CaseResult:
     "every public operation is exercised by at least one case",
     (),
 )
-def _x5() -> CaseResult:
-    start = time.time()
+def _x5() -> tuple[bool, str]:
     covered = set()
     for claim, ops, fn in _REGISTRY.values():
         covered.update(ops)
     missing = sorted(set(OPERATIONS) - covered)
-    return _result("x05_operation_coverage", not missing,
-                   f"missing: {missing or 'none'}", start)
+    return not missing, f"missing: {missing or 'none'}"
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +667,7 @@ def _x5() -> CaseResult:
 # ---------------------------------------------------------------------------
 
 def run_case(case_id: str) -> CaseResult:
-    claim, ops, fn = _REGISTRY[case_id]
-    return fn()
+    return _REGISTRY[case_id][2]()
 
 
 def case_ids() -> list[str]:

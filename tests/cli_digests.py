@@ -1,4 +1,4 @@
-"""sha256 digests of the `ctd` CLI's artifacts and stdout on eight small runs.
+"""sha256 digests of the `ctd` CLI's artifacts and stdout on nine small runs.
 
 Usage: CTD_THREADS=2 python tests/cli_digests.py
 
@@ -30,6 +30,9 @@ RUNS = {
     "hedge_experiment1": ["hedge", "--config", "experiment1", "--paths", "4000"],
     "hedge_experiment2": ["hedge", "--config", "experiment2", "--paths", "4000"],
     "simulate_pnl": ["simulate-pnl", "--config", "swap_pnl", "--paths", "4000"],
+    # the seed and the scheme list enter through --set, parsed as the file's entries are
+    "simulate_pnl_set": ["simulate-pnl", "--config", "swap_pnl", "--paths", "2000",
+                         "--set", "seed=20241", "--set", "pnl.schemes=common_factor,none"],
     "calibrate_theta": ["calibrate-theta", "--config", "experiment1"],
 }
 

@@ -216,6 +216,43 @@ class TestCli:
         assert f"strategy {twice!r} is listed twice" in capsys.readouterr().err
         assert not (tmp_path / "o" / "hedge_report.csv").exists()
 
+    def test_seed_stays_exact_on_every_entry_path(self, tmp_path):
+        big = 12345678901234567891
+        text = MINIMAL.replace("seed = 77", f"seed = {big}")
+        for k, extra in enumerate(([], ["--set", f"seed={big}"], ["--seed", str(big)])):
+            out = tmp_path / f"o{k}"
+            config = self._write(tmp_path, MINIMAL if extra else text)
+            assert main(["price", "--config", str(config), "--out", str(out), *extra]) == 0
+            assert f"seed = {big}\n" in (out / "effective.cfg").read_text()
+
+    def test_fractional_seed_and_index_exit_code(self, tmp_path, capsys):
+        cfg = self._write(tmp_path)
+        for item in ("seed=3.9", "sensitivity.index=1.7"):
+            code = main(["sensitivity", "--config", str(cfg), "--set", item,
+                         "--out", str(tmp_path / "o")])
+            assert code == 2, item
+            key, _, value = item.partition("=")
+            assert (f"configuration error: --set {key}: invalid {key.split('.')[-1]} {value}"
+                    in capsys.readouterr().err)
+        bad = self._write(tmp_path, MINIMAL.replace("seed = 77", "seed = 3.9"))
+        assert main(["price", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert f"{bad}:2: invalid seed 3.9" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["price", "--config", str(cfg), "--seed", "3.9", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
+    def test_repeated_scheme_exit_code(self, tmp_path, capsys, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the schemes were checked")
+
+        monkeypatch.setattr(cli, "simulate", no_simulation)
+        text = MINIMAL + "\n[pnl]\npayment_dates = 1.0, 2.0\n"
+        code = main(["simulate-pnl", "--config", str(self._write(tmp_path, text)),
+                     "--out", str(tmp_path / "o"), "--set", "pnl.schemes=none,none,common_factor"])
+        assert code == 2
+        assert "scheme 'none' is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "pnl.csv").exists()
+
     @pytest.mark.parametrize("command, key", [
         ("hedge", "hedge.sd_points_per_year"), ("hedge", "hedge.sample_paths"),
         ("sensitivity", "sensitivity.sweep_count"), ("simulate-pnl", "pnl.rebalance_per_year"),

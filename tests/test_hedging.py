@@ -555,6 +555,14 @@ class TestPathEvaluation:
             assert got.samples.tobytes() == alone.samples.tobytes()
         assert pair[0].sd.tobytes() != pair[1].sd.tobytes()
 
+    def test_observations_past_the_maturity_fail(self, crossing_model, monkeypatch):
+        plan = SimulationPlan(200, 4, 6.0, seed=3, observation_times=(0.0, 2.0, 4.0, 6.0))
+        bundle = simulate(crossing_model, plan)
+        monkeypatch.setattr(hedging, "ConditionalCtdTable", None)  # fails before the table
+        with pytest.raises(ModelValidationError,
+                           match="observation time 6 is past the portfolios' maturity 4"):
+            evaluate_portfolio_paths(build_none_portfolio(crossing_model, 0.0, 4.0), bundle)
+
     def test_cash_account_constant_without_rates(self, crossing_model):
         plan = SimulationPlan(500, 4, 10.0, seed=9, observation_times=(0.0, 5.0, 10.0))
         bundle = simulate(crossing_model, plan)

@@ -1,4 +1,17 @@
-from ctdhedge.validation import OPERATIONS, _REGISTRY, case_ids, run_case, run_suite, write_report
+import re
+import time
+
+import pytest
+
+from ctdhedge.validation import (
+    OPERATIONS,
+    _REGISTRY,
+    _case,
+    case_ids,
+    run_case,
+    run_suite,
+    write_report,
+)
 
 
 def test_every_operation_is_covered():
@@ -32,3 +45,34 @@ def test_report_writer(tmp_path):
     assert csv.splitlines()[0] == "case,passed,elapsed_seconds,claim,summary"
     assert "x05_operation_coverage" in csv
     assert "PASS" in txt or "FAIL" in txt
+
+
+@pytest.fixture
+def throwaway_case():
+    """Register `zz_throwaway` for one test: the harness builds its result."""
+    def register(verdict, sleep_s=0.0, limit_s=None):
+        @_case("zz_throwaway", "a claim made only here", ("simulate",), limit_s=limit_s)
+        def _zz():
+            time.sleep(sleep_s)
+            return verdict, "measured"
+
+    yield register
+    _REGISTRY.pop("zz_throwaway", None)
+
+
+@pytest.mark.parametrize("verdict, sleep_s, limit_s, passed, summary", [
+    (True, 0.0, 60, True, r"measured; \d+\.\ds \(limit 60s\)"),
+    (True, 0.05, 0.01, False, r"measured; 0\.\ds \(limit 0\.01s\)"),
+    (False, 0.0, 60, False, r"measured; \d+\.\ds \(limit 60s\)"),
+    (True, 0.0, None, True, "measured"),
+])
+def test_registration_times_the_case_and_builds_its_result(
+    throwaway_case, verdict, sleep_s, limit_s, passed, summary
+):
+    throwaway_case(verdict, sleep_s, limit_s)
+    result = run_case("zz_throwaway")
+    assert (result.case_id, result.claim, result.operations) == (
+        "zz_throwaway", "a claim made only here", ("simulate",))
+    assert result.passed is passed
+    assert re.fullmatch(summary, result.summary)
+    assert result.elapsed >= sleep_s
