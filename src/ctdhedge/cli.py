@@ -158,6 +158,8 @@ def _strategy_names(cfg: ExperimentConfig, model) -> list[str]:
 
 
 def _run_hedge(cfg: ExperimentConfig, model, out: Path, svg: bool) -> int:
+    if cfg.sample_paths > cfg.mc_paths:
+        raise ConfigError(f"sample_paths {cfg.sample_paths} exceeds the {cfg.mc_paths} simulated paths")
     t0, T = cfg.t0, cfg.maturity
     names = _strategy_names(cfg, model)
     schedule = model_crossing_schedule(model, t0, T)

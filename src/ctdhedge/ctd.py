@@ -405,7 +405,8 @@ def _panel_chunk(mu, idio_var, common_var, panel, pivots):
         wx = pw * _PANEL_HALF_WIDTH * _phi(x)
         for i in np.flatnonzero(np.any(stoch, axis=0)):
             y = mu[:, i][:, None] + sd[:, i][:, None] * x[None, :]  # [m,g]
-            w = np.tile(wx, (m, 1))
+            w = np.empty((m, wx.size))
+            w[...] = wx  # a broadcast copy; np.tile holds the interpreter lock
             for j in range(k):
                 if j != i:
                     w *= ndtr((y - mu_cdf[:, j][:, None]) / sd_cdf[:, j][:, None])

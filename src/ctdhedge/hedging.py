@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -462,14 +463,30 @@ def _conditional_bond(spec, t, T, u):
 
 @dataclass(frozen=True)
 class PortfolioPathStats:
-    """Per-time summary of a portfolio's simulated values."""
+    """
+    Per-time summary of a portfolio's simulated values.
+
+    `values` holds the [paths, times] value array the summary is taken
+    from.  `sd_se`, the standard error of `sd`, is computed from it on
+    first read and cached: its fourth moment costs more than the rest of
+    the summary, and `ctd hedge` never reads it.
+    """
 
     name: str
     times: np.ndarray
     mean: np.ndarray
     sd: np.ndarray
-    sd_se: np.ndarray
+    values: np.ndarray  # [paths, times]
     samples: np.ndarray  # [n_samples, times]
+
+    @cached_property
+    def sd_se(self) -> np.ndarray:
+        mean, sd, n_paths = self.mean, self.sd, self.values.shape[0]
+        centered = self.values - mean[None, :]
+        m4 = np.mean(centered**4, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sd_se = np.sqrt(np.maximum(m4 - sd**4, 0.0) / (4.0 * np.maximum(sd, 1e-300) ** 2 * n_paths))
+        return np.where(sd > 1e-14, sd_se, 0.0)
 
 
 def evaluate_portfolio_paths(
@@ -499,9 +516,10 @@ def evaluate_portfolio_paths(
         raise ModelValidationError(
             f"observation time {times[-1]:g} is past the portfolios' maturity {maturity:g}"
         )
-    table = ConditionalCtdTable(model, times, (maturity,))
     n_paths = bundle.n_paths
-    out = []
+    if not 0 <= n_samples <= n_paths:
+        raise ModelValidationError(f"n_samples {n_samples} is outside 0..{n_paths}, the simulated paths")
+    table = ConditionalCtdTable(model, times, (maturity,))
     values = [np.empty((n_paths, times.size)) for _ in portfolios]
     for k, t in enumerate(times):
         t = float(t)
@@ -520,18 +538,11 @@ def evaluate_portfolio_paths(
                 p.positions, t, p.cash * bank, lambda: choice, bonds.__getitem__,
                 lambda S: _conditional_bond(model.domestic, t, S, u0),
             )
-    for p, v in zip(portfolios, values):
-        mean = v.mean(axis=0)
-        sd = v.std(axis=0, ddof=1)
-        centered = v - mean[None, :]
-        m4 = np.mean(centered**4, axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sd_se = np.sqrt(np.maximum(m4 - sd**4, 0.0) / (4.0 * np.maximum(sd, 1e-300) ** 2 * n_paths))
-        sd_se = np.where(sd > 1e-14, sd_se, 0.0)
-        out.append(
-            PortfolioPathStats(p.name, times.copy(), mean, sd, sd_se, v[:n_samples].copy())
-        )
-    return out
+    return [
+        PortfolioPathStats(p.name, times.copy(), v.mean(axis=0), v.std(axis=0, ddof=1), v,
+                           v[:n_samples].copy())
+        for p, v in zip(portfolios, values)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,18 @@
 verbatim but for their names (`position_value` takes the portfolio as its
 first argument).  Each prices the legs with its own per-position loop, the
 first through `forward_bond` and the second with the forward's
-(units * Q) / P."""
+(units * Q) / P.  The second returns its statistics, `sd_se` included, as
+eager records, since `PortfolioPathStats` computes `sd_se` on first read."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
 from ctdhedge.ctd import ConditionalCtdTable, ctd_common_factor
-from ctdhedge.hedging import Portfolio, PortfolioPathStats, _conditional_bond
+from ctdhedge.hedging import Portfolio, _conditional_bond
 from ctdhedge.instruments import ForwardBondContract, forward_bond, zcb_domestic, zcb_foreign
 from ctdhedge.montecarlo import PathBundle
 from ctdhedge.spread_model import MarketModel, ModelValidationError
@@ -40,7 +42,7 @@ def evaluate_portfolio_paths(
     portfolios: Portfolio | Sequence[Portfolio],
     bundle: PathBundle,
     n_samples: int = 8,
-) -> list[PortfolioPathStats]:
+) -> list[SimpleNamespace]:
     """
     Revalue portfolios along simulated paths at every observation time.
 
@@ -97,7 +99,6 @@ def evaluate_portfolio_paths(
         with np.errstate(divide="ignore", invalid="ignore"):
             sd_se = np.sqrt(np.maximum(m4 - sd**4, 0.0) / (4.0 * np.maximum(sd, 1e-300) ** 2 * n_paths))
         sd_se = np.where(sd > 1e-14, sd_se, 0.0)
-        out.append(
-            PortfolioPathStats(p.name, times.copy(), mean, sd, sd_se, v[:n_samples].copy())
-        )
+        out.append(SimpleNamespace(name=p.name, times=times.copy(), mean=mean, sd=sd, sd_se=sd_se,
+                                   samples=v[:n_samples].copy()))
     return out

@@ -253,6 +253,17 @@ class TestCli:
         assert "scheme 'none' is listed twice" in capsys.readouterr().err
         assert not (tmp_path / "o" / "pnl.csv").exists()
 
+    def test_more_samples_than_paths_exit_code(self, tmp_path, capsys, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the sample count was checked")
+
+        monkeypatch.setattr(cli, "simulate", no_simulation)
+        code = main(["hedge", "--config", str(self._write(tmp_path)), "--out", str(tmp_path / "o"),
+                     "--paths", "200", "--set", "hedge.sample_paths=500"])
+        assert code == 2
+        assert "sample_paths 500 exceeds the 200 simulated paths" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "sample_paths.csv").exists()
+
     @pytest.mark.parametrize("command, key", [
         ("hedge", "hedge.sd_points_per_year"), ("hedge", "hedge.sample_paths"),
         ("sensitivity", "sensitivity.sweep_count"), ("simulate-pnl", "pnl.rebalance_per_year"),

@@ -563,6 +563,14 @@ class TestPathEvaluation:
                            match="observation time 6 is past the portfolios' maturity 4"):
             evaluate_portfolio_paths(build_none_portfolio(crossing_model, 0.0, 4.0), bundle)
 
+    @pytest.mark.parametrize("n_samples", [-1, 201])
+    def test_sample_count_outside_the_paths_fails(self, crossing_model, monkeypatch, n_samples):
+        plan = SimulationPlan(200, 4, 4.0, seed=3, observation_times=(0.0, 2.0, 4.0))
+        bundle = simulate(crossing_model, plan)
+        monkeypatch.setattr(hedging, "ConditionalCtdTable", None)  # fails before the table
+        with pytest.raises(ModelValidationError, match=f"n_samples {n_samples} is outside 0..200"):
+            evaluate_portfolio_paths(build_none_portfolio(crossing_model, 0.0, 4.0), bundle, n_samples)
+
     def test_cash_account_constant_without_rates(self, crossing_model):
         plan = SimulationPlan(500, 4, 10.0, seed=9, observation_times=(0.0, 5.0, 10.0))
         bundle = simulate(crossing_model, plan)
@@ -618,6 +626,17 @@ class TestLegSum:
         for a, b in zip(got, want):
             for field in ("times", "mean", "sd", "sd_se", "samples"):
                 assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), (a.name, field)
+
+    def test_sd_se_is_computed_on_first_read(self, market):
+        model, portfolios = market
+        plan = SimulationPlan(1_000, 8, 10.0, seed=3, observation_times=self.OBSERVATIONS)
+        bundle = simulate(model, plan)
+        got = evaluate_portfolio_paths(portfolios, bundle)
+        want = per_position.evaluate_portfolio_paths(portfolios, bundle)
+        for a, b in zip(got, want):
+            assert "sd_se" not in vars(a), a.name
+            assert a.sd_se.tobytes() == b.sd_se.tobytes(), a.name
+            assert vars(a)["sd_se"] is a.sd_se, a.name
 
 
 def test_constructors_copy_the_arrays_they_freeze():
