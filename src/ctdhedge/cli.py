@@ -177,8 +177,7 @@ def _run_hedge(cfg: ExperimentConfig, model, out: Path, svg: bool) -> int:
         else:
             portfolios.append(build_basic_portfolio(model, int(name.removeprefix("basic_q")), t0, T, cfg.nodes_per_year))
 
-    obs = np.unique(np.concatenate([np.linspace(t0, T, int(round((T - t0) * cfg.sd_points_per_year)) + 1),
-                                    [t0, T]]))
+    obs = np.linspace(t0, T, int(round((T - t0) * cfg.sd_points_per_year)) + 1)
     plan = SimulationPlan(cfg.mc_paths, cfg.mc_steps_per_year, T, cfg.seed, t0=t0,
                           observation_times=tuple(obs))
     bundle = simulate(model, plan)

@@ -580,40 +580,37 @@ def synthetic_replication_pnl(
     if not schemes or any(name not in CTD_METHODS for name in schemes):
         raise ModelValidationError(f"schemes must be a non-empty selection of {CTD_METHODS}")
     times = bundle.times
-    for tk in swap.payment_dates:
-        if not np.any(np.abs(times - tk) < 1e-9):
-            raise ModelValidationError(
-                f"payment date {tk:g} is not in the rebalancing grid"
-            )
     dates = swap.payment_dates
-    table = ConditionalCtdTable(
-        model, times[times <= dates[-1] + 1e-12], dates, nodes_per_dim=7, nodes_per_year=nodes_per_year
-    )
     periods = swap.periods(bundle.plan.t0)  # period j ends on dates[j], row j of the table
+    # each period's start and end as observation indices; a date off the grid raises
+    bounds = [(bundle.observation_index(s), bundle.observation_index(e_)) for s, e_, _ in periods]
+    table = ConditionalCtdTable(
+        model, times[: bounds[-1][1] + 1], dates, nodes_per_dim=7, nodes_per_year=nodes_per_year
+    )
     sign = 1.0 if swap.payer else -1.0
-    fixings: dict[float, np.ndarray] = {}
+    fixings: dict[int, np.ndarray] = {}  # keyed by the period's start index
     pnl = prev_pi = prev_t = None
     for k, t in enumerate(times):
         t = float(t)
         u = bundle.displacements(t)
         u0 = bundle.values[:, k, 0] - model.domestic.mean_curve(t)
         # record fixings at period starts
-        for s, e_, tau in periods:
-            if abs(t - s) < 1e-9:
+        for (_, e_, tau), (k_start, _) in zip(periods, bounds):
+            if k == k_start:
                 p_end = _conditional_bond(model.domestic, t, e_, u0)
-                fixings[s] = (1.0 / p_end - 1.0) / tau
+                fixings[k_start] = (1.0 / p_end - 1.0) / tau
         # mark the un-hedged residue sum_{T_k > t} (CTD_cond - C_j) * leg_k
         pi = {name: np.zeros(bundle.n_paths) for name in schemes}
-        live = [j for j, (_, e_, _) in enumerate(periods) if e_ > t + 1e-12]
+        live = [j for j, (_, k_end) in enumerate(bounds) if k_end > k]
         if live:
             ctd_cond = table.evaluate(k, u)  # the anchors are a prefix of the observation times
             ends = [periods[j][1] for j in live]
             synth = {name: _ctd_factors(model, name, t, ends, nodes_per_year) for name in schemes}
         for n, j in enumerate(live):
-            s, e_, tau = periods[j]
+            (s, e_, tau), (k_start, _) = periods[j], bounds[j]
             p_end = _conditional_bond(model.domestic, t, e_, u0)
-            if t >= s - 1e-9:
-                ell = fixings[s]
+            if k >= k_start:
+                ell = fixings[k_start]
             else:
                 p_start = _conditional_bond(model.domestic, t, s, u0)
                 ell = (p_start / p_end - 1.0) / tau

@@ -7,6 +7,10 @@ pathwise time integrals (trapezoidal on the step grid) do.  The resulting
 bundles back every semi-analytic quantity in the package with an unbiased
 statistical estimate.
 
+The step grid is the uniform grid united with the observation times, and
+the simulator records exactly those steps; callers reach a time's row
+through `PathBundle.observation_index`, the one 1e-9 tolerance.
+
 Paths advance in fixed-size blocks, each with its own counter-based random
 stream.  A block keeps its state process-major ([process, path]) in buffers
 reused across steps and is transposed into the (path, observation, process)
@@ -38,8 +42,9 @@ class SimulationPlan:
 
     The transition scheme is fixed to the exact Ornstein-Uhlenbeck step;
     `steps_per_year` only controls the resolution of pathwise integrals.
-    `observation_times` (defaults to {t0, T}) selects the grid nodes at
-    which states and running integrals are stored on the bundle.  Every
+    `observation_times`, joined with {t0, T}, are the times at which states
+    and running integrals are stored on the bundle; `step_grid` is the
+    uniform grid united with them, so each is a step node exactly.  Every
     path draws its own shocks, so the paths are independent and the
     estimators' standard errors are the plain sample ones.
     """
@@ -62,10 +67,7 @@ class SimulationPlan:
     def step_grid(self) -> np.ndarray:
         n = max(1, int(round((self.horizon - self.t0) * self.steps_per_year)))
         grid = np.linspace(self.t0, self.horizon, n + 1)
-        if self.observation_times is None:
-            return grid
-        obs = np.asarray(self.observation_times, dtype=float)
-        return np.unique(np.concatenate((grid, obs)))
+        return np.unique(np.concatenate((grid, self.observation_grid())))
 
     def observation_grid(self) -> np.ndarray:
         if self.observation_times is None:
@@ -137,8 +139,8 @@ def _safe_cholesky(cov: np.ndarray) -> np.ndarray:
         w, v = np.linalg.eigh(cov)
         if w.min() < -1e-12 * max(w.max(), 1e-300):
             raise ModelValidationError(
-                "step covariance is not positive semidefinite; check the "
-                "correlation matrix or enable eigenvalue clipping"
+                f"step covariance is not positive semidefinite (smallest eigenvalue "
+                f"{w.min():.3g}); check the correlation matrix"
             )
         return v * np.sqrt(np.clip(w, 0.0, None))
 
@@ -154,7 +156,6 @@ def simulate(model: MarketModel, plan: SimulationPlan) -> PathBundle:
     workers = block_workers()
     grid = plan.step_grid()
     obs = plan.observation_grid()
-    obs_set = {round(float(t), 12) for t in obs}
     n_proc = model.n_spreads + 1
     n_paths = plan.n_paths
     specs = [model.domestic] + list(model.spreads)
@@ -174,7 +175,7 @@ def simulate(model: MarketModel, plan: SimulationPlan) -> PathBundle:
             decay = np.exp(-np.array([specs[j].kappa for j in stoch_idx]) * dt)
             chol = _safe_cholesky(_step_covariance(model, dt, stoch_idx))
             cache[key] = (decay, chol)
-    record_step = np.array([round(float(t), 12) in obs_set for t in grid])
+    record_step = np.isin(grid, obs)  # the observation times are members of the grid
 
     out_values = np.empty((n_paths, obs.size, n_proc))
     out_integrals = np.empty((n_paths, obs.size, n_proc))

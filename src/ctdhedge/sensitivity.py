@@ -107,33 +107,26 @@ def sensitivity_profile(
     """
     if kind not in _KINDS:
         raise ModelValidationError(f"sweep kind must be one of {_KINDS}")
-    rows: list[SweepRow] = []
     if kind == "mean_level":
         if index is None:
             raise ModelValidationError("mean_level sweeps need a spread index")
         base_level = model.spread(index).mean_curve(model.t0)
-        for v in values:
-            swept = model.with_spread(
-                index, model.spread(index).bumped_level(float(v) - base_level)
-            )
-            rows.append(_profile_row(swept, t0, T, kind, float(v), index, epsilon, nodes_per_year))
-        return rows
-    for v in values:
-        swept = model
-        for i in range(1, model.n_spreads + 1):
-            swept = swept.with_spread(i, swept.spread(i).bumped_xi(float(v)))
-        for i in range(1, model.n_spreads + 1):
-            rows.append(_profile_row(swept, t0, T, kind, float(v), i, epsilon, nodes_per_year))
+    rows: list[SweepRow] = []
+    for v in map(float, values):
+        if kind == "mean_level":
+            swept = model.with_spread(index, model.spread(index).bumped_level(v - base_level))
+            bumped = (index,)
+        else:
+            swept = model
+            for i in range(1, model.n_spreads + 1):
+                swept = swept.with_spread(i, swept.spread(i).bumped_xi(v))
+            bumped = range(1, model.n_spreads + 1)
+        requests = [BumpRequest(kind, i, epsilon) for i in bumped]
+        # the base factors depend on the swept model only, not on the bumped spread
+        det = ctd_deterministic(swept, t0, T)
+        cf = ctd_common_factor(swept, t0, T, nodes_per_year)
+        for req in requests:
+            d_det = ctd_sensitivity(swept, t0, T, req, "deterministic", nodes_per_year)
+            d_cf = ctd_sensitivity(swept, t0, T, req, "common_factor", nodes_per_year)
+            rows.append(SweepRow(v, req.index, det, cf, d_det, d_cf))
     return rows
-
-
-def _profile_row(model, t0, T, kind, value, index, epsilon, nodes_per_year) -> SweepRow:
-    req = BumpRequest(kind, index, epsilon)
-    return SweepRow(
-        parameter=value,
-        bump_index=index,
-        ctd_det=ctd_deterministic(model, t0, T),
-        ctd_cf=ctd_common_factor(model, t0, T, nodes_per_year),
-        dctd_det=ctd_sensitivity(model, t0, T, req, "deterministic", nodes_per_year),
-        dctd_cf=ctd_sensitivity(model, t0, T, req, "common_factor", nodes_per_year),
-    )

@@ -611,7 +611,10 @@ def _x3() -> tuple[bool, str]:
     v_none = swap_value_ctd(model, par_swap, 0.0, "none")
     ok &= abs(v_none - v_plain) < 1e-12
     msgs.append(f"ctd none == plain {abs(v_none - v_plain):.1e}")
-    ok &= math.isfinite(v_det)
+    # each option-adjusted leg is factor * leg, so |factor| <= 1 is |adjusted| <= |leg|
+    factors = [_ctd.ctd_deterministic(model, 0.0, tk) for tk in dates]
+    ok &= math.isfinite(v_det) and all(0.0 < c <= 1.0 for c in factors)
+    msgs.append(f"ctd factors in [{min(factors):.6f}, {max(factors):.6f}]")
     return ok, "; ".join(msgs)
 
 

@@ -394,6 +394,17 @@ class TestCli:
         assert len(lines) == 3
         assert (out / "pnl_hist.csv").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["hedge", "--config", "experiment1", "--set", "horizon.maturity=1",
+         "--set", "hedge.sd_points_per_year=5", "--set", "mc.steps_per_year=15"],
+        ["simulate-pnl", "--config", "swap_pnl", "--set", "horizon.maturity=4",
+         "--set", "mc.steps_per_year=33", "--set", "pnl.payment_dates=4",
+         "--set", "pnl.rebalance_per_year=9"],
+    ])
+    def test_observation_times_off_the_uniform_steps(self, tmp_path, args):
+        # linspace puts an observation time one ulp from a step node of its own
+        assert main([*args, "--paths", "200", "--out", str(tmp_path / "out")]) == 0
+
     def test_pnl_command_passes_nodes_per_year(self, tmp_path, monkeypatch):
         seen = []
 

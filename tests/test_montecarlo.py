@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctdhedge import (
     CorrelationMatrix,
@@ -123,8 +125,35 @@ class TestPlan:
         assert plan.observation_grid()[0] == 0.0
         assert plan.observation_grid()[-1] == 10.0
 
+    def test_records_exactly_the_requested_nodes(self):
+        # linspace's 0.30000000000000004 sits on the step grid beside the requested 0.3
+        plan = SimulationPlan(10, 10, 1.0, seed=1, observation_times=(0.3,))
+        assert plan.step_grid().size == 12
+        assert simulate(_model(), plan).times.tolist() == [0.0, 0.3, 1.0]
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        horizon=st.floats(0.05, 12.0),
+        steps_per_year=st.integers(1, 100),
+        per_year=st.integers(1, 24),
+        interior=st.lists(st.floats(0.0, 1.0), max_size=3),
+        n_paths=st.integers(2, 4),
+    )
+    def test_bundle_times_are_the_observation_grid(
+        self, horizon, steps_per_year, per_year, interior, n_paths
+    ):
+        # observation times as the CLI builds them, plus a few arbitrary ones
+        obs = np.linspace(0.0, horizon, int(round(horizon * per_year)) + 1)
+        obs = np.concatenate((obs, [f * horizon for f in interior]))
+        plan = SimulationPlan(n_paths, steps_per_year, horizon, seed=7, observation_times=tuple(obs))
+        assert simulate(_model(), plan).times.tobytes() == plan.observation_grid().tobytes()
+
 
 class TestSimulate:
+    def test_indefinite_step_covariance_names_its_smallest_eigenvalue(self):
+        with pytest.raises(ModelValidationError, match=r"smallest eigenvalue -1\b.*correlation matrix"):
+            montecarlo._safe_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
     def test_bitwise_determinism(self):
         model = _model()
         plan = SimulationPlan(30_000, 10, 5.0, seed=99)
