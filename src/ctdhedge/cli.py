@@ -12,7 +12,11 @@ acceptance       the built-in validation suite
 Every command writes headered CSV files (12 significant digits, atomic
 writes) plus the effective configuration, so a run is reproducible from
 its own output directory.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure.
+3 numerical failure.  `--seed N` and `--paths N` are the overrides
+`seed=N` and `mc.paths=N`, checked as a file line is.  A configuration
+error is any `ConfigError` or `ModelValidationError`, raised before or
+during the run: a time outside the forecast curves, a first payment date
+at or before t0 and an empty hedge horizon among them.
 """
 
 from __future__ import annotations
@@ -57,26 +61,20 @@ def main(argv=None) -> int:
     parser.add_argument("--svg", action="store_true", help="also write SVG charts")
     args = parser.parse_args(argv)
 
+    # --seed and --paths are the entries seed= and mc.paths=, checked as a file line is
+    flags = {"seed": args.seed, "mc.paths": args.paths}
+    overrides = args.set + [f"{key}={value}" for key, value in flags.items() if value is not None]
     try:
         block_workers()  # reject a malformed CTD_THREADS before any work
         cfg = load_config(args.config)
         cfg.command = args.command
-        for item in args.set:
+        for item in overrides:
             if "=" not in item:
                 raise ConfigError(f"--set expects key=value, got {item!r}")
             key, _, value = item.partition("=")
             apply_override(cfg, key.strip(), value)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.paths is not None:
-            cfg.mc_paths = args.paths
         model = cfg.build_model()
-    except (ConfigError, ModelValidationError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-
-    out = Path(args.out)
-    try:
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         atomic_write_text(out / "effective.cfg", serialize_config(cfg))
         runner = {
@@ -88,7 +86,7 @@ def main(argv=None) -> int:
             "acceptance": _run_acceptance,
         }[args.command]
         return runner(cfg, model, out, args.svg)
-    except (ConfigError, ModelValidationError) as exc:
+    except (ConfigError, ModelValidationError) as exc:  # CurveDomainError included
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -10,7 +10,11 @@ import numpy as np
 __all__ = ["SpreadCurve", "max_curve_integral", "max_curve_breakpoints"]
 
 
-class CurveDomainError(ValueError):
+class ModelValidationError(ValueError):
+    """Raised when model inputs violate a structural invariant."""
+
+
+class CurveDomainError(ModelValidationError):
     """Raised when a curve is evaluated outside its time grid."""
 
 
@@ -34,15 +38,15 @@ class SpreadCurve:
         g = np.array(grid, dtype=float)
         v = np.array(values, dtype=float)
         if g.ndim != 1 or v.ndim != 1:
-            raise ValueError("grid and values must be one-dimensional")
+            raise ModelValidationError("grid and values must be one-dimensional")
         if g.size != v.size:
-            raise ValueError(f"grid has {g.size} nodes but values has {v.size}")
+            raise ModelValidationError(f"grid has {g.size} nodes but values has {v.size}")
         if g.size < 2:
-            raise ValueError("curve needs at least two nodes")
+            raise ModelValidationError("curve needs at least two nodes")
         if not np.all(np.diff(g) > 0.0):
-            raise ValueError("grid must be strictly increasing")
+            raise ModelValidationError("grid must be strictly increasing")
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
-            raise ValueError("grid and values must be finite")
+            raise ModelValidationError("grid and values must be finite")
         g.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "grid", g)
@@ -103,7 +107,7 @@ class SpreadCurve:
     def integral(self, a: float, b: float) -> float:
         """Exact integral of the piecewise-linear curve over [a, b]."""
         if b < a:
-            raise ValueError("integration bounds must satisfy a <= b")
+            raise ModelValidationError("integration bounds must satisfy a <= b")
         self._check_domain(np.asarray([a, b], dtype=float))
         if a == b:
             return 0.0
@@ -154,7 +158,7 @@ def max_curve_breakpoints(curves: Sequence[SpreadCurve], a: float, b: float):
     `winners[k]`; ties resolve to the lowest curve index.
     """
     if b <= a:
-        raise ValueError("interval must satisfy a < b")
+        raise ModelValidationError("interval must satisfy a < b")
     base = {a, b}
     for c in curves:
         base.update(float(t) for t in c.grid if a < t < b)

@@ -315,6 +315,8 @@ def crossing_schedule(curves: Sequence[SpreadCurve], t0: float, T: float) -> Cro
 
 def model_crossing_schedule(model: MarketModel, t0: float, T: float) -> CrossingSchedule:
     """Crossing schedule of the model's forecast curves (plus zero spread)."""
+    if not T > t0:
+        raise ModelValidationError(f"hedge needs maturity > t0, got t0 {t0:g} and maturity {T:g}")
     return crossing_schedule(_forecast_curves(model, t0, T), t0, T)
 
 

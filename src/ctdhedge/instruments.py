@@ -50,6 +50,10 @@ class SwapSpec:
 
     def periods(self, t0: float) -> list[tuple[float, float, float]]:
         """(start, end, accrual) per payment period, first start at t0."""
+        if not self.payment_dates[0] > t0:
+            raise ModelValidationError(
+                f"first payment date {self.payment_dates[0]:g} must fall after the start {t0:g}"
+            )
         starts = (t0,) + self.payment_dates[:-1]
         return [(s, e, e - s) for s, e in zip(starts, self.payment_dates)]
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import SpreadCurve
+from .curves import ModelValidationError, SpreadCurve
 
 __all__ = [
     "HullWhiteSpec",
@@ -39,10 +39,6 @@ __all__ = [
 
 # smallest eigenvalue allowed before a correlation matrix is rejected
 _PSD_TOL = -1e-10
-
-
-class ModelValidationError(ValueError):
-    """Raised when model inputs violate a structural invariant."""
 
 
 @dataclass(frozen=True)
@@ -248,15 +244,16 @@ def mean_under_piecewise_theta(
     """
     Analytic process mean at grid nodes under a piecewise-constant theta.
 
-    Closed-form recursion m_k = m_{k-1} e^{-kappa dt} + theta_k (1 - e^{-kappa dt});
-    used to verify that `theta_piecewise` reproduces the forecast exactly.
+    Closed-form recursion m_k = m_{k-1} e^{-kappa dt} + theta_k (1 - e^{-kappa dt})
+    from m_0 = qhat(grid[0]), where `theta_piecewise` starts; used to verify
+    that `theta_piecewise` reproduces the forecast exactly.
     """
     g = np.asarray(grid, dtype=float)
     th = np.asarray(theta, dtype=float)
     if th.size != g.size - 1:
         raise ModelValidationError("need one theta value per grid interval")
     out = np.empty(g.size)
-    out[0] = spec.initial_value
+    out[0] = spec.mean_curve(float(g[0]))
     decay = np.exp(-spec.kappa * np.diff(g))
     for k in range(th.size):
         out[k + 1] = out[k] * decay[k] + th[k] * (1.0 - decay[k])

@@ -153,18 +153,6 @@ def _a1() -> tuple[bool, str]:
     return worst < 1e-12, f"max |mean error| {worst:.2e} (limit 1e-12)"
 
 
-def _fig2_model():
-    horizon = 25.0
-    c1 = SpreadCurve.constant(0.014, 0.0, horizon)
-    c2 = SpreadCurve.constant(0.0133, 0.0, horizon)
-    dom = HullWhiteSpec(0.01, 0.0, SpreadCurve.constant(0.0, 0.0, horizon))
-    return MarketModel(
-        dom,
-        [HullWhiteSpec(0.0078, 0.0018, c1), HullWhiteSpec(0.0076, 0.0023, c2)],
-        CorrelationMatrix.from_single(0.5),
-    )
-
-
 @_case(
     "a02_cf_inside_mc_band",
     "common-factor factor sits inside the 99% Monte Carlo band (1e5 paths, 80 steps/year)",
@@ -173,7 +161,7 @@ def _fig2_model():
     limit_s=30,
 )
 def _a2() -> tuple[bool, str]:
-    model = _fig2_model()
+    _, model = _experiment_model("fig2_sensitivity")
     cf = _ctd.ctd_common_factor(model, 0.0, 20.0)
     plan = SimulationPlan(100_000, 80, 20.0, seed=932024)
     est, se = mc_ctd(simulate(model, plan), 0.0, 20.0)
@@ -434,7 +422,7 @@ def _a9() -> tuple[bool, str]:
     ok &= crossing
     msgs.append(f"quotients cross near the kink: {crossing}")
     # Fig-2-style: the gap between the two volatility sensitivities shrinks
-    vol_model = _fig2_model()
+    _, vol_model = _experiment_model("fig2_sensitivity")
     gaps = []
     for v in (0.001, 0.004):
         swept = vol_model

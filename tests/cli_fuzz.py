@@ -1,4 +1,4 @@
-"""Seeded random valid `--set` overrides for the `ctd` CLI, one run each.
+"""Seeded random `--set` overrides for the `ctd` CLI, one run each.
 
 Usage: CTD_THREADS=2 python tests/cli_fuzz.py [--seed 1] [--runs 40]
 
@@ -7,9 +7,15 @@ inside the bundled curves, positive grid counts, payment dates on a
 tenth-of-a-year grid) and executes it at `--paths 300` in a fresh
 interpreter on the `src/` tree next to this script.  Exit codes 0, 2
 (configuration error) and 3 (numerical failure) are outcomes the CLI
-promises; any other code is a crash.  The script prints every crashing run
-with the tail of its stderr and exits 1 if there was one.  Not a collected
-test: 40 runs take a few minutes on two cores.
+promises; any other code is a crash.  About a third of the runs then add
+one input outside the model: a maturity past the curves' end, a negative
+`t0` for `price`, a first payment date at the start, `--paths` of -3 or 0,
+or a hedge maturity at or before `t0`.  Such a run must exit exactly 2.
+The valid draws come from their own stream, so they do not depend on the
+invalid ones.  The script prints every run that breaks its rule with the
+tail of its stderr, the exit codes of both kinds, and exits 1 if any run
+broke its rule.  Not a collected test: 40 runs take a few minutes on two
+cores.
 """
 
 from __future__ import annotations
@@ -29,6 +35,11 @@ HORIZON = 12.0  # the bundled configs' curves end here
 
 def _maturity(rng: random.Random) -> str:
     return f"{rng.uniform(0.2, HORIZON - 0.1):.1f}"
+
+
+def _late(rng: random.Random) -> str:
+    """A time past the curves' end."""
+    return f"{rng.uniform(HORIZON + 0.1, 20.0):.1f}"
 
 
 def _draw(rng: random.Random) -> list[str]:
@@ -57,28 +68,56 @@ def _draw(rng: random.Random) -> list[str]:
     return args
 
 
+def _invalid(rng: random.Random, args: list[str]) -> list[str]:
+    """One override outside what the model accepts, appended after the valid ones."""
+    command = args[0]
+    kind = rng.choice(["maturity", "paths", {"price": "t0", "simulate-pnl": "first_date",
+                                              "hedge": "empty_horizon"}[command]])
+    if kind == "paths":
+        return ["--paths", rng.choice(["-3", "0"])]
+    if kind == "t0":
+        return ["--set", f"horizon.t0={rng.uniform(-2.0, -0.1):.1f}"]
+    if kind == "empty_horizon":
+        t0 = rng.uniform(1.0, HORIZON - 0.1)
+        return ["--set", f"horizon.t0={t0:.1f}", "--set", f"horizon.maturity={rng.uniform(0.2, t0):.1f}"]
+    if command != "simulate-pnl":
+        return ["--set", f"horizon.maturity={_late(rng)}"]
+    dates = next(a for a in args if a.startswith("pnl.payment_dates=")).partition("=")[2]
+    if kind == "first_date":
+        return ["--set", f"pnl.payment_dates=0,{dates}"]
+    return ["--set", f"pnl.payment_dates={dates},{_late(rng)}"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--runs", type=int, default=40)
     opts = parser.parse_args(argv)
     rng = random.Random(opts.seed)
+    invalid_rng = random.Random(f"invalid-{opts.seed}")
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    codes: Counter[int] = Counter()
+    codes: dict[bool, Counter[int]] = {False: Counter(), True: Counter()}
+    broken = 0
     with tempfile.TemporaryDirectory(prefix="ctd-fuzz-") as tmp:
         for run in range(opts.runs):
             args = _draw(rng)
+            invalid = invalid_rng.random() < 1 / 3
+            if invalid:
+                args += _invalid(invalid_rng, args)
             proc = subprocess.run(
                 [sys.executable, "-m", "ctdhedge.cli", *args, "--out", str(Path(tmp) / str(run))],
                 env=env, capture_output=True, text=True,
             )
-            codes[proc.returncode] += 1
-            if proc.returncode not in (0, 2, 3):
+            codes[invalid][proc.returncode] += 1
+            if proc.returncode not in ((2,) if invalid else (0, 2, 3)):
+                broken += 1
                 print(f"run {run}: exit {proc.returncode}  ctd {' '.join(args)}")
                 print("".join(proc.stderr.splitlines(keepends=True)[-3:]), end="")
-    crashes = sum(n for code, n in codes.items() if code not in (0, 2, 3))
-    print(f"{opts.runs} runs, {crashes} crashes; exit codes {dict(sorted(codes.items()))}")
-    return 1 if crashes else 0
+    for invalid, name, rule in ((False, "valid", "0, 2 or 3"), (True, "invalid", "2")):
+        print(f"{sum(codes[invalid].values())} {name} runs (must exit {rule}); "
+              f"exit codes {dict(sorted(codes[invalid].items()))}")
+    print(f"{opts.runs} runs, {broken} broke their rule")
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":

@@ -405,6 +405,31 @@ class TestCli:
         # linspace puts an observation time one ulp from a step node of its own
         assert main([*args, "--paths", "200", "--out", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("args, fragment", [
+        (["price", "--config", "experiment1", "--set", "horizon.maturity=13"],
+         "time 13 outside curve domain [0, 12]"),
+        (["simulate-pnl", "--config", "swap_pnl", "--set", "pnl.payment_dates=0,1,2",
+          "--set", "horizon.maturity=2"], "first payment date 0 must fall after the start 0"),
+        (["hedge", "--config", "experiment1", "--set", "horizon.t0=10", "--set", "horizon.maturity=10"],
+         "hedge needs maturity > t0, got t0 10 and maturity 10"),
+    ], ids=["maturity_past_the_curves", "first_payment_at_the_start", "empty_hedge_horizon"])
+    def test_inputs_outside_the_model_exit_code(self, tmp_path, capsys, args, fragment):
+        assert main([*args, "--paths", "200", "--out", str(tmp_path / "o")]) == 2
+        assert f"configuration error: {fragment}" in capsys.readouterr().err
+
+    def test_paths_flag_takes_the_count_check(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["price", "--config", "experiment1", "--paths", "-3", "--out", str(out)]) == 2
+        assert "configuration error: --set mc.paths: invalid paths -3" in capsys.readouterr().err
+        assert not (out / "effective.cfg").exists()
+
+    def test_theta_check_starts_at_t0(self, tmp_path, capsys):
+        # the mean recursion starts where the calibration does, not at the curve start
+        assert main(["calibrate-theta", "--config", "experiment1", "--set", "horizon.t0=2",
+                     "--out", str(tmp_path / "o")]) == 0
+        worst = float(capsys.readouterr().out.split("max |mean error| = ")[1])
+        assert worst < 1e-15
+
     def test_pnl_command_passes_nodes_per_year(self, tmp_path, monkeypatch):
         seen = []
 

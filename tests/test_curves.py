@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ctdhedge.curves import CurveDomainError, SpreadCurve, max_curve_breakpoints, max_curve_integral
+from ctdhedge.spread_model import ModelValidationError
 
 
 def test_grid_values_validation():
@@ -27,6 +28,16 @@ def test_domain_error():
         curve(5.1)
     with pytest.raises(CurveDomainError):
         curve.integral(-1.0, 2.0)
+
+
+def test_invalid_input_is_a_model_validation_error():
+    curve = SpreadCurve.constant(0.01, 0.0, 5.0)
+    with pytest.raises(ModelValidationError, match=r"time 5.1 outside curve domain \[0, 5\]"):
+        curve(5.1)
+    with pytest.raises(ModelValidationError, match="integration bounds must satisfy a <= b"):
+        curve.integral(2.0, 1.0)
+    with pytest.raises(ModelValidationError, match="curve needs at least two nodes"):
+        SpreadCurve([0.0], [0.01])
 
 
 def test_left_derivative_at_kink():

@@ -188,6 +188,14 @@ class TestSwaps:
         with pytest.raises(ModelValidationError):
             SwapSpec(1.0, 0.01, ())
 
+    def test_first_payment_must_follow_the_start(self):
+        message = "first payment date 0 must fall after the start 0"
+        with pytest.raises(ModelValidationError, match=message):
+            SwapSpec(1.0, 0.0, (0.0, 1.0)).periods(0.0)
+        # par_rate stops at the check before forward_ibor divides by a zero accrual
+        with pytest.raises(ModelValidationError, match=message):
+            par_rate(FLAT2, (0.0, 1.0, 2.0))
+
 
 def test_deterministic_ctd_bounds_leg_scaling():
     # CTD factors live in (0, 1]
