@@ -40,7 +40,6 @@ from .hedging import (
     stochastic_strategy,
     synthetic_replication_pnl,
 )
-from .instruments import par_rate
 from .montecarlo import SimulationPlan, block_workers, simulate
 from .reporting import fmt, atomic_write_text, svg_line_chart, write_csv
 from .sensitivity import sensitivity_profile
@@ -146,6 +145,8 @@ def _strategy_names(cfg: ExperimentConfig, model) -> list[str]:
     if cfg.hedge_strategies == "all":
         return known
     names = [s.strip() for s in cfg.hedge_strategies.split(",") if s.strip()]
+    if not names:
+        raise ConfigError("[hedge] strategies names no strategy: list some, or write all")
     for name in names:
         if name not in known:
             raise ConfigError(
@@ -223,16 +224,11 @@ def _run_hedge(cfg: ExperimentConfig, model, out: Path, svg: bool) -> int:
 
 def _run_pnl(cfg: ExperimentConfig, model, out: Path, svg: bool) -> int:
     _once_each(cfg.pnl_schemes, "scheme")
-    swap = cfg.swap()
-    if cfg.pnl_fixed_rate == "par":
-        swap = type(swap)(swap.notional, par_rate(model, swap.payment_dates), swap.payment_dates)
-    T = max(swap.payment_dates)
-    rebal = np.unique(np.concatenate([
-        np.linspace(cfg.t0, T, int(round((T - cfg.t0) * cfg.pnl_rebalance_per_year)) + 1),
-        np.asarray(swap.payment_dates),
-    ]))
+    swap = cfg.swap(model)
+    T = swap.payment_dates[-1]
+    rebal = np.linspace(cfg.t0, T, int(round((T - cfg.t0) * cfg.pnl_rebalance_per_year)) + 1)
     plan = SimulationPlan(cfg.mc_paths, cfg.mc_steps_per_year, T, cfg.seed, t0=cfg.t0,
-                          observation_times=tuple(rebal))
+                          observation_times=(*rebal, *swap.payment_dates))
     samples = synthetic_replication_pnl(model, swap, cfg.pnl_schemes, simulate(model, plan),
                                         cfg.nodes_per_year)
     rows = []

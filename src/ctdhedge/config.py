@@ -137,14 +137,15 @@ class ExperimentConfig:
             entries[i, j] = entries[j, i] = rho
         return MarketModel(specs[0], specs[1:], CorrelationMatrix(entries))
 
-    def swap(self):
-        from .instruments import SwapSpec
+    def swap(self, model: MarketModel):
+        from .instruments import SwapSpec, par_rate
 
         if not self.pnl_payment_dates:
             raise ConfigError("[pnl] payment_dates is required for simulate-pnl")
         rate = self.pnl_fixed_rate
-        return SwapSpec(self.pnl_notional, 0.0 if rate == "par" else float(rate),
-                        self.pnl_payment_dates)
+        if rate == "par":
+            rate = par_rate(model, self.pnl_payment_dates, start=self.t0)
+        return SwapSpec(self.pnl_notional, rate, self.pnl_payment_dates, start=self.t0)
 
 
 def _parse_scalar(text: str):

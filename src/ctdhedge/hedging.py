@@ -565,14 +565,15 @@ def synthetic_replication_pnl(
     discount factor fixed at inception: 1 for scheme "none", the
     deterministic factor for "deterministic", the common-factor value for
     "common_factor".  The P&L account accrues at the realized domestic
-    rate and is marked at every observation time of the bundle (which must
-    contain all payment dates); the swap itself is marked with the
-    conditional common-factor pricer, from one `ConditionalCtdTable` for
-    all payment dates, evaluated once per observation time.  At each
+    rate and is marked at every observation time of the bundle, which must
+    contain the swap's start and payment dates; the swap itself is marked
+    with the conditional common-factor pricer, from one `ConditionalCtdTable`
+    for all payment dates, evaluated once per observation time.  At each
     observation time the loop also takes every scheme's synthetic factors
     for the payment dates still ahead, the common-factor ones from one
-    pipeline pass.  All schemes share one pass over the paths, so the
-    table, the legs and the conditional marks are computed once.
+    pipeline pass, and one domestic bond per period bound still ahead,
+    which gives the forward rates and the fixings.  All schemes share one
+    pass over the paths, so the table, the legs and the marks are computed once.
     Returns one terminal P&L per path for each scheme, keyed in the order
     given.
     """
@@ -583,24 +584,26 @@ def synthetic_replication_pnl(
         raise ModelValidationError(f"schemes must be a non-empty selection of {CTD_METHODS}")
     times = bundle.times
     dates = swap.payment_dates
-    periods = swap.periods(bundle.plan.t0)  # period j ends on dates[j], row j of the table
-    # each period's start and end as observation indices; a date off the grid raises
-    bounds = [(bundle.observation_index(s), bundle.observation_index(e_)) for s, e_, _ in periods]
+    if swap.start < times[0]:
+        raise ModelValidationError(f"the swap starts at {swap.start:g}, before the first "
+                                   f"observation time {times[0]:g}")
+    periods = swap.periods()  # period j ends on dates[j], row j of the table
+    # the period bounds (start, payment dates) as observation indices; a date off the grid raises
+    edges = [(d, bundle.observation_index(d)) for d in (swap.start, *dates)]
+    bounds = [(k_start, k_end) for (_, k_start), (_, k_end) in zip(edges, edges[1:])]
     table = ConditionalCtdTable(
         model, times[: bounds[-1][1] + 1], dates, nodes_per_dim=7, nodes_per_year=nodes_per_year
     )
     sign = 1.0 if swap.payer else -1.0
-    fixings: dict[int, np.ndarray] = {}  # keyed by the period's start index
+    fixings: dict[int, np.ndarray] = {}  # per period, its rate as last seen up to its start
     pnl = prev_pi = prev_t = None
     for k, t in enumerate(times):
         t = float(t)
         u = bundle.displacements(t)
         u0 = bundle.values[:, k, 0] - model.domestic.mean_curve(t)
-        # record fixings at period starts
-        for (_, e_, tau), (k_start, _) in zip(periods, bounds):
-            if k == k_start:
-                p_end = _conditional_bond(model.domestic, t, e_, u0)
-                fixings[k_start] = (1.0 / p_end - 1.0) / tau
+        # P(t, d) once per period bound d not yet passed; P(t, t) = 1 on d's own row
+        bond = {d: 1.0 if k_d == k else _conditional_bond(model.domestic, t, d, u0)
+                for d, k_d in edges if k_d >= k}
         # mark the un-hedged residue sum_{T_k > t} (CTD_cond - C_j) * leg_k
         pi = {name: np.zeros(bundle.n_paths) for name in schemes}
         live = [j for j, (_, k_end) in enumerate(bounds) if k_end > k]
@@ -610,13 +613,10 @@ def synthetic_replication_pnl(
             synth = {name: _ctd_factors(model, name, t, ends, nodes_per_year) for name in schemes}
         for n, j in enumerate(live):
             (s, e_, tau), (k_start, _) = periods[j], bounds[j]
-            p_end = _conditional_bond(model.domestic, t, e_, u0)
-            if k >= k_start:
-                ell = fixings[k_start]
-            else:
-                p_start = _conditional_bond(model.domestic, t, s, u0)
-                ell = (p_start / p_end - 1.0) / tau
-            leg = sign * swap.notional * tau * p_end * (ell - swap.fixed_rate)
+            if k <= k_start:  # the forward rate; on the start's row, the fixing
+                fixings[j] = (bond[s] / bond[e_] - 1.0) / tau
+            ell = fixings[j]
+            leg = sign * swap.notional * tau * bond[e_] * (ell - swap.fixed_rate)
             for name in schemes:
                 pi[name] = pi[name] + (ctd_cond[j] - synth[name][n]) * leg
         if prev_t is None:

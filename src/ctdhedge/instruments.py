@@ -30,31 +30,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SwapSpec:
-    """Fixed-for-floating swap: notional, fixed rate and payment dates."""
+    """Fixed-for-floating swap: notional, fixed rate, payment dates and first period's start."""
 
     notional: float
     fixed_rate: float
     payment_dates: tuple[float, ...]
     payer: bool = True
+    start: float = 0.0
 
-    def __init__(self, notional, fixed_rate, payment_dates, payer=True):
+    def __init__(self, notional, fixed_rate, payment_dates, payer=True, start=0.0):
         dates = tuple(float(t) for t in payment_dates)
+        start = float(start)
         if len(dates) < 1:
             raise ModelValidationError("swap needs at least one payment date")
         if any(b <= a for a, b in zip(dates, dates[1:])):
             raise ModelValidationError("payment dates must be strictly increasing")
+        if not dates[0] > start:
+            raise ModelValidationError(
+                f"first payment date {dates[0]:g} must fall after the start {start:g}"
+            )
         object.__setattr__(self, "notional", float(notional))
         object.__setattr__(self, "fixed_rate", float(fixed_rate))
         object.__setattr__(self, "payment_dates", dates)
         object.__setattr__(self, "payer", bool(payer))
+        object.__setattr__(self, "start", start)
 
-    def periods(self, t0: float) -> list[tuple[float, float, float]]:
-        """(start, end, accrual) per payment period, first start at t0."""
-        if not self.payment_dates[0] > t0:
-            raise ModelValidationError(
-                f"first payment date {self.payment_dates[0]:g} must fall after the start {t0:g}"
-            )
-        starts = (t0,) + self.payment_dates[:-1]
+    def periods(self) -> list[tuple[float, float, float]]:
+        """(start, end, accrual) per payment period."""
+        starts = (self.start,) + self.payment_dates[:-1]
         return [(s, e, e - s) for s, e in zip(starts, self.payment_dates)]
 
 
@@ -116,10 +119,10 @@ def forward_bond(model: MarketModel, contract: ForwardBondContract, t: float) ->
 def forward_ibor(model: MarketModel, swap: SwapSpec, t: float, k: int) -> float:
     """
     Simple-compounded forward rate of the swap's k-th period (1-based):
-    (P(t, T_{k-1}) - P(t, T_k)) / (tau_k P(t, T_k)), with T_0 the model's
+    (P(t, T_{k-1}) - P(t, T_k)) / (tau_k P(t, T_k)), with T_0 the swap's
     start.
     """
-    periods = swap.periods(model.t0)
+    periods = swap.periods()
     if not 1 <= k <= len(periods):
         raise ModelValidationError(f"period index {k} out of range")
     s, e, tau = periods[k - 1]
@@ -134,7 +137,7 @@ def _leg_values(model: MarketModel, swap: SwapSpec, t: float) -> list[tuple[floa
     """(T_k, discounted accrual value) for legs paying strictly after t."""
     sign = 1.0 if swap.payer else -1.0
     out = []
-    for k, (s, e, tau) in enumerate(swap.periods(model.t0), start=1):
+    for k, (s, e, tau) in enumerate(swap.periods(), start=1):
         if e <= t:
             continue
         ell = forward_ibor(model, swap, min(t, s), k)
@@ -168,15 +171,8 @@ def swap_value_ctd(
     return float(sum(factor * value for factor, (_, value) in zip(factors, legs)))
 
 
-def par_rate(model: MarketModel, payment_dates: Sequence[float]) -> float:
-    """Fixed rate that prices the plain swap to zero at the model's start."""
-    t = model.t0
-    swap = SwapSpec(1.0, 0.0, tuple(payment_dates))
-    annuity = 0.0
-    floating = 0.0
-    for k, (s, e, tau) in enumerate(swap.periods(model.t0), start=1):
-        ell = forward_ibor(model, swap, min(t, s), k)
-        df = zcb_domestic(model, t, e)
-        annuity += tau * df
-        floating += tau * df * ell
-    return floating / annuity
+def par_rate(model: MarketModel, payment_dates: Sequence[float], start: float = 0.0) -> float:
+    """Fixed rate that prices the plain swap to zero at its start: zero-rate value over annuity."""
+    swap = SwapSpec(1.0, 0.0, payment_dates, start=start)
+    annuity = sum(tau * zcb_domestic(model, start, e) for _, e, tau in swap.periods())
+    return swap_value(model, swap, start) / annuity

@@ -443,8 +443,8 @@ def _a9() -> tuple[bool, str]:
     )
     dates = tuple(float(k) for k in range(1, 9))
     swap = SwapSpec(1.0, par_rate(pnl_model, dates), dates)
-    rebal = np.unique(np.concatenate([np.linspace(0.0, 8.0, 33), np.asarray(dates)]))
-    plan = SimulationPlan(8_000, 12, 8.0, seed=92024, observation_times=tuple(rebal))
+    plan = SimulationPlan(8_000, 12, 8.0, seed=92024,
+                          observation_times=(*np.linspace(0.0, 8.0, 33), *dates))
     bundle = simulate(pnl_model, plan)
     pnls = synthetic_replication_pnl(
         pnl_model, swap, ("none", "deterministic", "common_factor"), bundle

@@ -1,4 +1,4 @@
-"""sha256 digests of the `ctd` CLI's artifacts and stdout on nine small runs.
+"""sha256 digests of the `ctd` CLI's artifacts and stdout on ten small runs.
 
 Usage: CTD_THREADS=2 python tests/cli_digests.py
 
@@ -34,6 +34,9 @@ RUNS = {
     "simulate_pnl_set": ["simulate-pnl", "--config", "swap_pnl", "--paths", "2000",
                          "--set", "seed=20241", "--set", "pnl.schemes=common_factor,none"],
     "calibrate_theta": ["calibrate-theta", "--config", "experiment1"],
+    # a swap that starts at t0 = 1, after the model's start, priced and hedged from there
+    "simulate_pnl_forward": ["simulate-pnl", "--config", "swap_pnl", "--paths", "2000",
+                             "--set", "horizon.t0=1", "--set", "pnl.payment_dates=2,3,4"],
 }
 
 

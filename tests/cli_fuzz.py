@@ -4,13 +4,15 @@ Usage: CTD_THREADS=2 python tests/cli_fuzz.py [--seed 1] [--runs 40]
 
 Each run draws a command and overrides that the config accepts (horizons
 inside the bundled curves, positive grid counts, payment dates on a
-tenth-of-a-year grid) and executes it at `--paths 300` in a fresh
-interpreter on the `src/` tree next to this script.  Exit codes 0, 2
-(configuration error) and 3 (numerical failure) are outcomes the CLI
-promises; any other code is a crash.  About a third of the runs then add
-one input outside the model: a maturity past the curves' end, a negative
-`t0` for `price`, a first payment date at the start, `--paths` of -3 or 0,
-or a hedge maturity at or before `t0`.  Such a run must exit exactly 2.
+tenth-of-a-year grid, half of the swaps starting at a `t0` before their
+first date) and executes it at `--paths 300` in a fresh interpreter on
+the `src/` tree next to this script.  Exit codes 0, 2 (configuration
+error) and 3 (numerical failure) are outcomes the CLI promises; any other
+code is a crash.  About a third of the runs then add one input outside
+the model: a maturity past the curves' end, a negative `t0` for `price`,
+a first payment date at the start or a `t0` at or after it, `--paths` of
+-3 or 0, a hedge maturity at or before `t0`, or an empty hedge strategy
+list.  Such a run must exit exactly 2.
 The valid draws come from their own stream, so they do not depend on the
 invalid ones.  The script prints every run that breaks its rule with the
 tail of its stderr, the exit codes of both kinds, and exits 1 if any run
@@ -56,6 +58,8 @@ def _draw(rng: random.Random) -> list[str]:
         end = rng.randint(2, int(HORIZON * 10) - 1)
         dates = sorted(rng.sample(range(1, end + 1), min(end, rng.randint(1, 6))))
         sets["pnl.payment_dates"] = ",".join(f"{d / 10:g}" for d in dates)
+        if rng.random() < 0.5:  # the swap starts at a t0 on the grid before its first date
+            sets["horizon.t0"] = f"{rng.randrange(dates[0]) / 10:g}"
         sets["mc.steps_per_year"] = rng.randint(1, 100)
         sets["pnl.rebalance_per_year"] = rng.randint(1, 24)
     else:
@@ -71,8 +75,9 @@ def _draw(rng: random.Random) -> list[str]:
 def _invalid(rng: random.Random, args: list[str]) -> list[str]:
     """One override outside what the model accepts, appended after the valid ones."""
     command = args[0]
-    kind = rng.choice(["maturity", "paths", {"price": "t0", "simulate-pnl": "first_date",
-                                              "hedge": "empty_horizon"}[command]])
+    kind = rng.choice(["maturity", "paths", *{"price": ["t0"],
+                                              "simulate-pnl": ["first_date", "late_start"],
+                                              "hedge": ["empty_horizon", "no_strategies"]}[command]])
     if kind == "paths":
         return ["--paths", rng.choice(["-3", "0"])]
     if kind == "t0":
@@ -80,11 +85,16 @@ def _invalid(rng: random.Random, args: list[str]) -> list[str]:
     if kind == "empty_horizon":
         t0 = rng.uniform(1.0, HORIZON - 0.1)
         return ["--set", f"horizon.t0={t0:.1f}", "--set", f"horizon.maturity={rng.uniform(0.2, t0):.1f}"]
+    if kind == "no_strategies":
+        return ["--set", "hedge.strategies="]
     if command != "simulate-pnl":
         return ["--set", f"horizon.maturity={_late(rng)}"]
     dates = next(a for a in args if a.startswith("pnl.payment_dates=")).partition("=")[2]
     if kind == "first_date":
         return ["--set", f"pnl.payment_dates=0,{dates}"]
+    if kind == "late_start":
+        first = float(dates.split(",")[0])
+        return ["--set", f"horizon.t0={rng.uniform(first, min(first + 1.0, HORIZON)):.1f}"]
     return ["--set", f"pnl.payment_dates={dates},{_late(rng)}"]
 
 

@@ -17,6 +17,7 @@ from ctdhedge.config import (
     serialize_config,
 )
 from ctdhedge.ctd import NumericalError
+from ctdhedge.instruments import swap_value
 from explicit_serialize_config import serialize_config as explicit_serialize_config
 
 MINIMAL = """
@@ -215,6 +216,17 @@ class TestCli:
         assert code == 2
         assert f"strategy {twice!r} is listed twice" in capsys.readouterr().err
         assert not (tmp_path / "o" / "hedge_report.csv").exists()
+
+    @pytest.mark.parametrize("strategies", ["", ","])
+    def test_empty_strategy_list_exit_code(self, tmp_path, capsys, monkeypatch, strategies):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the strategy list was checked")
+
+        monkeypatch.setattr(cli, "simulate", no_simulation)
+        code = main(["hedge", "--config", "experiment1", "--out", str(tmp_path / "o"),
+                     "--set", f"hedge.strategies={strategies}"])
+        assert code == 2
+        assert "[hedge] strategies" in capsys.readouterr().err
 
     def test_seed_stays_exact_on_every_entry_path(self, tmp_path):
         big = 12345678901234567891
@@ -416,6 +428,30 @@ class TestCli:
     def test_inputs_outside_the_model_exit_code(self, tmp_path, capsys, args, fragment):
         assert main([*args, "--paths", "200", "--out", str(tmp_path / "o")]) == 2
         assert f"configuration error: {fragment}" in capsys.readouterr().err
+
+    def test_pnl_hedges_the_swap_it_prices(self, tmp_path, monkeypatch):
+        # the par rate and the P&L read one schedule, which starts at horizon.t0
+        seen = []
+
+        def spy(model, swap, schemes, bundle, nodes_per_year=24):
+            seen.append((model, swap))
+            return {name: np.linspace(0.0, 1.0, bundle.n_paths) for name in schemes}
+
+        monkeypatch.setattr(cli, "synthetic_replication_pnl", spy)
+        assert main(["simulate-pnl", "--config", "swap_pnl", "--paths", "200",
+                     "--set", "horizon.t0=1.5", "--set", "pnl.payment_dates=2,3",
+                     "--out", str(tmp_path / "o")]) == 0
+        [(model, swap)] = seen
+        assert swap.periods()[0] == (1.5, 2.0, 0.5)
+        assert swap.payer
+        assert abs(swap_value(model, swap, 1.5)) <= 1e-12 * swap.notional
+
+    def test_first_payment_at_or_before_t0_exit_code(self, tmp_path, capsys):
+        assert main(["simulate-pnl", "--config", "swap_pnl", "--paths", "200",
+                     "--set", "horizon.t0=1.5", "--set", "pnl.payment_dates=1,2",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert ("configuration error: first payment date 1 must fall after the start 1.5"
+                in capsys.readouterr().err)
 
     def test_paths_flag_takes_the_count_check(self, tmp_path, capsys):
         out = tmp_path / "o"

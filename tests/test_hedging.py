@@ -701,7 +701,7 @@ def _single_scheme_pnl(model, swap, scheme, bundle, nodes_per_year=24, tables=No
             else:
                 synth[(t, tk)] = ctd_common_factor(model, t, tk, nodes_per_year)
 
-    periods = swap.periods(model_t0)
+    periods = swap.periods()
     sign = 1.0 if swap.payer else -1.0
     fixings = {}
     pnl = None
@@ -785,6 +785,26 @@ class TestSyntheticReplication:
         odd_swap = SwapSpec(1.0, 0.02, (1.0, 2.5001, 4.0))
         with pytest.raises(ModelValidationError):
             synthetic_replication_pnl(model, odd_swap, ("none",), bundle)
+
+    def test_swap_must_not_start_before_the_bundle(self):
+        model, _, _ = self._swap_setup(0.005)
+        plan = SimulationPlan(200, 12, 4.0, seed=21, t0=1.0,
+                              observation_times=tuple(np.linspace(1.0, 4.0, 13)))
+        late = simulate(model, plan)
+        swap = SwapSpec(1.0, 0.02, (2.0, 3.0, 4.0))
+        message = "the swap starts at 0, before the first observation time 1"
+        with pytest.raises(ModelValidationError, match=message):
+            synthetic_replication_pnl(model, swap, ("none",), late)
+
+    def test_forward_start_matches_single_scheme_reference_bitwise(self):
+        # the swap fixes its first period at 1, four observations into the bundle
+        model, _, bundle = self._swap_setup(0.005, dates=(1.0, 2.0, 3.0), n_paths=600)
+        dates = (2.0, 3.0)
+        swap = SwapSpec(1.0, par_rate(model, dates, start=1.0), dates, start=1.0)
+        got = synthetic_replication_pnl(model, swap, self.SCHEMES, bundle)
+        for scheme in self.SCHEMES:
+            want = _single_scheme_pnl(model, swap, scheme, bundle)
+            assert got[scheme].tobytes() == want.tobytes(), scheme
 
     @pytest.mark.parametrize("xi0,payer", [(0.005, True), (0.005, False), (0.0, True), (0.0, False)])
     def test_one_pass_matches_single_scheme_reference_bitwise(self, xi0, payer):

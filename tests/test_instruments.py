@@ -191,10 +191,46 @@ class TestSwaps:
     def test_first_payment_must_follow_the_start(self):
         message = "first payment date 0 must fall after the start 0"
         with pytest.raises(ModelValidationError, match=message):
-            SwapSpec(1.0, 0.0, (0.0, 1.0)).periods(0.0)
+            SwapSpec(1.0, 0.0, (0.0, 1.0))
+        later = "first payment date 1 must fall after the start 1.5"
+        with pytest.raises(ModelValidationError, match=later):
+            SwapSpec(1.0, 0.0, (1.0, 2.0), start=1.5)
         # par_rate stops at the check before forward_ibor divides by a zero accrual
         with pytest.raises(ModelValidationError, match=message):
             par_rate(FLAT2, (0.0, 1.0, 2.0))
+
+    def test_periods_start_at_the_swap_start(self):
+        forward = SwapSpec(1.0, 0.0, (2.0, 3.0), start=1.5)
+        assert forward.periods() == [(1.5, 2.0, 0.5), (2.0, 3.0, 1.0)]
+        assert SwapSpec(1.0, 0.0, (2.0, 3.0)).periods()[0] == (0.0, 2.0, 2.0)
+
+    @pytest.mark.parametrize("start", [0.0, 0.5])
+    def test_par_rate_prices_the_swap_to_zero_at_its_start(self, start):
+        model = _model(0.02, xi0=0.006)
+        for dates in (self.DATES, (1.0, 2.5, 4.0)):
+            k = par_rate(model, dates, start=start)
+            swap = SwapSpec(1.0, k, dates, start=start)
+            assert abs(swap_value(model, swap, start)) < 1e-15
+
+    @pytest.mark.parametrize(
+        "dates", [(1.0,), tuple(float(k) for k in range(1, 11)), (0.25, 0.7, 3.1, 9.9)]
+    )
+    def test_par_rate_matches_its_own_leg_loop_bitwise(self, dates):
+        # the parent's par_rate, verbatim but for periods() taking no argument
+        def reference(model, payment_dates):
+            t = model.t0
+            swap = SwapSpec(1.0, 0.0, tuple(payment_dates))
+            annuity = 0.0
+            floating = 0.0
+            for k, (s, e, tau) in enumerate(swap.periods(), start=1):
+                ell = forward_ibor(model, swap, min(t, s), k)
+                df = zcb_domestic(model, t, e)
+                annuity += tau * df
+                floating += tau * df * ell
+            return floating / annuity
+
+        for model in (FLAT2, _model(0.02, xi0=0.006), _model(0.035, xi0=0.012)):
+            assert par_rate(model, dates) == reference(model, dates)
 
 
 def test_deterministic_ctd_bounds_leg_scaling():
