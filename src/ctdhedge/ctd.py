@@ -13,11 +13,15 @@ The same machinery prices the shifted maximum exp(-int max(q_i, q_1+q_i,
 ..., q_N+q_i)) needed by the hedging covariances, and conditional factors
 re-anchored at a simulated market state for portfolio revaluation.  Every
 maximum is floored at the domestic zero spread, the shifted one being q_i
-plus the floored maximum.  One panel kernel (`_panel_moments`) integrates
-the moments of the floored maximum and the pivot covariances, and one
-pipeline (`_cf_pipeline`: grid, snapshots, gamma, moments, Psi, value)
-serves every stochastic factor, for every maturity of one anchor in one
-pass; the public pricers are thin wrappers around it.
+plus the floored maximum.  For one or two spreads the mean and variance of
+the floored maximum are closed-form truncated-normal moments
+(`_closed_moments`); from three spreads on one panel kernel
+(`_panel_moments`) integrates them.  The pivot covariances come from the
+panel at every N, with its known pivot-part defect (for j != p it counts
+Phi_p twice), so the panel size matters only at N >= 3 and for pivot
+covariances.  One pipeline (`_cf_pipeline`: grid, snapshots, gamma,
+moments, Psi, value) serves every stochastic factor, for every maturity of
+one anchor in one pass; the public pricers are thin wrappers around it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 
 from .curves import SpreadCurve, max_curve_breakpoints, max_curve_integral
 from .montecarlo import block_workers
@@ -463,17 +467,141 @@ def _panel_chunk(mu, idio_var, common_var, panel, pivots):
     return mean, var, cov
 
 
+def _tail_moments(mu, sd, b):
+    """E[X; X > b] and E[X^2; X > b] for X ~ N(mu, sd^2), exact at sd = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (b - mu) / sd
+        p = ndtr(-z)
+        f = sd * _phi(z)
+        e1 = mu * p + f
+        e2 = mu * mu * p + (mu + b) * f + sd * sd * p
+    above = mu > b
+    return (np.where(sd > 0.0, e1, np.where(above, mu, 0.0)),
+            np.where(sd > 0.0, e2, np.where(above, mu * mu, 0.0)))
+
+
+def _closed_chunk(mu, a, c):
+    """
+    E[M] and E[M^2] for one chunk of `_closed_moments`.
+
+    For k = 2, X_i = C + A_i has sd s_i = sqrt(c + a_i), D = X_1 - X_2 has
+    sd d, and g^2 = c d^2 + a_1 a_2.  M is X_i on {X_i > 0, X_i > X_j},
+    whose probability P_i is the bivariate normal cdf of (x_i, +-y) at
+    correlation a_i / (s_i d), x_i = mu_i / s_i and y = (mu_1 - mu_2) / d.
+    Stein's lemma turns the truncated moments (Tallis 1961) into boundary
+    terms: on {X_i = 0} the other component lies below 0 with probability
+    Phi(v_i), v_i = (c x_i - mu_j s_i) / g, and on {D = 0} both lie above 0
+    with probability Phi(w), w = (mu_1 a_2 + mu_2 a_1) / (g d), so
+
+        E[M]   = sum_i (mu_i P_i + s_i phi(x_i) Phi(v_i)) + d phi(y) Phi(w)
+        E[M^2] = sum_i ((mu_i^2 + s_i^2) P_i + mu_i s_i phi(x_i) Phi(v_i))
+                 + ((mu_1 + mu_2) d Phi(w) + g phi(w)) phi(y).
+
+    P_i is Owen's (1956) T form; the two share T(y, w / y), with opposite
+    signs.  Its half of Phi(x_i) + Phi(+-y) is taken from the two tails, so
+    a pair of mixed sign does not cancel; x_i or y zero takes the form's
+    limits, through +0.0 (both zero: 1/4 + arcsin(rho) / 2pi).  Rows with
+    g = 0 are one-dimensional: a_1 = a_2 = 0 gives max(0, C + max_i mu_i);
+    c = 0 with one a_i = 0 gives max(b, X_j), b = max(0, mu_i).
+    """
+    if mu.shape[1] == 1:
+        return _tail_moments(mu[:, 0], np.sqrt(c + a[:, 0]), 0.0)
+    m1, m2 = mu[:, 0], mu[:, 1]
+    a1, a2 = a[:, 0], a[:, 1]
+    d2 = a1 + a2
+    d = np.sqrt(d2)
+    g = np.sqrt(c * d2 + a1 * a2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sqrt(c[:, None] + a)
+        x = mu / s + 0.0  # +0.0, never -0.0: v / x and w / y then take the sign of v and w
+        y = (m1 - m2) / d + 0.0
+        v = (c[:, None] * x - mu[:, ::-1] * s) / g[:, None]
+        w = (m1 * a2 + m2 * a1) / (g * d)
+        ty = owens_t(y, w / y)
+        below_x = x < 0.0
+        below_y = np.stack((y < 0.0, ~(y < 0.0)), axis=1)  # -y for term 2, as -0.0 at y = 0
+        qx = ndtr(-np.abs(x))
+        qy = ndtr(-np.abs(y))[:, None]
+        p = (0.5 * (np.where(below_x, qx, -qx) + np.where(below_y, qy, -qy))
+             + (~below_x & ~below_y) - owens_t(x, v / x) - np.stack((ty, -ty), axis=1))
+        origin = (x == 0.0) & (y == 0.0)[:, None]
+        if origin.any():
+            p = np.where(origin, 0.25 + np.arcsin(a / (s * d[:, None])) / (2.0 * math.pi), p)
+        edge = s * _phi(x) * ndtr(v)
+        cross = _phi(y)
+        fw = ndtr(w)
+        t1 = mu * p + edge
+        t2 = (mu * mu + s * s) * p + mu * edge
+        e1 = t1[:, 0] + t1[:, 1] + d * cross * fw
+        e2 = t2[:, 0] + t2[:, 1] + ((m1 + m2) * d * fw + g * _phi(w)) * cross
+        flat = ~(g > 0.0)
+        if flat.any():
+            tied = d2 == 0.0
+            u1, u2 = _tail_moments(np.maximum(m1, m2), np.sqrt(c), 0.0)
+            first = a1 > 0.0
+            ms = np.where(first, m1, m2)
+            b = np.maximum(np.where(first, m2, m1), 0.0)
+            f1, f2 = _tail_moments(ms, d, b)
+            under = ndtr((b - ms) / d)
+            e1 = np.where(flat, np.where(tied, u1, f1 + b * under), e1)
+            e2 = np.where(flat, np.where(tied, u2, f2 + b * b * under), e2)
+    return e1, e2
+
+
+def _closed_moments(mu: np.ndarray, idio_var: np.ndarray, common_var: np.ndarray):
+    """
+    Mean and variance of M = max(0, C + max_i A_i) for k <= 2 components, in
+    closed form: a rectified normal for k = 1, and for k = 2 the sum over i
+    of E[X_i^r; X_i > 0, X_i > X_j] with X_i = C + A_i, moments of a
+    truncated bivariate normal (`_orthant_moments`).
+
+    mu, idio_var: [m, k]; common_var: [m].  Every row is exact, zero
+    variances included: with all of them zero the mean is max(0, mu_1, mu_2)
+    and the variance 0.  The rows are evaluated elementwise on the calling
+    thread, in chunks of `_MOMENT_CHUNK` that bound the temporaries, so a
+    row's bytes do not depend on the rows around it.  (Two worker threads
+    ran these chunks no faster than one on a 2-vCPU host.)
+    """
+    mu = np.asarray(mu, dtype=float)
+    idio_var = np.asarray(idio_var, dtype=float)
+    common_var = np.asarray(common_var, dtype=float)
+    m = mu.shape[0]
+    mean = np.empty(m)
+    var = np.empty(m)
+
+    for lo in range(0, m, _MOMENT_CHUNK):
+        sel = slice(lo, lo + _MOMENT_CHUNK)
+        e1, e2 = _closed_chunk(mu[sel], idio_var[sel], common_var[sel])
+        mean[sel] = np.maximum(e1, 0.0)
+        var[sel] = np.maximum(e2 - mean[sel] * mean[sel], 0.0)
+    return mean, var
+
+
+def _moments(mu, idio_var, common_var, panel=None, pivots: Sequence[int] = ()):
+    """
+    Mean, variance and pivot covariances of M for a batch of states, as
+    `_panel_moments` returns them: closed-form mean and variance for k <= 2
+    (the panel then runs only for pivot covariances), the panel for k >= 3.
+    """
+    if mu.shape[1] > 2:
+        return _panel_moments(mu, idio_var, common_var, panel, pivots)
+    mean, var = _closed_moments(mu, idio_var, common_var)
+    cov = _panel_moments(mu, idio_var, common_var, panel, pivots)[2] if pivots else np.empty((0, mu.shape[0]))
+    return mean, var, cov
+
+
 def max_moments(state: CommonFactorState) -> tuple[float, float]:
     """
     Mean and variance of the common-factor maximum at one time.
 
-    Semi-analytic: the moments of the inner maximum are integrated against
-    per-component Gaussian panels and the zero floor is applied through
-    exact rectification identities, conditioning on the common factor.
-    Equivalent to integrating the survival function of `max_cdf` but
-    uniformly accurate for vanishing volatilities.
+    Closed form for one or two spreads (`_closed_moments`).  From three
+    spreads on, semi-analytic: the moments of the inner maximum are
+    integrated against per-component Gaussian panels and the zero floor is
+    applied through exact rectification identities, conditioning on the
+    common factor.  Equivalent to integrating the survival function of
+    `max_cdf` but uniformly accurate for vanishing volatilities.
     """
-    mean, var, _ = _panel_moments(
+    mean, var, _ = _moments(
         state.component_means[None, :],
         state.component_vars[None, :],
         np.asarray([state.common_var]),
@@ -532,7 +660,9 @@ def integral_variance_estimator(times, variances, t0: float, T: float):
     inside = (t > t0) & (t < T)
     grid = np.concatenate(([t0], t[inside], [T]))
     v_lo, v_hi = (_interp_rows(x, t, v2)[:, None] for x in (t0, T))
-    vv = np.hstack([v_lo, v2[:, inside], v_hi])
+    # C-ordered, so that every row sums along its own memory as a single row
+    # does: the column gather comes back F-ordered for a batch
+    vv = np.ascontiguousarray(np.hstack([v_lo, v2[:, inside], v_hi]))
 
     h = np.diff(grid)  # [n-1]
     vk = vv[:, :-1]
@@ -658,9 +788,13 @@ def _cf_pipeline(
     the anchor and the node, not on T_k, so one pass over the union of these
     grids builds the spread snapshots anchored at t (the forecasts shifted
     by the decaying displacements, one state per row, when given), fits
-    gamma and integrates the moments of the floored maximum M with the panel
-    kernel.  Each maturity then integrates on its own nodes, and the result
-    holds one tuple per maturity:
+    gamma and takes the moments of the floored maximum M: in closed form for
+    N <= 2, pivots or not, so the plain factor of a pivot pass is the plain
+    factor alone; from the panel kernel on `panel` for N >= 3.  The pivot
+    covariances come from the panel at every N.  A state's values depend on
+    that state alone, not on the batch around it.  Each maturity then
+    integrates on its own nodes, and the result holds one tuple per
+    maturity:
 
         (value, psi, moments, gamma, gamma_clamped, shifted)
 
@@ -701,7 +835,7 @@ def _cf_pipeline(
     common = gamma * diag.min(axis=1)
     idio = np.maximum(diag - common[:, None], 0.0)
     states, ns, n = mu.shape
-    mean, var, cov_pm = _panel_moments(
+    mean, var, cov_pm = _moments(
         mu.reshape(states * ns, n),
         np.broadcast_to(idio, (states, ns, n)).reshape(states * ns, n),
         np.broadcast_to(common, (states, ns)).reshape(states * ns),
@@ -811,7 +945,8 @@ def ctd_common_factor_conditional(
     every spread, one row per state.  Conditional forecast curves are the
     initial curves plus the offsets decaying at each spread's mean-reversion
     speed; conditional variances restart from zero at t.  `fast_panel`
-    integrates on the revaluation tables' 64-node panels instead of 96.
+    integrates on the revaluation tables' 64-node panels instead of 96; it
+    changes nothing for one or two spreads, whose moments are closed-form.
     """
     panel = (_PANEL_X64, _PANEL_W64) if fast_panel else None
     return _cf_pipeline(model, t, (T,), nodes_per_year, displacements, panel=panel)[0][0]
@@ -823,8 +958,9 @@ class ConditionalCtdTable:
     one spline per anchor for all maturities.
 
     For every anchor time a tensor grid of spread displacements is priced
-    with one conditional common-factor pass (`_cf_pipeline` on 64-node
-    panels) for all the strictly increasing `maturities` after the anchor.
+    with one conditional common-factor pass (`_cf_pipeline`: closed-form
+    moments for one or two spreads, 64-node panels from three on) for all
+    the strictly increasing `maturities` after the anchor.
     The log factors of these live maturities form the last axis of one
     cubic table per anchor, so `evaluate` interpolates once per query
     batch; `nodes_per_dim` must be at least 4, the fewest a cubic spline

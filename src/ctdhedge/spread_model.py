@@ -269,8 +269,9 @@ def spread_mean(spec: HullWhiteSpec, t: float) -> float:
 # second-order analytics
 # ---------------------------------------------------------------------------
 
-# libm's expm1 element by element: numpy's vector expm1 can differ in the last bit
+# libm's expm1 and exp element by element: numpy's vector forms can differ in the last bit
 _expm1 = np.frompyfunc(math.expm1, 1, 1)
+_exp = np.frompyfunc(math.exp, 1, 1)
 
 
 def _ou_covariance(kappa, xi, corr, elapsed) -> np.ndarray:
@@ -286,24 +287,30 @@ def spread_cross_covariance(
     spec_i: HullWhiteSpec,
     spec_j: HullWhiteSpec,
     rho_ij: float,
-    u: float,
-    v: float,
+    u,
+    v,
     start: float | None = None,
-) -> float:
+):
     """
     Cov[q_i(u), q_j(v)] for two Hull-White spreads with driver correlation rho.
 
     Both processes carry no noise before `start` (default: common curve
-    start), so the covariance vanishes at u = v = start.
+    start), so the covariance vanishes at u = v = start.  u and v broadcast
+    against each other: scalars give a float, arrays an array of their
+    broadcast shape, each entry the scalar call's value bit for bit.
     """
     t0 = spec_i.t0 if start is None else start
-    if u < t0 - 1e-12 or v < t0 - 1e-12:
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    if np.any(u < t0 - 1e-12) or np.any(v < t0 - 1e-12):
         raise ModelValidationError("covariance times must not precede the start")
     ki, kj = spec_i.kappa, spec_j.kappa
-    m = min(u, v)
+    m = np.minimum(u, v)
+    # one kernel call on the distinct elapsed times (the grid of a u x v mesh)
+    elapsed, at = np.unique(m - t0, return_inverse=True)
     cov = _ou_covariance(np.array([ki, kj]), np.array([spec_i.xi, spec_j.xi]),
-                         np.array([[1.0, rho_ij], [rho_ij, 1.0]]), m - t0)[0, 1]
-    return float(cov * math.exp(-(ki * (u - m) + kj * (v - m))))
+                         np.array([[1.0, rho_ij], [rho_ij, 1.0]]), elapsed)[:, 0, 1]
+    out = cov[at.reshape(m.shape)] * np.asarray(_exp(-(ki * (u - m) + kj * (v - m))), dtype=float)
+    return float(out) if out.ndim == 0 else out
 
 
 # below this kappa * tau the direct bracket of `integral_covariance` loses more

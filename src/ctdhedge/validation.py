@@ -260,9 +260,7 @@ def _a5() -> tuple[bool, str]:
     grid = np.linspace(t0, T, 400)
     s1, s2 = model.spread(1), model.spread(2)
     rho = model.rho(1, 2)
-    kern = np.empty((400, 400))
-    for a, uu in enumerate(grid):
-        kern[a, :] = [spread_cross_covariance(s1, s2, rho, float(uu), float(vv)) for vv in grid]
+    kern = spread_cross_covariance(s1, s2, rho, grid[:, None], grid[None, :])
     inner = np.zeros(400)
     inner[1] = np.trapezoid(kern[:2, 1] + kern[1, :2], grid[:2])
     for j in range(2, 400):

@@ -3,6 +3,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from ctdhedge import (
@@ -30,6 +32,7 @@ from ctdhedge.ctd import (
     _PANEL_X64,
     ConditionalCtdTable,
     _cf_pipeline,
+    _closed_moments,
     _interp_rows,
     _model_time_grid,
     _panel_moments,
@@ -823,8 +826,9 @@ class TestThreadedKernel:
 
     @staticmethod
     def _table(monkeypatch, threads):
+        # three spreads: the moments of one or two come in closed form, off the panel's workers
         monkeypatch.setenv("CTD_THREADS", threads)
-        model = load_config("experiment2").build_model()
+        model = _random_model(3, False, seed=41)
         return model, ConditionalCtdTable(model, (0.0, 1.0, 2.5), (2.7, 5.0), nodes_per_dim=5)
 
     def test_table_independent_of_workers(self, monkeypatch):
@@ -832,8 +836,8 @@ class TestThreadedKernel:
         _, two = self._table(monkeypatch, "2")
         rng = np.random.default_rng(5)
         for a, t in enumerate(one.anchor_times):
-            sds = np.sqrt([model.spread(i).variance(t) for i in (1, 2)])
-            u = rng.normal(0.0, 1.0, (50, 2)) * 3.0 * sds
+            sds = np.sqrt([model.spread(i).variance(t) for i in (1, 2, 3)])
+            u = rng.normal(0.0, 1.0, (50, 3)) * 3.0 * sds
             assert one.evaluate(a, u).tobytes() == two.evaluate(a, u).tobytes()
 
     def test_traced_entry_points_stay_on_main_thread(self, monkeypatch):
@@ -858,6 +862,213 @@ class TestThreadedKernel:
         for name in ("psi", "cov", "kinks"):
             assert seen[name] == {main}, name
         assert seen["chunk"] - {main}, "no chunk ran on a worker"
+
+
+def _quad_moments(mu, idio_var):
+    """E[M], Var[M] without a common factor, by adaptive quadrature of the
+    survival function of M; deterministic components are steps of its cdf."""
+    from scipy.integrate import quad
+
+    sd = np.sqrt(idio_var)
+
+    def survival(x):  # P(some component above x), from the upper tails: nothing cancels
+        out = 0.0
+        for m, s in zip(mu, sd):
+            tail = ndtr((m - x) / s) if s > 0.0 else float(x < m)
+            out += tail - out * tail
+        return out
+
+    top = max(0.0, max(mu) + 12.0 * float(sd.max()))
+    cuts = sorted({0.0, top, *(min(max(0.0, m), top) for m in mu)})
+    kw = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    e1 = sum(quad(survival, lo, hi, **kw)[0] for lo, hi in zip(cuts[:-1], cuts[1:]))
+    e2 = sum(quad(lambda x: 2.0 * x * survival(x), lo, hi, **kw)[0] for lo, hi in zip(cuts[:-1], cuts[1:]))
+    return e1, e2 - e1 * e1
+
+
+class TestClosedMoments:
+    """
+    Closed-form moments of M = max(0, C + max_i A_i) for one and two spreads.
+    Bounds set before the code: 1e-12 relative against the panel where the
+    panel resolves both components, SE units against direct draws at any sd
+    ratio, and every degenerate row exact.
+    """
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(1, 2),
+        scale=st.floats(1e-4, 1e-2),
+        ratios=st.lists(st.floats(1.0, 2.2), min_size=3, max_size=3),
+        no_common=st.booleans(),
+        z=st.lists(st.floats(-1.5, 3.0), min_size=2, max_size=2),
+    )
+    def test_matches_panel_where_it_resolves(self, k, scale, ratios, no_common, z):
+        # the panel's own error passes 1e-12 at sd ratios above about 2.3
+        # (5e-11 at 2.7) and, without a common factor, at means below -1.5 sd
+        # (2e-12 at -2 sd, 5e-11 at -3 sd); the closed form stays within
+        # 1e-13 of 40-digit values there
+        sd = scale * np.asarray(ratios)
+        idio = sd[:k] ** 2
+        common = 0.0 if no_common or k == 1 else sd[2] ** 2
+        mu = np.asarray(z[:k]) * np.sqrt(idio + common)
+        args = (mu[None, :], idio[None, :], np.asarray([common]))
+        got = _closed_moments(*args)
+        want = _panel_moments(*args)[:2]
+        for g, w in zip(got, want):
+            assert abs(g[0] - w[0]) <= 1e-12 * abs(w[0])
+
+    # rows (mu, idio_var, common_var) at sd ratios from 1 to 1e5, each
+    # checked against 4e6 direct draws of its own seed
+    DRAWN = {
+        # quote_stream seed 1, quote 16 (gamma at its cap) at its node t = 5.0591
+        "quote16": ((0.013549331620839742, 0.010356945301293307),
+                    (5.942280020591642e-05, 1.1847458303575371e-14), 1.1847458160172394e-05),
+        "narrow_idio": ((0.002, 0.0021), (1e-16, 1e-6), 0.0),
+        "narrow_common": ((-0.001, 0.0005), (4e-6, 9e-6), 1e-16),
+        "narrow_pair": ((0.001, 0.0012), (1e-15, 2e-15), 1e-5),
+        "ratio3": ((0.001, -0.002), (1e-6, 9e-6), 4e-6),
+        "one": ((-0.002,), (9e-6,), 0.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DRAWN))
+    def test_against_direct_draws(self, name):
+        mu, idio, common = (np.asarray(v, dtype=float) for v in self.DRAWN[name])
+        rng = np.random.default_rng([2021, sorted(self.DRAWN).index(name)])
+        draws = []
+        for _ in range(4):  # 4e6 draws of max(0, C + A_i), a million at a time
+            c = rng.standard_normal(1_000_000) * math.sqrt(common)
+            x = c[:, None] + mu + rng.standard_normal((1_000_000, mu.size)) * np.sqrt(idio)
+            draws.append(np.maximum(x.max(axis=1), 0.0))
+        m = np.concatenate(draws)
+        mean, var = float(m.mean()), float(m.var())
+        se_mean = math.sqrt(var / m.size)
+        se_var = math.sqrt((float(np.mean((m - mean) ** 4)) - var * var) / m.size)
+        got_mean, got_var = (float(v[0]) for v in _closed_moments(mu[None, :], idio[None, :], [common]))
+        assert abs(got_mean - mean) <= 4.0 * se_mean, ((got_mean - mean) / se_mean)
+        assert abs(got_var - var) <= 4.0 * se_var, ((got_var - var) / se_var)
+
+    @pytest.mark.parametrize("mu", [(0.01, 0.02), (0.0, 0.0), (-0.01, -0.02), (0.0, -0.003), (0.004, 0.004)])
+    def test_zero_variances_exact(self, mu):
+        for k in (1, 2):
+            mean, var = _closed_moments(np.asarray([mu[:k]]), np.zeros((1, k)), np.zeros(1))
+            assert mean[0] == max(0.0, *mu[:k]) and var[0] == 0.0
+
+    @pytest.mark.parametrize("mu", [(0.003, -0.001), (0.0, 0.0), (-0.002, -0.002), (-0.004, 0.001), (-0.006, -0.007)])
+    def test_tied_components_are_a_rectified_normal(self, mu):
+        # a_1 + a_2 = 0: X_1 - X_2 is the constant mu_1 - mu_2
+        sc = 0.002
+        m = max(mu)
+        z = m / sc
+        mean = m * ndtr(z) + sc * _phi(z)
+        second = (m * m + sc * sc) * ndtr(z) + m * sc * _phi(z)
+        got = _closed_moments(np.asarray([mu]), np.zeros((1, 2)), np.asarray([sc * sc]))
+        assert got[0][0] == pytest.approx(mean, rel=1e-14, abs=0.0)
+        assert got[1][0] == pytest.approx(second - mean * mean, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("fixed", [-0.001, 0.0, 0.002])
+    @pytest.mark.parametrize("other", [-0.003, 0.0, 0.002, 0.004])
+    def test_one_deterministic_component_without_common(self, fixed, other):
+        # X_2 = fixed, no common factor: M = max(b, X_1) with b = max(0, fixed)
+        s = 0.0025
+        b = max(0.0, fixed)
+        lo, hi = ndtr((b - other) / s), ndtr((other - b) / s)
+        f = s * _phi((b - other) / s)
+        mean = b * lo + other * hi + f
+        second = b * b * lo + (other * other + s * s) * hi + (other + b) * f
+        for order in ((0, 1), (1, 0)):
+            mu = np.asarray([[other, fixed]])[:, order]
+            idio = np.asarray([[s * s, 0.0]])[:, order]
+            got = _closed_moments(mu, idio, np.zeros(1))
+            assert got[0][0] == pytest.approx(mean, rel=1e-14, abs=0.0)
+            assert got[1][0] == pytest.approx(second - mean * mean, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "mu, idio",
+        [
+            ((0.001, -0.002), (4e-6, 9e-6)),
+            ((0.0, 0.0015), (4e-6, 9e-6)),  # mu_1 = 0: h = 0
+            ((0.0015, 0.0015), (4e-6, 9e-6)),  # mu_1 = mu_2: k = 0
+            ((0.0, 0.0), (4e-6, 9e-6)),  # h = k = 0
+            ((-0.004, -0.005), (4e-6, 9e-6)),
+            ((-0.008, -0.025), (4e-6, 9e-6)),  # x = -4, y = +4.7: the orthant's mixed-sign half
+        ],
+    )
+    def test_no_common_factor_matches_quadrature(self, mu, idio):
+        # gamma clamped to zero under negative correlations: independent X_i
+        got = _closed_moments(np.asarray([mu]), np.asarray([idio]), np.zeros(1))
+        want = _quad_moments(np.asarray(mu), np.asarray(idio))
+        assert got[0][0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+        assert got[1][0] == pytest.approx(want[1], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "mu, idio",
+        [
+            ((0.0015, 0.0015), (4e-6, 9e-6)),  # k = 0
+            ((0.0, 0.0), (4e-6, 9e-6)),  # h = k = 0
+            ((0.0, -0.001), (4e-6, 9e-6)),  # h = 0
+            ((0.001, 0.002), (4e-6, 0.0)),  # one deterministic component under C
+            ((0.0, 0.0), (0.0, 4e-6)),
+        ],
+    )
+    def test_crossing_rows_match_panel(self, mu, idio):
+        # a crossing on a grid node puts mu_1 = mu_2 (or mu_i = 0) exactly
+        args = (np.asarray([mu]), np.asarray([idio]), np.asarray([3e-6]))
+        got = _closed_moments(*args)
+        want = _panel_moments(*args)[:2]
+        for g, w in zip(got, want):
+            assert np.isfinite(g[0]) and g[0] == pytest.approx(w[0], rel=1e-12, abs=0.0)
+
+    def test_row_alone_equals_row_in_batch_bitwise(self):
+        rng = np.random.default_rng(17)
+        for k in (1, 2):
+            parts = [_kernel_states(rng, 700, k, kind) for kind in ("regular", "zero_common", "pure")]
+            if k == 2:
+                parts.append(_kernel_states(rng, 300, k, "partial"))
+                tied = _kernel_states(rng, 100, k, "regular")
+                tied[0][:, 1] = tied[0][:, 0]  # mu_1 = mu_2
+                tied[0][:50, 0] = 0.0
+                parts.append(tied)
+            mu, idio, common = (np.concatenate(a) for a in zip(*parts))
+            whole = _closed_moments(mu, idio, common)
+            order = rng.permutation(mu.shape[0])
+            shuffled = _closed_moments(mu[order], idio[order], common[order])
+            for got, want in zip(shuffled, whole):
+                assert got.tobytes() == want[order].tobytes()
+            for r in rng.choice(mu.shape[0], 40, replace=False):
+                alone = _closed_moments(mu[r:r + 1], idio[r:r + 1], common[r:r + 1])
+                for got, want in zip(alone, whole):
+                    assert got.tobytes() == want[r:r + 1].tobytes(), (k, r)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pipeline_state_value_independent_of_batch(self, n):
+        # a conditional value depends only on its state: alone, in a batch
+        # and shuffled give the same bytes, Psi included
+        model = _random_model(n, n == 2, seed=60 + n)
+        u = np.random.default_rng(n).normal(0.0, 2e-3, (25, n))
+        order = np.random.default_rng(99).permutation(25)
+        maturities = (2.7, 5.0)
+        batch = _cf_pipeline(model, 1.5, maturities, 24, u)
+        shuffled = _cf_pipeline(model, 1.5, maturities, 24, u[order])
+        for b, s in zip(batch, shuffled):
+            assert s[0].tobytes() == b[0][order].tobytes()
+            assert s[1].tobytes() == b[1][order].tobytes()
+        for r in (0, 7, 24):
+            alone = _cf_pipeline(model, 1.5, maturities, 24, u[r:r + 1])
+            for b, a in zip(batch, alone):
+                assert a[0].tobytes() == b[0][r:r + 1].tobytes()
+                assert a[1].tobytes() == b[1][r:r + 1].tobytes()
+
+    def test_two_spreads_price_off_the_panel(self, monkeypatch):
+        # the plain factor never reaches the panel at N <= 2; pivot passes
+        # take only the pivot covariances from it
+        model = _random_model(2, False, seed=8)
+        plain = ctd_common_factor(model, 0.0, 6.0)
+        seen = []
+        panel_chunk = ctd._panel_chunk
+        monkeypatch.setattr(ctd, "_panel_chunk", lambda *a: seen.append(a) or panel_chunk(*a))
+        assert ctd_common_factor(model, 0.0, 6.0) == plain and not seen
+        value = _cf_pipeline(model, 0.0, (6.0,), 48, pivots=(1, 2))[0][0]
+        assert value == plain and seen
 
 
 class TestInterpRows:

@@ -156,9 +156,7 @@ class TestCovariances:
         # the closed form equals the double time integral of the kernel
         n = 801
         t = np.linspace(0.0, 10.0, n)
-        kern = np.empty((n, n))
-        for i, u in enumerate(t):
-            kern[i, :] = [spread_cross_covariance(S1, S1, 1.0, float(u), float(v)) for v in t]
+        kern = spread_cross_covariance(S1, S1, 1.0, t[:, None], t[None, :])
         quad = float(np.trapezoid(np.trapezoid(kern, t, axis=1), t))
         closed = integral_covariance(S1, S1, 1.0, 0.0, 10.0)
         assert closed == pytest.approx(quad, rel=1e-4)  # trapezoid has a diagonal ridge
@@ -291,6 +289,20 @@ class TestCovarianceKernel:
                                 assert got.hex() == ref.hex()
                             else:
                                 assert got == pytest.approx(ref, rel=5e-16, abs=0.0)
+
+    @pytest.mark.parametrize("start", [None, 0.4])
+    def test_cross_covariance_broadcasts_to_the_scalar_calls_bitwise(self, start):
+        model = _generated_model(2, False, 9)
+        args = (model.spread(1), model.spread(2), model.rho(1, 2))
+        u = np.array([0.4, 2.75, 6.1, 11.0, 6.1])
+        mesh = spread_cross_covariance(*args, u[:, None], u[None, 1:], start=start)
+        assert mesh.shape == (5, 4)
+        for a, uu in enumerate(u):
+            for b, vv in enumerate(u[1:]):
+                point = spread_cross_covariance(*args, float(uu), float(vv), start=start)
+                assert isinstance(point, float) and mesh[a, b].hex() == point.hex()
+        with pytest.raises(ModelValidationError):
+            spread_cross_covariance(*args, u, np.array([0.4, 2.0, 3.0, 4.0, -1.0]))
 
     @pytest.mark.parametrize("n,negative", _GENERATED)
     def test_step_covariance_matches_scalar(self, n, negative):
