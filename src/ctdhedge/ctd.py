@@ -27,7 +27,6 @@ one anchor in one pass; the public pricers are thin wrappers around it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,7 +34,6 @@ import numpy as np
 from scipy.special import ndtr, owens_t
 
 from .curves import SpreadCurve, max_curve_breakpoints, max_curve_integral
-from .montecarlo import block_workers
 from .spread_model import MarketModel, ModelValidationError
 
 __all__ = [
@@ -244,17 +242,9 @@ def max_cdf(state: CommonFactorState, x) -> float | np.ndarray:
 # moments of the maximum
 # ---------------------------------------------------------------------------
 
-# rows per chunk at most.  Smaller chunks make more, shorter numpy calls, so
-# two threads wait on each other for the interpreter lock more often (about
-# 10k waits per swap_pnl operation at 512 rows, 4k at 1024), and on a loaded
-# host every wait may have to wake a descheduled core; larger ones fall out of
-# cache (one thread takes 26% longer over hedge_mc's passes at 4096 rows than
-# at 512)
+# rows per chunk at most: a chunk's [m, g] temporaries, g panel nodes per row,
+# grow with its rows
 _MOMENT_CHUNK = 1024
-# a pass of at most this many rows runs its chunks inline: a worker thread's
-# malloc arena keeps freed chunk buffers, which raised the peak RSS of short
-# passes (the desk quotes' hold at most about 600 rows) by 1-2.5 MB
-_POOL_MIN_ROWS = 1024
 _PANEL_X64, _PANEL_W64 = _gauss_legendre(64)
 
 
@@ -328,12 +318,10 @@ def _panel_moments(
     and covariances [len(pivots), m].  Regular rows (every component
     stochastic and a nondegenerate common factor) and the rest run in
     separate chunks of the same kernel, so regular chunks skip the
-    hard-floor work.  A pass of more than `_POOL_MIN_ROWS` rows splits
-    each kind into equal chunks, as many as a multiple of the `CTD_THREADS`
-    worker count (`block_workers`), and the calling thread and the other
-    workers take them in turn; each chunk writes only its own rows and every
-    row reduces along its own panel, so the results do not depend on the
-    chunking or the worker count.
+    hard-floor work.  Each kind splits into equal chunks of at most
+    `_MOMENT_CHUNK` rows, run in turn on the calling thread; each chunk
+    writes only its own rows and every row reduces along its own panel, so
+    the results do not depend on the chunking.
     """
     mu = np.asarray(mu, dtype=float)
     idio_var = np.asarray(idio_var, dtype=float)
@@ -343,29 +331,12 @@ def _panel_moments(
     var = np.empty(m)
     cov = np.empty((len(pivots), m))
     regular = np.all(idio_var > 0.0, axis=1) & (common_var > 0.0)
-    workers = block_workers() if m > _POOL_MIN_ROWS else 1
-    chunks = []
     for rows in (np.flatnonzero(regular), np.flatnonzero(~regular)):
         n = -(-rows.size // _MOMENT_CHUNK)
-        n = min(rows.size, -(-n // workers) * workers)
-        chunks += np.array_split(rows, n) if n else []
-    todo = iter(chunks)  # each next() hands a chunk to one thread, under the interpreter lock
-
-    def drain() -> None:
-        for sel in todo:
+        for sel in np.array_split(rows, n) if n else []:
             mean[sel], var[sel], cov[:, sel] = _panel_chunk(
                 mu[sel], idio_var[sel], common_var[sel], panel, pivots
             )
-
-    workers = min(len(chunks), workers)
-    if workers == 1:
-        drain()
-    else:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            helpers = [pool.submit(drain) for _ in range(workers - 1)]
-            drain()
-            for helper in helpers:
-                helper.result()
     return mean, var, cov
 
 
@@ -553,7 +524,7 @@ def _closed_moments(mu: np.ndarray, idio_var: np.ndarray, common_var: np.ndarray
     Mean and variance of M = max(0, C + max_i A_i) for k <= 2 components, in
     closed form: a rectified normal for k = 1, and for k = 2 the sum over i
     of E[X_i^r; X_i > 0, X_i > X_j] with X_i = C + A_i, moments of a
-    truncated bivariate normal (`_orthant_moments`).
+    truncated bivariate normal (`_closed_chunk`).
 
     mu, idio_var: [m, k]; common_var: [m].  Every row is exact, zero
     variances included: with all of them zero the mean is max(0, mu_1, mu_2)
@@ -936,7 +907,6 @@ def ctd_common_factor_conditional(
     T: float,
     displacements: np.ndarray,
     nodes_per_year: int = 48,
-    fast_panel: bool = False,
 ) -> np.ndarray:
     """
     Stochastic CTD factor re-anchored at time t for a batch of states.
@@ -944,12 +914,10 @@ def ctd_common_factor_conditional(
     `displacements` holds the centred Ornstein-Uhlenbeck offsets u_i(t) of
     every spread, one row per state.  Conditional forecast curves are the
     initial curves plus the offsets decaying at each spread's mean-reversion
-    speed; conditional variances restart from zero at t.  `fast_panel`
-    integrates on the revaluation tables' 64-node panels instead of 96; it
-    changes nothing for one or two spreads, whose moments are closed-form.
+    speed; conditional variances restart from zero at t.  From three spreads
+    on the moments are integrated on the 96-node panels.
     """
-    panel = (_PANEL_X64, _PANEL_W64) if fast_panel else None
-    return _cf_pipeline(model, t, (T,), nodes_per_year, displacements, panel=panel)[0][0]
+    return _cf_pipeline(model, t, (T,), nodes_per_year, displacements)[0][0]
 
 
 class ConditionalCtdTable:

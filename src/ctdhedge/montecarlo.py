@@ -17,9 +17,9 @@ reused across steps and is transposed into the (path, observation, process)
 bundle layout only at observation nodes.  Blocks run concurrently on
 `CTD_THREADS` worker threads (default: the CPUs this process may use);
 numpy releases the interpreter lock inside the random fills and array
-loops, and the results do not depend on the worker count.  The same
-`block_workers` count of threads, the calling one among them, shares the
-moment kernel's row chunks (`ctd._panel_moments`).
+loops, and the results do not depend on the worker count.  These blocks
+are the package's only threads; the pricing kernels run on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -205,9 +205,8 @@ _PATH_BLOCK = 16384
 
 def block_workers() -> int:
     """
-    Worker threads for the simulation blocks and the moment kernel's chunks:
-    `CTD_THREADS`, else the CPUs this process may use.  Results do not
-    depend on it.
+    Worker threads for the simulation blocks: `CTD_THREADS`, else the CPUs
+    this process may use.  Results do not depend on it.
     """
     raw = os.environ.get("CTD_THREADS")
     if raw is None:

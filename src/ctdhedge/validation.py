@@ -470,7 +470,8 @@ def _a10() -> tuple[bool, str]:
                          "--set", "horizon.maturity=5"]),
         ("hedge", ["--config", "experiment1", "--paths", "2000",
                    "--set", "horizon.maturity=4", "--set", "hedge.sd_points_per_year=1"]),
-        # a multi-maturity table whose passes span several threaded kernel chunks
+        # a multi-maturity table, its two-spread moments closed-form; the
+        # simulator's one 2000-path block is the run's only worker thread
         ("simulate-pnl", ["--config", "swap_pnl", "--paths", "2000",
                           "--set", "horizon.maturity=3", "--set", "pnl.payment_dates=1,2,3"]),
     ]

@@ -1,4 +1,4 @@
-"""sha256 digests of the `ctd` CLI's artifacts and stdout on ten small runs.
+"""sha256 digests of the `ctd` CLI's artifacts and stdout on eleven small runs.
 
 Usage: CTD_THREADS=2 python tests/cli_digests.py
 
@@ -37,6 +37,9 @@ RUNS = {
     # a swap that starts at t0 = 1, after the model's start, priced and hedged from there
     "simulate_pnl_forward": ["simulate-pnl", "--config", "swap_pnl", "--paths", "2000",
                              "--set", "horizon.t0=1", "--set", "pnl.payment_dates=2,3,4"],
+    # three spreads: the conditional tables integrate their moments on the panels
+    "hedge_three_spreads": ["hedge", "--config", "three_spreads", "--paths", "2000",
+                            "--set", "horizon.maturity=2", "--set", "hedge.sd_points_per_year=2"],
 }
 
 

@@ -1,7 +1,9 @@
 """Reference for the conditional-table tests: the one-maturity
 `ConditionalCtdTable` that the multi-maturity table replaced, verbatim but
-for its class name.  It prices each maturity with its own conditional pass
-through the public `ctd_common_factor_conditional`."""
+for its class name and its panel choice.  It prices each maturity with its
+own conditional pass through `ctd_common_factor_conditional`, on that
+pricer's 96-node panels; the two-spread models it is built on take
+closed-form moments, so the panel changes none of their bytes."""
 
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ class SingleMaturityCtdTable:
             if max(sds) < 1e-10:
                 # no dispersion yet: a single conditional value serves all states
                 val = ctd_common_factor_conditional(
-                    model, float(t), maturity, np.zeros((1, n)), nodes_per_year, fast_panel=True
+                    model, float(t), maturity, np.zeros((1, n)), nodes_per_year
                 )
                 self._interps.append(float(np.log(val[0])))
                 self._grids.append(None)
@@ -62,9 +64,7 @@ class SingleMaturityCtdTable:
             ]
             mesh = np.meshgrid(*axes, indexing="ij")
             pts = np.stack([m.ravel() for m in mesh], axis=1)
-            vals = ctd_common_factor_conditional(
-                model, float(t), maturity, pts, nodes_per_year, fast_panel=True
-            )
+            vals = ctd_common_factor_conditional(model, float(t), maturity, pts, nodes_per_year)
             table = np.log(vals).reshape([nodes_per_dim] * n)
             method = "cubic" if nodes_per_dim >= 4 else "linear"
             self._interps.append(

@@ -147,6 +147,7 @@ class TestParsing:
         assert bundled_config_path("missing_config") is None
         cfg = load_config("experiment1")
         assert cfg.build_model().n_spreads == 2
+        assert load_config("three_spreads").build_model().n_spreads == 3
 
 
 class TestCli:

@@ -691,7 +691,7 @@ class TestConditional:
         t = anchors[3]
         sds = np.sqrt([flat_pair_model.spread(i).variance(t) for i in (1, 2)])
         pts = np.clip(rng.normal(0.0, 1.0, (100, 2)) * sds, -3.5 * sds, 3.5 * sds)
-        direct = ctd_common_factor_conditional(flat_pair_model, t, 10.0, pts, 24, fast_panel=True)
+        direct = ctd_common_factor_conditional(flat_pair_model, t, 10.0, pts, 24)
         via = table.evaluate(3, pts)[0]
         assert np.max(np.abs(via / direct - 1.0)) < 3e-3
 
@@ -770,7 +770,7 @@ class TestPanelKernel:
 
 
 class TestThreadedKernel:
-    """The kernel's chunks on CTD_THREADS workers: results independent of chunking and workers."""
+    """The kernel's chunks on the calling thread: results independent of chunking and CTD_THREADS."""
 
     @staticmethod
     def _mixed_rows(k):
@@ -783,50 +783,55 @@ class TestThreadedKernel:
     @pytest.mark.parametrize("k", [1, 3])
     def test_bytes_independent_of_chunk_and_workers(self, monkeypatch, k):
         mu, idio, common = self._mixed_rows(k)
-        monkeypatch.setattr(ctd, "_POOL_MIN_ROWS", 0)  # every pass of several chunks takes the pool
         for pivots in (range(k), ()):
             ref = None
             for chunk in (4096, 1024, 512, 7, 1):
                 monkeypatch.setattr(ctd, "_MOMENT_CHUNK", chunk)
                 # rows are independent, so the small chunks run on a prefix of the rows
                 rows = slice(None) if chunk > 7 else slice(0, 150)
-                for threads in ("1", "2", "3"):
-                    monkeypatch.setenv("CTD_THREADS", threads)
-                    out = _panel_moments(mu[rows], idio[rows], common[rows], pivots=pivots)
-                    ref = out if ref is None else ref
-                    for got, want in zip(out, ref):
-                        assert got.tobytes() == want[..., rows].tobytes(), (len(pivots), chunk, threads)
+                out = _panel_moments(mu[rows], idio[rows], common[rows], pivots=pivots)
+                ref = out if ref is None else ref
+                for got, want in zip(out, ref):
+                    assert got.tobytes() == want[..., rows].tobytes(), (len(pivots), chunk)
 
-    def test_short_passes_run_inline(self, monkeypatch):
-        monkeypatch.setenv("CTD_THREADS", "2")
-        monkeypatch.setattr(ctd, "ThreadPoolExecutor", None)  # any pool would fail
-        mu, idio, common = (a[: ctd._POOL_MIN_ROWS] for a in self._mixed_rows(2))
-        _panel_moments(mu, idio, common, pivots=range(2))
-
-    @pytest.mark.parametrize("threads", [2, 3])
-    def test_pooled_pass_splits_evenly_and_caller_drains(self, monkeypatch, threads):
-        monkeypatch.setenv("CTD_THREADS", str(threads))
-        monkeypatch.setattr(ctd, "_MOMENT_CHUNK", 256)
-        sizes, seen = [], set()
+    @staticmethod
+    def _record_chunks(monkeypatch):
+        calls = []
         ctd_chunk = ctd._panel_chunk
 
         def chunk(mu, idio_var, common_var, *args):
-            sizes.append((bool(np.all(idio_var > 0.0) and np.all(common_var > 0.0)), mu.shape[0]))
-            seen.add(threading.current_thread())
+            regular = bool(np.all(idio_var > 0.0) and np.all(common_var > 0.0))
+            calls.append((regular, mu.shape[0], threading.current_thread()))
             return ctd_chunk(mu, idio_var, common_var, *args)
 
         monkeypatch.setattr(ctd, "_panel_chunk", chunk)
+        return calls
+
+    def test_short_passes_run_inline(self, monkeypatch):
+        # a pass of at most _MOMENT_CHUNK rows per kind is one chunk per kind
+        monkeypatch.setenv("CTD_THREADS", "2")
+        calls = self._record_chunks(monkeypatch)
         mu, idio, common = self._mixed_rows(2)  # 900 regular rows, 300 others
         _panel_moments(mu, idio, common, pivots=range(2))
+        main = threading.main_thread()
+        assert sorted(calls, key=lambda c: not c[0]) == [(True, 900, main), (False, 300, main)]
+
+    @pytest.mark.parametrize("chunk", [256, 128])
+    def test_long_pass_splits_evenly_on_caller(self, monkeypatch, chunk):
+        monkeypatch.setenv("CTD_THREADS", "2")
+        monkeypatch.setattr(ctd, "_MOMENT_CHUNK", chunk)
+        calls = self._record_chunks(monkeypatch)
+        mu, idio, common = self._mixed_rows(2)
+        _panel_moments(mu, idio, common, pivots=range(2))
         for regular, rows in ((True, 900), (False, 300)):
-            kind = [n for r, n in sizes if r == regular]
-            assert sum(kind) == rows and len(kind) % threads == 0, (regular, kind)
-            assert max(kind) <= 256 and max(kind) - min(kind) <= 1, (regular, kind)
-        assert threading.main_thread() in seen
+            kind = [n for r, n, _ in calls if r == regular]
+            assert sum(kind) == rows and len(kind) == -(-rows // chunk), (regular, kind)
+            assert max(kind) <= chunk and max(kind) - min(kind) <= 1, (regular, kind)
+        assert {c[2] for c in calls} == {threading.main_thread()}
 
     @staticmethod
     def _table(monkeypatch, threads):
-        # three spreads: the moments of one or two come in closed form, off the panel's workers
+        # three spreads: the moments of one or two come in closed form, off the panel
         monkeypatch.setenv("CTD_THREADS", threads)
         model = _random_model(3, False, seed=41)
         return model, ConditionalCtdTable(model, (0.0, 1.0, 2.5), (2.7, 5.0), nodes_per_dim=5)
@@ -842,7 +847,8 @@ class TestThreadedKernel:
 
     def test_traced_entry_points_stay_on_main_thread(self, monkeypatch):
         # the benchmark's tracer wraps these with unsynchronised state, so a
-        # threaded table build must call them from the calling thread only
+        # table build must call them from the calling thread only, whatever
+        # CTD_THREADS says
         seen = {}
 
         def record(name, fn):
@@ -859,9 +865,8 @@ class TestThreadedKernel:
         monkeypatch.setattr(ctd, "_panel_chunk", record("chunk", ctd._panel_chunk))
         self._table(monkeypatch, "2")
         main = threading.main_thread()
-        for name in ("psi", "cov", "kinks"):
+        for name in ("psi", "cov", "kinks", "chunk"):
             assert seen[name] == {main}, name
-        assert seen["chunk"] - {main}, "no chunk ran on a worker"
 
 
 def _quad_moments(mu, idio_var):
@@ -1192,7 +1197,7 @@ class TestMultiMaturity:
         multi = _cf_pipeline(model, 1.5, (1.5, 2.7, 3.3, 5.0), 24, u, panel=(_PANEL_X64, _PANEL_W64))
         assert np.all(multi[0][0] == 1.0)
         for T, result in zip((2.7, 3.3, 5.0), multi[1:]):
-            want = ctd_common_factor_conditional(model, 1.5, T, u, 24, fast_panel=True)
+            want = ctd_common_factor_conditional(model, 1.5, T, u, 24)
             assert result[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("maturities", [(), (3.0, 2.0), (2.0, 2.0), [[2.0, 3.0]], 5.0])
@@ -1210,9 +1215,10 @@ class TestMultiMaturity:
 class TestTableAccuracy:
     """
     Interpolation error of the conditional table against the direct
-    conditional factor on the same 64-node panels, at 400 states drawn at
-    the state's sd and clipped to the grid's +-4.5 sd.  Bounds for the
-    hedging layout (9 nodes per dimension) and the swap layout (7 nodes).
+    conditional factor, both on closed-form two-spread moments, at 400
+    states drawn at the state's sd and clipped to the grid's +-4.5 sd.
+    Bounds for the hedging layout (9 nodes per dimension) and the swap
+    layout (7 nodes).
     """
 
     @pytest.mark.parametrize("name", ["experiment1", "experiment2"])
@@ -1226,6 +1232,6 @@ class TestTableAccuracy:
         for a, t in enumerate(anchors):
             sds = np.sqrt([model.spread(i).variance(t) for i in range(1, model.n_spreads + 1)])
             u = np.clip(rng.normal(0.0, 1.0, (400, sds.size)), -4.5, 4.5) * sds
-            direct = ctd_common_factor_conditional(model, t, cfg.maturity, u, 24, fast_panel=True)
+            direct = ctd_common_factor_conditional(model, t, cfg.maturity, u, 24)
             err = np.max(np.abs(table.evaluate(a, u)[0] / direct - 1.0))
             assert err < bound, (t, err)
