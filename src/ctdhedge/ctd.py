@@ -13,15 +13,16 @@ The same machinery prices the shifted maximum exp(-int max(q_i, q_1+q_i,
 ..., q_N+q_i)) needed by the hedging covariances, and conditional factors
 re-anchored at a simulated market state for portfolio revaluation.  Every
 maximum is floored at the domestic zero spread, the shifted one being q_i
-plus the floored maximum.  For one or two spreads the mean and variance of
-the floored maximum are closed-form truncated-normal moments
-(`_closed_moments`); from three spreads on one panel kernel
-(`_panel_moments`) integrates them.  The pivot covariances come from the
-panel at every N, with its known pivot-part defect (for j != p it counts
-Phi_p twice), so the panel size matters only at N >= 3 and for pivot
-covariances.  One pipeline (`_cf_pipeline`: grid, snapshots, gamma,
-moments, Psi, value) serves every stochastic factor, for every maturity of
-one anchor in one pass; the public pricers are thin wrappers around it.
+plus the floored maximum.  One driver (`_moments`) gives the moments of
+the floored maximum, in chunks of rows: for one or two spreads the mean
+and variance are closed-form truncated-normal moments (`_closed_chunk`);
+from three spreads on the panel kernel (`_panel_chunk`) integrates them.
+The pivot covariances come from the panel at every N, with its known
+pivot-part defect (for j != p it counts Phi_p twice), so the panel size
+matters only at N >= 3 and for pivot covariances.  One pipeline
+(`_cf_pipeline`: grid, snapshots, gamma, moments, Psi, value) serves every
+stochastic factor, for every maturity of one anchor in one pass; the
+public pricers are thin wrappers around it.
 """
 
 from __future__ import annotations
@@ -63,13 +64,8 @@ class NumericalError(RuntimeError):
     """Raised when a quadrature or decomposition step degenerates."""
 
 
-def _gauss_legendre(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-_PANEL_X, _PANEL_W = _gauss_legendre(_PANEL_NODES)
-_CONV_X, _CONV_W = _gauss_legendre(_CONV_NODES)
+_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(_PANEL_NODES)
+_CONV_X, _CONV_W = np.polynomial.legendre.leggauss(_CONV_NODES)
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
@@ -158,13 +154,9 @@ class CommonFactorState:
         object.__setattr__(self, "component_vars", res)
 
     @classmethod
-    def from_snapshot(
-        cls,
-        snapshot: GaussianVectorSnapshot,
-        gamma: float | None = None,
-    ) -> "CommonFactorState":
-        if gamma is None:
-            gamma = fit_gamma(snapshot)
+    def from_snapshot(cls, snapshot: GaussianVectorSnapshot) -> "CommonFactorState":
+        """The decomposition of a snapshot at its fitted gamma (`fit_gamma`)."""
+        gamma = fit_gamma(snapshot)
         sig_min_sq = float(np.min(np.diag(snapshot.covariance)))
         common_var = gamma * sig_min_sq
         residual = np.maximum(np.diag(snapshot.covariance) - common_var, 0.0)
@@ -245,7 +237,7 @@ def max_cdf(state: CommonFactorState, x) -> float | np.ndarray:
 # rows per chunk at most: a chunk's [m, g] temporaries, g panel nodes per row,
 # grow with its rows
 _MOMENT_CHUNK = 1024
-_PANEL_X64, _PANEL_W64 = _gauss_legendre(64)
+_PANEL_X64, _PANEL_W64 = np.polynomial.legendre.leggauss(64)
 
 
 def _floor_values(y, sc):
@@ -303,46 +295,9 @@ def _fold_floor(hard, m0, mu_cdf, sd_cdf, sc, px, pw):
     return terms, at_m0
 
 
-def _panel_moments(
-    mu: np.ndarray,
-    idio_var: np.ndarray,
-    common_var: np.ndarray,
-    panel: tuple[np.ndarray, np.ndarray] | None = None,
-    pivots: Sequence[int] = (),
-):
-    """
-    Mean and variance of M = max(0, C + max_i A_i) for a batch of states,
-    and Cov[C + A_p, M] for every 0-based pivot p.
-
-    mu, idio_var: [m, k]; common_var: [m].  Returns mean [m], variance [m]
-    and covariances [len(pivots), m].  Regular rows (every component
-    stochastic and a nondegenerate common factor) and the rest run in
-    separate chunks of the same kernel, so regular chunks skip the
-    hard-floor work.  Each kind splits into equal chunks of at most
-    `_MOMENT_CHUNK` rows, run in turn on the calling thread; each chunk
-    writes only its own rows and every row reduces along its own panel, so
-    the results do not depend on the chunking.
-    """
-    mu = np.asarray(mu, dtype=float)
-    idio_var = np.asarray(idio_var, dtype=float)
-    common_var = np.asarray(common_var, dtype=float)
-    m = mu.shape[0]
-    mean = np.empty(m)
-    var = np.empty(m)
-    cov = np.empty((len(pivots), m))
-    regular = np.all(idio_var > 0.0, axis=1) & (common_var > 0.0)
-    for rows in (np.flatnonzero(regular), np.flatnonzero(~regular)):
-        n = -(-rows.size // _MOMENT_CHUNK)
-        for sel in np.array_split(rows, n) if n else []:
-            mean[sel], var[sel], cov[:, sel] = _panel_chunk(
-                mu[sel], idio_var[sel], common_var[sel], panel, pivots
-            )
-    return mean, var, cov
-
-
 def _panel_chunk(mu, idio_var, common_var, panel, pivots):
     """
-    One chunk of `_panel_moments`.
+    One chunk of `_moments` on the panels.
 
     Conditioning on C, every expectation is integrated against each
     stochastic component's own Gaussian panel y_i = mu_i + sigma_i x,
@@ -453,10 +408,27 @@ def _tail_moments(mu, sd, b):
 
 def _closed_chunk(mu, a, c):
     """
-    E[M] and E[M^2] for one chunk of `_closed_moments`.
+    Mean and variance of M for one chunk of `_moments` with k <= 2, in
+    closed form: a rectified normal for k = 1, and for k = 2 the sum over i
+    of E[X_i^r; X_i > 0, X_i > X_j] with X_i = C + A_i, moments of a
+    truncated bivariate normal (`_pair_moments`).  Every row is exact, zero
+    variances included: with all of them zero the mean is max(0, mu_1, mu_2)
+    and the variance 0.
+    """
+    if mu.shape[1] == 1:
+        e1, e2 = _tail_moments(mu[:, 0], np.sqrt(c + a[:, 0]), 0.0)
+    else:
+        e1, e2 = _pair_moments(mu, a, c)
+    mean = np.maximum(e1, 0.0)
+    return mean, np.maximum(e2 - mean * mean, 0.0)
 
-    For k = 2, X_i = C + A_i has sd s_i = sqrt(c + a_i), D = X_1 - X_2 has
-    sd d, and g^2 = c d^2 + a_1 a_2.  M is X_i on {X_i > 0, X_i > X_j},
+
+def _pair_moments(mu, a, c):
+    """
+    E[M] and E[M^2] for k = 2.
+
+    X_i = C + A_i has sd s_i = sqrt(c + a_i), D = X_1 - X_2 has sd d, and
+    g^2 = c d^2 + a_1 a_2.  M is X_i on {X_i > 0, X_i > X_j},
     whose probability P_i is the bivariate normal cdf of (x_i, +-y) at
     correlation a_i / (s_i d), x_i = mu_i / s_i and y = (mu_1 - mu_2) / d.
     Stein's lemma turns the truncated moments (Tallis 1961) into boundary
@@ -475,8 +447,6 @@ def _closed_chunk(mu, a, c):
     g = 0 are one-dimensional: a_1 = a_2 = 0 gives max(0, C + max_i mu_i);
     c = 0 with one a_i = 0 gives max(b, X_j), b = max(0, mu_i).
     """
-    if mu.shape[1] == 1:
-        return _tail_moments(mu[:, 0], np.sqrt(c + a[:, 0]), 0.0)
     m1, m2 = mu[:, 0], mu[:, 1]
     a1, a2 = a[:, 0], a[:, 1]
     d2 = a1 + a2
@@ -519,45 +489,39 @@ def _closed_chunk(mu, a, c):
     return e1, e2
 
 
-def _closed_moments(mu: np.ndarray, idio_var: np.ndarray, common_var: np.ndarray):
+def _moments(mu, idio_var, common_var, panel=None, pivots: Sequence[int] = ()):
     """
-    Mean and variance of M = max(0, C + max_i A_i) for k <= 2 components, in
-    closed form: a rectified normal for k = 1, and for k = 2 the sum over i
-    of E[X_i^r; X_i > 0, X_i > X_j] with X_i = C + A_i, moments of a
-    truncated bivariate normal (`_closed_chunk`).
+    Mean and variance of M = max(0, C + max_i A_i) for a batch of states,
+    and Cov[C + A_p, M] for every 0-based pivot p.
 
-    mu, idio_var: [m, k]; common_var: [m].  Every row is exact, zero
-    variances included: with all of them zero the mean is max(0, mu_1, mu_2)
-    and the variance 0.  The rows are evaluated elementwise on the calling
-    thread, in chunks of `_MOMENT_CHUNK` that bound the temporaries, so a
-    row's bytes do not depend on the rows around it.  (Two worker threads
-    ran these chunks no faster than one on a 2-vCPU host.)
+    mu, idio_var: [m, k]; common_var: [m].  Returns mean [m], variance [m]
+    and covariances [len(pivots), m].  The mean and variance are closed
+    form for k <= 2 (`_closed_chunk`) and come from the panels for k >= 3
+    (`_panel_chunk`), which also give the pivot covariances at every k.
+    Regular rows (every component stochastic and a nondegenerate common
+    factor) and the rest run in separate chunks, so regular chunks skip
+    the panel's hard-floor work.  Each kind splits into equal chunks of at
+    most `_MOMENT_CHUNK` rows, run in turn on the calling thread; each
+    chunk writes only its own rows, and every row is evaluated elementwise
+    or reduced along its own panel, so the results do not depend on the
+    chunking.
     """
     mu = np.asarray(mu, dtype=float)
     idio_var = np.asarray(idio_var, dtype=float)
     common_var = np.asarray(common_var, dtype=float)
-    m = mu.shape[0]
+    m, k = mu.shape
     mean = np.empty(m)
     var = np.empty(m)
-
-    for lo in range(0, m, _MOMENT_CHUNK):
-        sel = slice(lo, lo + _MOMENT_CHUNK)
-        e1, e2 = _closed_chunk(mu[sel], idio_var[sel], common_var[sel])
-        mean[sel] = np.maximum(e1, 0.0)
-        var[sel] = np.maximum(e2 - mean[sel] * mean[sel], 0.0)
-    return mean, var
-
-
-def _moments(mu, idio_var, common_var, panel=None, pivots: Sequence[int] = ()):
-    """
-    Mean, variance and pivot covariances of M for a batch of states, as
-    `_panel_moments` returns them: closed-form mean and variance for k <= 2
-    (the panel then runs only for pivot covariances), the panel for k >= 3.
-    """
-    if mu.shape[1] > 2:
-        return _panel_moments(mu, idio_var, common_var, panel, pivots)
-    mean, var = _closed_moments(mu, idio_var, common_var)
-    cov = _panel_moments(mu, idio_var, common_var, panel, pivots)[2] if pivots else np.empty((0, mu.shape[0]))
+    cov = np.empty((len(pivots), m))
+    regular = np.all(idio_var > 0.0, axis=1) & (common_var > 0.0)
+    for rows in (np.flatnonzero(regular), np.flatnonzero(~regular)):
+        n = -(-rows.size // _MOMENT_CHUNK)
+        for sel in np.array_split(rows, n) if n else []:
+            args = mu[sel], idio_var[sel], common_var[sel]
+            if k > 2 or pivots:
+                mean[sel], var[sel], cov[:, sel] = _panel_chunk(*args, panel, pivots)
+            if k <= 2:
+                mean[sel], var[sel] = _closed_chunk(*args)
     return mean, var, cov
 
 
@@ -565,7 +529,7 @@ def max_moments(state: CommonFactorState) -> tuple[float, float]:
     """
     Mean and variance of the common-factor maximum at one time.
 
-    Closed form for one or two spreads (`_closed_moments`).  From three
+    Closed form for one or two spreads (`_closed_chunk`).  From three
     spreads on, semi-analytic: the moments of the inner maximum are
     integrated against per-component Gaussian panels and the zero floor is
     applied through exact rectification identities, conditioning on the

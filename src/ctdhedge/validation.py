@@ -474,6 +474,11 @@ def _a10() -> tuple[bool, str]:
         # simulator's one 2000-path block is the run's only worker thread
         ("simulate-pnl", ["--config", "swap_pnl", "--paths", "2000",
                           "--set", "horizon.maturity=3", "--set", "pnl.payment_dates=1,2,3"]),
+        # two simulator blocks (16384 + 116 paths), which one and two workers
+        # schedule differently; the path sd at t = 0.5 reads every path, where
+        # at t = 0 and at maturity every path has the same value
+        ("hedge", ["--config", "experiment1", "--paths", "16500",
+                   "--set", "horizon.maturity=1", "--set", "hedge.sd_points_per_year=2"]),
     ]
     ok = True
     msgs = []
@@ -481,10 +486,10 @@ def _a10() -> tuple[bool, str]:
     src_root = str(Path(__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, (src_root, os.environ.get("PYTHONPATH"))))
     with tempfile.TemporaryDirectory() as tmp:
-        for cmd, extra in jobs:
+        for job_idx, (cmd, extra) in enumerate(jobs):
             digests = []
             for run_idx, threads in enumerate(("1", "2", "1")):
-                out = Path(tmp) / f"{cmd}-{run_idx}"
+                out = Path(tmp) / f"{job_idx}-{run_idx}"
                 env = dict(os.environ, CTD_THREADS=threads, PYTHONPATH=pythonpath)
                 proc = subprocess.run(
                     [sys.executable, "-m", "ctdhedge.cli", cmd, *extra, "--out", str(out)],

@@ -32,10 +32,10 @@ from ctdhedge.ctd import (
     _PANEL_X64,
     ConditionalCtdTable,
     _cf_pipeline,
-    _closed_moments,
     _interp_rows,
     _model_time_grid,
-    _panel_moments,
+    _moments,
+    _panel_chunk,
     _phi,
     ctd_common_factor_conditional,
 )
@@ -720,19 +720,26 @@ def _kernel_states(rng, m, k, kind):
     return mu, idio, common
 
 
+def _panel(mu, idio, common, panel=None, pivots=()):
+    """The panel's moments at any k: `_moments` takes them from it only at k >= 3."""
+    if mu.shape[1] > 2:
+        return _moments(mu, idio, common, panel, pivots)
+    return _panel_chunk(mu, idio, common, panel, pivots)
+
+
 class TestPanelKernel:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_regular_rows_match_references_bitwise(self, k):
         rng = np.random.default_rng(k)
         mu, idio, common = _kernel_states(rng, 300, k, "regular")
-        mean, var, cov = _panel_moments(mu, idio, common, pivots=range(k))
+        mean, var, cov = _panel(mu, idio, common, pivots=range(k))
         ref_mean, ref_var = _moments_fast(mu, idio, common, True, _PANEL_X, _PANEL_W)
         assert mean.tobytes() == ref_mean.tobytes()
         assert var.tobytes() == ref_var.tobytes()
         for p in range(k):
             ref_cov = _pivot_max_covariance(mu, idio, common, ref_mean, p)
             assert cov[p].tobytes() == ref_cov.tobytes()
-        mean, var, _ = _panel_moments(mu, idio, common, (_PANEL_X64, _PANEL_W64))
+        mean, var, _ = _panel(mu, idio, common, (_PANEL_X64, _PANEL_W64))
         ref_mean, ref_var = _moments_fast(mu, idio, common, True, _PANEL_X64, _PANEL_W64)
         assert mean.tobytes() == ref_mean.tobytes()
         assert var.tobytes() == ref_var.tobytes()
@@ -742,10 +749,11 @@ class TestPanelKernel:
     def test_pure_rows_match_references_bitwise(self, k, kind):
         rng = np.random.default_rng(10 + k)
         mu, idio, common = _kernel_states(rng, 50, k, kind)
-        # regular rows in the same batch take their own chunks
+        # regular rows in the same batch: their own chunks at k >= 3, the
+        # pure rows' chunk at k <= 2, where `_panel` calls the chunk directly
         reg = _kernel_states(rng, 50, k, "regular")
         batch = [np.concatenate(pair) for pair in zip((mu, idio, common), reg)]
-        mean, var, cov = _panel_moments(*batch, pivots=range(k))
+        mean, var, cov = _panel(*batch, pivots=range(k))
         ref_mean, ref_var = _batched_moments_core(mu, idio, common, True)
         assert mean[:50].tobytes() == ref_mean.tobytes()
         assert var[:50].tobytes() == ref_var.tobytes()
@@ -760,7 +768,7 @@ class TestPanelKernel:
     def test_degenerate_rows_match_references(self, k, kind):
         rng = np.random.default_rng(20 + k)
         mu, idio, common = _kernel_states(rng, 200, k, kind)
-        mean, var, cov = _panel_moments(mu, idio, common, pivots=range(k))
+        mean, var, cov = _panel(mu, idio, common, pivots=range(k))
         ref_mean, ref_var = _batched_moments_core(mu, idio, common, True)
         np.testing.assert_allclose(mean, ref_mean, rtol=1e-10, atol=1e-18)
         np.testing.assert_allclose(var, ref_var, rtol=1e-10, atol=1e-18)
@@ -769,8 +777,11 @@ class TestPanelKernel:
             np.testing.assert_allclose(cov[p], ref_cov, rtol=1e-10, atol=1e-18)
 
 
-class TestThreadedKernel:
-    """The kernel's chunks on the calling thread: results independent of chunking and CTD_THREADS."""
+class TestKernelChunks:
+    """
+    The moment driver's chunks: each kind of row split evenly and run on the
+    calling thread, the bytes independent of the chunking.
+    """
 
     @staticmethod
     def _mixed_rows(k):
@@ -780,8 +791,8 @@ class TestThreadedKernel:
         order = rng.permutation(sum(p[0].shape[0] for p in parts))
         return [np.concatenate(arrays)[order] for arrays in zip(*parts)]
 
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_bytes_independent_of_chunk_and_workers(self, monkeypatch, k):
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bytes_independent_of_chunk(self, monkeypatch, k):
         mu, idio, common = self._mixed_rows(k)
         for pivots in (range(k), ()):
             ref = None
@@ -789,7 +800,7 @@ class TestThreadedKernel:
                 monkeypatch.setattr(ctd, "_MOMENT_CHUNK", chunk)
                 # rows are independent, so the small chunks run on a prefix of the rows
                 rows = slice(None) if chunk > 7 else slice(0, 150)
-                out = _panel_moments(mu[rows], idio[rows], common[rows], pivots=pivots)
+                out = _moments(mu[rows], idio[rows], common[rows], pivots=pivots)
                 ref = out if ref is None else ref
                 for got, want in zip(out, ref):
                     assert got.tobytes() == want[..., rows].tobytes(), (len(pivots), chunk)
@@ -809,20 +820,18 @@ class TestThreadedKernel:
 
     def test_short_passes_run_inline(self, monkeypatch):
         # a pass of at most _MOMENT_CHUNK rows per kind is one chunk per kind
-        monkeypatch.setenv("CTD_THREADS", "2")
         calls = self._record_chunks(monkeypatch)
         mu, idio, common = self._mixed_rows(2)  # 900 regular rows, 300 others
-        _panel_moments(mu, idio, common, pivots=range(2))
+        _moments(mu, idio, common, pivots=range(2))
         main = threading.main_thread()
         assert sorted(calls, key=lambda c: not c[0]) == [(True, 900, main), (False, 300, main)]
 
     @pytest.mark.parametrize("chunk", [256, 128])
     def test_long_pass_splits_evenly_on_caller(self, monkeypatch, chunk):
-        monkeypatch.setenv("CTD_THREADS", "2")
         monkeypatch.setattr(ctd, "_MOMENT_CHUNK", chunk)
         calls = self._record_chunks(monkeypatch)
         mu, idio, common = self._mixed_rows(2)
-        _panel_moments(mu, idio, common, pivots=range(2))
+        _moments(mu, idio, common, pivots=range(2))
         for regular, rows in ((True, 900), (False, 300)):
             kind = [n for r, n, _ in calls if r == regular]
             assert sum(kind) == rows and len(kind) == -(-rows // chunk), (regular, kind)
@@ -917,8 +926,8 @@ class TestClosedMoments:
         common = 0.0 if no_common or k == 1 else sd[2] ** 2
         mu = np.asarray(z[:k]) * np.sqrt(idio + common)
         args = (mu[None, :], idio[None, :], np.asarray([common]))
-        got = _closed_moments(*args)
-        want = _panel_moments(*args)[:2]
+        got = _moments(*args)[:2]
+        want = _panel(*args)[:2]
         for g, w in zip(got, want):
             assert abs(g[0] - w[0]) <= 1e-12 * abs(w[0])
 
@@ -948,14 +957,14 @@ class TestClosedMoments:
         mean, var = float(m.mean()), float(m.var())
         se_mean = math.sqrt(var / m.size)
         se_var = math.sqrt((float(np.mean((m - mean) ** 4)) - var * var) / m.size)
-        got_mean, got_var = (float(v[0]) for v in _closed_moments(mu[None, :], idio[None, :], [common]))
+        got_mean, got_var = (float(v[0]) for v in _moments(mu[None, :], idio[None, :], [common])[:2])
         assert abs(got_mean - mean) <= 4.0 * se_mean, ((got_mean - mean) / se_mean)
         assert abs(got_var - var) <= 4.0 * se_var, ((got_var - var) / se_var)
 
     @pytest.mark.parametrize("mu", [(0.01, 0.02), (0.0, 0.0), (-0.01, -0.02), (0.0, -0.003), (0.004, 0.004)])
     def test_zero_variances_exact(self, mu):
         for k in (1, 2):
-            mean, var = _closed_moments(np.asarray([mu[:k]]), np.zeros((1, k)), np.zeros(1))
+            mean, var = _moments(np.asarray([mu[:k]]), np.zeros((1, k)), np.zeros(1))[:2]
             assert mean[0] == max(0.0, *mu[:k]) and var[0] == 0.0
 
     @pytest.mark.parametrize("mu", [(0.003, -0.001), (0.0, 0.0), (-0.002, -0.002), (-0.004, 0.001), (-0.006, -0.007)])
@@ -966,7 +975,7 @@ class TestClosedMoments:
         z = m / sc
         mean = m * ndtr(z) + sc * _phi(z)
         second = (m * m + sc * sc) * ndtr(z) + m * sc * _phi(z)
-        got = _closed_moments(np.asarray([mu]), np.zeros((1, 2)), np.asarray([sc * sc]))
+        got = _moments(np.asarray([mu]), np.zeros((1, 2)), np.asarray([sc * sc]))[:2]
         assert got[0][0] == pytest.approx(mean, rel=1e-14, abs=0.0)
         assert got[1][0] == pytest.approx(second - mean * mean, rel=1e-13, abs=0.0)
 
@@ -983,7 +992,7 @@ class TestClosedMoments:
         for order in ((0, 1), (1, 0)):
             mu = np.asarray([[other, fixed]])[:, order]
             idio = np.asarray([[s * s, 0.0]])[:, order]
-            got = _closed_moments(mu, idio, np.zeros(1))
+            got = _moments(mu, idio, np.zeros(1))[:2]
             assert got[0][0] == pytest.approx(mean, rel=1e-14, abs=0.0)
             assert got[1][0] == pytest.approx(second - mean * mean, rel=1e-13, abs=0.0)
 
@@ -1000,7 +1009,7 @@ class TestClosedMoments:
     )
     def test_no_common_factor_matches_quadrature(self, mu, idio):
         # gamma clamped to zero under negative correlations: independent X_i
-        got = _closed_moments(np.asarray([mu]), np.asarray([idio]), np.zeros(1))
+        got = _moments(np.asarray([mu]), np.asarray([idio]), np.zeros(1))[:2]
         want = _quad_moments(np.asarray(mu), np.asarray(idio))
         assert got[0][0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
         assert got[1][0] == pytest.approx(want[1], rel=1e-12, abs=0.0)
@@ -1018,8 +1027,8 @@ class TestClosedMoments:
     def test_crossing_rows_match_panel(self, mu, idio):
         # a crossing on a grid node puts mu_1 = mu_2 (or mu_i = 0) exactly
         args = (np.asarray([mu]), np.asarray([idio]), np.asarray([3e-6]))
-        got = _closed_moments(*args)
-        want = _panel_moments(*args)[:2]
+        got = _moments(*args)[:2]
+        want = _panel(*args)[:2]
         for g, w in zip(got, want):
             assert np.isfinite(g[0]) and g[0] == pytest.approx(w[0], rel=1e-12, abs=0.0)
 
@@ -1034,13 +1043,13 @@ class TestClosedMoments:
                 tied[0][:50, 0] = 0.0
                 parts.append(tied)
             mu, idio, common = (np.concatenate(a) for a in zip(*parts))
-            whole = _closed_moments(mu, idio, common)
+            whole = _moments(mu, idio, common)[:2]
             order = rng.permutation(mu.shape[0])
-            shuffled = _closed_moments(mu[order], idio[order], common[order])
+            shuffled = _moments(mu[order], idio[order], common[order])[:2]
             for got, want in zip(shuffled, whole):
                 assert got.tobytes() == want[order].tobytes()
             for r in rng.choice(mu.shape[0], 40, replace=False):
-                alone = _closed_moments(mu[r:r + 1], idio[r:r + 1], common[r:r + 1])
+                alone = _moments(mu[r:r + 1], idio[r:r + 1], common[r:r + 1])[:2]
                 for got, want in zip(alone, whole):
                     assert got.tobytes() == want[r:r + 1].tobytes(), (k, r)
 

@@ -13,6 +13,7 @@ from ctdhedge import (
     bond_moment,
     ctd_deterministic,
     joint_bond_moment,
+    shifted_max_ctd,
     spread_cross_covariance,
 )
 from ctdhedge import montecarlo
@@ -258,6 +259,18 @@ class TestEstimators:
         for payoff, closed in cases:
             est, se = mc_expectation(bundle, payoff)
             assert abs(est - closed) < 4 * se, payoff
+
+    def test_shifted_max_matches_shifted_max_ctd(self):
+        # the pivot-covariance defect reaches this factor only through
+        # Psi / 2 and does not show at this path count
+        model = load_config("experiment2").build_model()
+        bundle = simulate(model, SimulationPlan(200_000, 40, 10.0, seed=4242))
+        for p in (1, 2):
+            est, se = mc_expectation(bundle, f"shifted_max({p})")
+            got = shifted_max_ctd(model, p, 0.0, 10.0)
+            assert abs(got - est) <= 4 * se, (p, (got - est) / se)
+        with pytest.raises(ModelValidationError, match="spread index"):
+            mc_expectation(bundle, "shifted_max(0)")
 
     def test_unknown_payoff_rejected(self):
         bundle = simulate(_model(), SimulationPlan(100, 2, 1.0, seed=1))
