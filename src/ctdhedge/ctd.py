@@ -58,6 +58,7 @@ _PANEL_HALF_WIDTH = 8.5  # standard deviations covered by each Gaussian panel
 _PANEL_NODES = 96
 _CONV_NODES = 128  # convolution nodes for the explicit cdf
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 class NumericalError(RuntimeError):
@@ -443,9 +444,11 @@ def _pair_moments(mu, a, c):
     P_i is Owen's (1956) T form; the two share T(y, w / y), with opposite
     signs.  Its half of Phi(x_i) + Phi(+-y) is taken from the two tails, so
     a pair of mixed sign does not cancel; x_i or y zero takes the form's
-    limits, through +0.0 (both zero: 1/4 + arcsin(rho) / 2pi).  Rows with
-    g = 0 are one-dimensional: a_1 = a_2 = 0 gives max(0, C + max_i mu_i);
-    c = 0 with one a_i = 0 gives max(b, X_j), b = max(0, mu_i).
+    limits, through +0.0 (both zero: 1/4 + arcsin(rho) / 2pi), and so does
+    a subnormal one, whose ratios v / x and w / y would keep only a few
+    bits.  Rows with g = 0 are one-dimensional: a_1 = a_2 = 0 gives
+    max(0, C + max_i mu_i); c = 0 with one a_i = 0 gives max(b, X_j),
+    b = max(0, mu_i).
     """
     m1, m2 = mu[:, 0], mu[:, 1]
     a1, a2 = a[:, 0], a[:, 1]
@@ -454,8 +457,12 @@ def _pair_moments(mu, a, c):
     g = np.sqrt(c * d2 + a1 * a2)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.sqrt(c[:, None] + a)
-        x = mu / s + 0.0  # +0.0, never -0.0: v / x and w / y then take the sign of v and w
-        y = (m1 - m2) / d + 0.0
+        # below the smallest normal number to +0.0, never -0.0: v / x and w / y
+        # then take the sign of v and w, and subnormal x or y the form's limits
+        x = mu / s
+        x = np.where(np.abs(x) < _TINY, 0.0, x)
+        y = (m1 - m2) / d
+        y = np.where(np.abs(y) < _TINY, 0.0, y)
         v = (c[:, None] * x - mu[:, ::-1] * s) / g[:, None]
         w = (m1 * a2 + m2 * a1) / (g * d)
         ty = owens_t(y, w / y)
@@ -884,6 +891,68 @@ def ctd_common_factor_conditional(
     return _cf_pipeline(model, t, (T,), nodes_per_year, displacements)[0][0]
 
 
+def _cell_spline(axes, values) -> np.ndarray:
+    """
+    The not-a-knot cubic tensor spline through `values` [n_1, ..., n_N, L]
+    on the grid `axes`, exact at its nodes (de Boor 2001, ch. 17), as power
+    coefficients per grid cell: [4]*N + [L, cells], highest degree first in
+    each axis' local coordinate (the distance from the cell's left node),
+    the cells flattened in C order of their per-axis indices.
+
+    Axis by axis, `make_interp_spline` solves the spline along the leading
+    node axis for every trailing column at once, and the spline's Taylor
+    coefficients at each cell's left node replace that axis by a degree axis
+    and a cell axis, both moved to the back.  Each column is solved and
+    differentiated on its own, so a table's maturities share no arithmetic.
+    """
+    from scipy.interpolate import make_interp_spline
+
+    n = len(axes)
+    c = values
+    for x in axes:
+        spl = make_interp_spline(x, c, k=3)
+        c = np.stack([spl(x[:-1], nu=m) / math.factorial(m) for m in (3, 2, 1, 0)])
+        c = np.moveaxis(c, (0, 1), (-2, -1))
+    # [L, 4, cells_1, ..., 4, cells_N] -> [4]*N + [L, cells]
+    c = c.transpose([*range(1, 2 * n, 2), 0, *range(2, 2 * n + 1, 2)])
+    return np.ascontiguousarray(c).reshape([4] * n + [values.shape[-1], -1])
+
+
+def _cell_horner(c, cell, s) -> np.ndarray:
+    """
+    [L, Q] values of the per-cell polynomials `c` ([4]*k + [L, cells]) in
+    the cells `cell` [Q] at the local coordinates `s` (k arrays [Q]).
+    Horner in the leading axis, whose coefficients are polynomials in the
+    other axes, gathered from their cells only when reached.
+    """
+    if c.ndim == 2:
+        return np.take(c, cell, axis=1)
+    out = _cell_horner(c[0], cell, s[1:])
+    for k in (1, 2, 3):
+        out *= s[0]
+        out += _cell_horner(c[k], cell, s[1:])
+    return out
+
+
+def _cell_spline_values(axes, c, u) -> np.ndarray:
+    """
+    [L, Q] values of the `_cell_spline` coefficients `c` on `axes` at the
+    states u [Q, N], each clamped to its axis' grid.  An axis' cell index is
+    its scaled offset rounded down, the last node falling in the last cell;
+    a state on a node may take the cell to its left, whose cubic meets the
+    right one's there to rounding.
+    """
+    cell = 0
+    s = []
+    for x, ud in zip(axes, u.T):
+        ud = np.clip(ud, x[0], x[-1])
+        cells = x.size - 1
+        j = np.minimum((ud - x[0]) * (cells / (x[-1] - x[0])), cells - 1).astype(np.intp)
+        s.append(ud - x[j])
+        cell = cell * cells + j
+    return _cell_horner(c, cell, s)
+
+
 class ConditionalCtdTable:
     """
     Interpolation tables for conditional CTD factors at fixed anchor times,
@@ -893,11 +962,12 @@ class ConditionalCtdTable:
     with one conditional common-factor pass (`_cf_pipeline`: closed-form
     moments for one or two spreads, 64-node panels from three on) for all
     the strictly increasing `maturities` after the anchor.
-    The log factors of these live maturities form the last axis of one
-    cubic table per anchor, so `evaluate` interpolates once per query
-    batch; `nodes_per_dim` must be at least 4, the fewest a cubic spline
-    takes.  `evaluate` clamps the states to the grid's edge,
-    `half_width_sds` standard deviations out, and returns one row per
+    The log factors of these live maturities are the columns of one exact
+    not-a-knot cubic spline per anchor (`_cell_spline`), stored per grid
+    cell, so `evaluate` interpolates once per query batch; `nodes_per_dim`
+    must be an integer of at least 4, the fewest a cubic spline takes.
+    `evaluate` clamps the states to the grid's edge, `half_width_sds` (finite
+    and positive) standard deviations out, and returns one row per
     maturity; rows of maturities at or before the anchor are 1.
     `maturity` is the last maturity, the tables' horizon.
     """
@@ -911,10 +981,12 @@ class ConditionalCtdTable:
         half_width_sds: float = 4.5,
         nodes_per_year: int = 24,
     ):
-        from scipy.interpolate import RegularGridInterpolator
-
+        if isinstance(nodes_per_dim, bool) or not isinstance(nodes_per_dim, (int, np.integer)):
+            raise ModelValidationError(f"nodes_per_dim must be an integer, got {nodes_per_dim!r}")
         if nodes_per_dim < 4:
             raise ModelValidationError(f"cubic tables need nodes_per_dim >= 4, got {nodes_per_dim}")
+        if not 0.0 < half_width_sds < math.inf:
+            raise ModelValidationError(f"half_width_sds must be finite and positive, got {half_width_sds!r}")
         self.model = model
         self.maturities = _check_maturities(maturities)
         self.maturity = float(self.maturities[-1])
@@ -922,7 +994,7 @@ class ConditionalCtdTable:
         n = model.n_spreads
         panel = (_PANEL_X64, _PANEL_W64)
         # per anchor: the settled rows, the displacement axes (None without a
-        # grid) and the live log factors (one table, or floats without a grid)
+        # grid) and the live log factors (cell coefficients, or floats without a grid)
         self._anchors: list = []
         for t in self.anchor_times:
             t = float(t)
@@ -941,10 +1013,7 @@ class ConditionalCtdTable:
                     pts = np.stack([m.ravel() for m in mesh], axis=1)
                     results = _cf_pipeline(model, t, live, nodes_per_year, pts, panel=panel)
                     values = np.stack([np.log(r[0]) for r in results], axis=-1)
-                    logs = RegularGridInterpolator(
-                        axes, values.reshape([nodes_per_dim] * n + [live.size]), method="cubic",
-                        bounds_error=False, fill_value=None,
-                    )
+                    logs = _cell_spline(axes, values.reshape([nodes_per_dim] * n + [live.size]))
             self._anchors.append((self.maturities.size - live.size, axes, logs))
 
     def evaluate(self, anchor_index: int, displacements: np.ndarray) -> np.ndarray:
@@ -953,10 +1022,7 @@ class ConditionalCtdTable:
         u = np.atleast_2d(np.asarray(displacements, dtype=float))
         rows = [np.ones((settled, u.shape[0]))]
         if axes is not None:
-            u = u.copy()
-            for d, ax in enumerate(axes):
-                u[:, d] = np.clip(u[:, d], ax[0], ax[-1])
-            rows.append(np.exp(logs(u)).T)  # exp on the C-ordered [n_states, n_live] values
+            rows.append(np.exp(_cell_spline_values(axes, logs, u)))  # on C-ordered [n_live, n_states] values
         elif logs is not None:
             rows.append(np.repeat([[math.exp(log)] for log in logs], u.shape[0], axis=1))
         return np.concatenate(rows)

@@ -522,7 +522,9 @@ def evaluate_portfolio_paths(
     if not 0 <= n_samples <= n_paths:
         raise ModelValidationError(f"n_samples {n_samples} is outside 0..{n_paths}, the simulated paths")
     table = ConditionalCtdTable(model, times, (maturity,))
-    values = [np.empty((n_paths, times.size)) for _ in portfolios]
+    # one contiguous row per time while the values are filled in, turned
+    # into the C-ordered [paths, times] array of the statistics at the end
+    rows = [np.empty((times.size, n_paths)) for _ in portfolios]
     for k, t in enumerate(times):
         t = float(t)
         u = bundle.displacements(t)
@@ -535,11 +537,21 @@ def evaluate_portfolio_paths(
         for i in range(1, model.n_spreads + 1):
             bonds[i] = _conditional_bond(model.spread(i), t, maturity, u[:, i - 1]) * pdom
         bank = bundle.bank_factor(bundle.plan.t0, t)
-        for p, v in zip(portfolios, values):
-            v[:, k] = _leg_sum(
+        for p, r in zip(portfolios, rows):
+            r[k] = _leg_sum(
                 p.positions, t, p.cash * bank, lambda: choice, bonds.__getitem__,
                 lambda S: _conditional_bond(model.domestic, t, S, u0),
             )
+    # each portfolio's [paths, times] array takes the memory of the previous
+    # portfolio's rows, so the transposes hold one more array, not one per portfolio
+    spare = np.empty(times.size * n_paths)
+    values = []
+    for r in rows:
+        v = spare.reshape(n_paths, times.size)
+        v[...] = r.T
+        values.append(v)
+        spare = r.reshape(-1)
+    del rows, r, spare  # the last rows, before the statistics' temporaries
     return [
         PortfolioPathStats(p.name, times.copy(), v.mean(axis=0), v.std(axis=0, ddof=1), v,
                            v[:n_samples].copy())

@@ -1,9 +1,13 @@
 """Reference for the conditional-table tests: the one-maturity
 `ConditionalCtdTable` that the multi-maturity table replaced, verbatim but
-for its class name and its panel choice.  It prices each maturity with its
-own conditional pass through `ctd_common_factor_conditional`, on that
-pricer's 96-node panels; the two-spread models it is built on take
-closed-form moments, so the panel changes none of their bytes."""
+for its class name, its panel choice and its spline.  It prices each
+maturity with its own conditional pass through
+`ctd_common_factor_conditional`, on that pricer's 96-node panels; the
+two-spread models it is built on take closed-form moments, so the panel
+changes none of their bytes.  Its spline is the table's own exact per-cell
+spline (`_cell_spline`) with one column, so a multi-maturity table equals
+these tables bitwise when its pass gives each maturity the same log
+factors."""
 
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ctdhedge.ctd import ctd_common_factor_conditional
+from ctdhedge.ctd import _cell_spline, _cell_spline_values, ctd_common_factor_conditional
 from ctdhedge.spread_model import MarketModel
 
 
@@ -22,7 +26,7 @@ class SingleMaturityCtdTable:
 
     For every anchor time a tensor grid of spread displacements is priced
     with the conditional common-factor routine; queries interpolate the log
-    factor (cubic for interior anchors with enough nodes).  Displacements
+    factor (cubic, at least 4 nodes per dimension).  Displacements
     outside the grid are clamped to its edge, which is five standard
     deviations out by default.
     """
@@ -36,8 +40,6 @@ class SingleMaturityCtdTable:
         half_width_sds: float = 4.5,
         nodes_per_year: int = 24,
     ):
-        from scipy.interpolate import RegularGridInterpolator
-
         self.model = model
         self.maturity = float(maturity)
         self.anchor_times = np.asarray(anchor_times, dtype=float)
@@ -65,11 +67,8 @@ class SingleMaturityCtdTable:
             mesh = np.meshgrid(*axes, indexing="ij")
             pts = np.stack([m.ravel() for m in mesh], axis=1)
             vals = ctd_common_factor_conditional(model, float(t), maturity, pts, nodes_per_year)
-            table = np.log(vals).reshape([nodes_per_dim] * n)
-            method = "cubic" if nodes_per_dim >= 4 else "linear"
-            self._interps.append(
-                RegularGridInterpolator(axes, table, method=method, bounds_error=False, fill_value=None)
-            )
+            table = np.log(vals).reshape([nodes_per_dim] * n + [1])
+            self._interps.append(_cell_spline(axes, table))
             self._grids.append(axes)
 
     def evaluate(self, anchor_index: int, displacements: np.ndarray) -> np.ndarray:
@@ -80,8 +79,5 @@ class SingleMaturityCtdTable:
             return np.ones(n_states)
         if isinstance(interp, float):
             return np.full(n_states, math.exp(interp))
-        u = np.atleast_2d(np.asarray(displacements, dtype=float)).copy()
-        axes = self._grids[anchor_index]
-        for d, ax in enumerate(axes):
-            u[:, d] = np.clip(u[:, d], ax[0], ax[-1])
-        return np.exp(interp(u))
+        u = np.atleast_2d(np.asarray(displacements, dtype=float))
+        return np.exp(_cell_spline_values(self._grids[anchor_index], interp, u)[0])

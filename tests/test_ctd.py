@@ -1,10 +1,13 @@
+import gc
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import NdBSpline, make_interp_spline
 from scipy.special import ndtr
 
 from ctdhedge import (
@@ -31,6 +34,8 @@ from ctdhedge.ctd import (
     _PANEL_X,
     _PANEL_X64,
     ConditionalCtdTable,
+    _cell_spline,
+    _cell_spline_values,
     _cf_pipeline,
     _interp_rows,
     _model_time_grid,
@@ -961,6 +966,18 @@ class TestClosedMoments:
         assert abs(got_mean - mean) <= 4.0 * se_mean, ((got_mean - mean) / se_mean)
         assert abs(got_var - var) <= 4.0 * se_var, ((got_var - var) / se_var)
 
+    @pytest.mark.parametrize("mu2", [2.2250738585e-313, 2.46e-315, 5e-324])
+    def test_subnormal_mean_takes_the_zero_limits(self, mu2):
+        # standardized x_i and y below the smallest normal number are +0.0,
+        # so the row is the mu_2 = 0 row, without an overflow in v / x
+        v = np.full((1, 2), 7.8125e-3**2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            want = _moments(np.zeros((1, 2)), v, v[:, 0])
+            got = _moments(np.array([[0.0, mu2]]), v, v[:, 0])
+        for g, w in zip(got[:2], want[:2]):
+            assert abs(g[0] - w[0]) <= 1e-14 * abs(w[0])
+
     @pytest.mark.parametrize("mu", [(0.01, 0.02), (0.0, 0.0), (-0.01, -0.02), (0.0, -0.003), (0.004, 0.004)])
     def test_zero_variances_exact(self, mu):
         for k in (1, 2):
@@ -1219,6 +1236,91 @@ class TestMultiMaturity:
     def test_maturity_before_anchor_rejected(self, flat_pair_model):
         with pytest.raises(ModelValidationError):
             _cf_pipeline(flat_pair_model, 2.0, (1.0, 3.0), 24)
+
+
+class TestCellSpline:
+    """
+    The tables' exact per-cell tensor spline: it reproduces the priced log
+    factors at its nodes, equals scipy's `NdBSpline` on the same not-a-knot
+    coefficients, and leaves no reference cycle behind.
+    """
+
+    CASES = [  # (model, nodes per dimension, anchor, maturities)
+        (lambda: _random_model(1, False, seed=41), 9, 1.5, (4.0,)),
+        (lambda: load_config("experiment2").build_model(), 9, 2.5, (7.0,)),
+        (lambda: load_config("experiment2").build_model(), 5, 2.5, (2.7, 3.3, 5.0, 6.0, 7.0)),
+        (lambda: _random_model(3, False, seed=43), 4, 1.0, (2.0,)),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_table_reproduces_its_nodes(self, case):
+        build, nodes, t, maturities = self.CASES[case]
+        model = build()
+        n = model.n_spreads
+        table = ConditionalCtdTable(model, (0.0, t), maturities, nodes_per_dim=nodes)
+        sds = [math.sqrt(model.spread(i).variance(t)) for i in range(1, n + 1)]
+        axes = [np.linspace(-4.5 * sd, 4.5 * sd, nodes) for sd in sds]
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        priced = _cf_pipeline(model, t, maturities, 24, pts, panel=(_PANEL_X64, _PANEL_W64))
+        got = np.log(table.evaluate(1, pts))
+        for row, result in zip(got, priced):
+            assert np.max(np.abs(row - np.log(result[0]))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("columns", [1, 5])
+    def test_matches_ndbspline(self, n, columns):
+        rng = np.random.default_rng([n, columns])
+        nodes = 7
+        axes = [np.linspace(-h, h, nodes) for h in rng.uniform(1e-3, 1e-2, n)]
+        values = -0.05 + 5e-3 * rng.standard_normal([nodes] * n + [columns])
+        coefs, knots = values, []
+        for d, x in enumerate(axes):
+            spl = make_interp_spline(x, coefs, k=3, axis=d)
+            coefs = np.moveaxis(spl.c, 0, d)
+            knots.append(spl.t)
+        want_spline = NdBSpline(tuple(knots), coefs, 3)
+        edge = np.array([x[-1] for x in axes])
+        # inside, on the nodes, on the edges and beyond them
+        u = np.concatenate([
+            rng.uniform(-1.0, 1.0, (300, n)) * edge,
+            np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1),
+            rng.choice([-1.0, 1.0], (40, n)) * edge,
+            rng.uniform(-3.0, 3.0, (300, n)) * edge,
+        ])
+        got = _cell_spline_values(axes, _cell_spline(axes, values), u)
+        want = want_spline(np.clip(u, -edge, edge)).T
+        assert got.shape == (columns, u.shape[0])
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_no_reference_cycles(self):
+        model = load_config("experiment1").build_model()
+        u = np.random.default_rng(5).normal(0.0, 5e-3, (1000, 2))
+        gc.collect()
+        gc.disable()
+        try:
+            table = ConditionalCtdTable(model, (2.5,), (10.0,))
+            table.evaluate(0, u)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("half_width_sds", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_half_width_rejected_before_pricing(self, monkeypatch, half_width_sds):
+        monkeypatch.setattr(ctd, "_cf_pipeline", _no_pricing)
+        model = load_config("experiment1").build_model()
+        with pytest.raises(ModelValidationError, match="half_width_sds"):
+            ConditionalCtdTable(model, (2.5,), (10.0,), half_width_sds=half_width_sds)
+
+    @pytest.mark.parametrize("nodes", [4.5, 9.0, "9", True])
+    def test_fractional_nodes_rejected_before_pricing(self, monkeypatch, nodes):
+        monkeypatch.setattr(ctd, "_cf_pipeline", _no_pricing)
+        model = load_config("experiment1").build_model()
+        with pytest.raises(ModelValidationError, match="nodes_per_dim must be an integer"):
+            ConditionalCtdTable(model, (2.5,), (10.0,), nodes_per_dim=nodes)
+
+
+def _no_pricing(*args, **kwargs):
+    raise AssertionError("the table priced before it checked its parameters")
 
 
 class TestTableAccuracy:
