@@ -76,6 +76,8 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         atomic_write_text(out / "effective.cfg", serialize_config(cfg))
+        if args.command in ("price", "sensitivity", "hedge", "simulate-pnl"):
+            _note_domestic_correlation(model)
         runner = {
             "price": _run_price,
             "sensitivity": _run_sensitivity,
@@ -91,6 +93,15 @@ def main(argv=None) -> int:
     except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+
+
+def _note_domestic_correlation(model) -> None:
+    """Name the domestic-spread correlations that only the simulator sees."""
+    rhos = [f"rho_0_{i} = {fmt(model.rho(0, i))}" for i in range(1, model.n_spreads + 1)
+            if model.rho(0, i) != 0.0]
+    if model.domestic.xi > 0.0 and rhos:
+        print(f"note: only the simulator sees {', '.join(rhos)}; the analytic prices "
+              "treat the spreads as independent of the domestic rate")
 
 
 def _run_price(cfg: ExperimentConfig, model, out: Path, svg: bool) -> int:
@@ -170,11 +181,11 @@ def _run_hedge(cfg: ExperimentConfig, model, out: Path, svg: bool) -> int:
         if name == "stochastic":
             portfolios.append(stoch_pf)
         elif name == "deterministic":
-            portfolios.append(build_deterministic_portfolio(model, schedule, t0, T, cfg.nodes_per_year))
+            portfolios.append(build_deterministic_portfolio(model, schedule, t0, T, form))
         elif name == "none":
-            portfolios.append(build_none_portfolio(model, t0, T, cfg.nodes_per_year))
+            portfolios.append(build_none_portfolio(model, t0, T, form))
         else:
-            portfolios.append(build_basic_portfolio(model, int(name.removeprefix("basic_q")), t0, T, cfg.nodes_per_year))
+            portfolios.append(build_basic_portfolio(model, int(name.removeprefix("basic_q")), t0, T, form))
 
     obs = np.linspace(t0, T, int(round((T - t0) * cfg.sd_points_per_year)) + 1)
     plan = SimulationPlan(cfg.mc_paths, cfg.mc_steps_per_year, T, cfg.seed, t0=t0,

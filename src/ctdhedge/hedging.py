@@ -372,27 +372,31 @@ def _leg_sum(positions, t, start, choice, bond, discount):
     return total
 
 
-def _with_offsetting_cash(name, model, maturity, positions, t0, nodes_per_year) -> Portfolio:
-    draft = Portfolio(name, maturity, tuple(positions), 0.0)
-    return Portfolio(
-        name, maturity, tuple(positions), -draft.position_value(model, t0, nodes_per_year)
-    )
+def _priced_portfolio(name, T, positions, form, n_bonds, t, discount=None) -> Portfolio:
+    """The portfolio whose cash offsets its legs at time t at the prices of
+    `form`, which must price n_bonds bonds on the portfolio's horizon."""
+    if form.prices is None or form.size != n_bonds:
+        raise ModelValidationError(f"the {name} portfolio needs a form priced on {n_bonds} bonds")
+    pc, *bonds = form.prices.tolist()
+    value = _leg_sum(positions, t, 0.0, lambda: pc, bonds.__getitem__, discount)
+    return Portfolio(name, T, tuple(positions), -value)
 
 
 def build_basic_portfolio(
-    model: MarketModel, i: int, t0: float, T: float, nodes_per_year: int = 48
+    model: MarketModel, i: int, t0: float, T: float, form: QuadraticForm
 ) -> Portfolio:
-    """Choice bond hedged by one unit of bond i (0 = domestic)."""
+    """Choice bond hedged by one unit of bond i (0 = domestic); cash from the
+    prices of `form`, assembled on the same model over [t0, T]."""
     if not 0 <= i <= model.n_spreads:
         raise ModelValidationError(f"bond index {i} out of range 0..{model.n_spreads}")
     positions = [Position("choice_bond", 1.0), Position("bond", -1.0, currency=i)]
     name = "none" if i == 0 else f"basic_q{i}"
-    return _with_offsetting_cash(name, model, T, positions, t0, nodes_per_year)
+    return _priced_portfolio(name, T, positions, form, model.n_spreads + 1, t0)
 
 
-def build_none_portfolio(model: MarketModel, t0: float, T: float, nodes_per_year: int = 48) -> Portfolio:
+def build_none_portfolio(model: MarketModel, t0: float, T: float, form: QuadraticForm) -> Portfolio:
     """The option-blind hedge: the domestic bond against the choice bond."""
-    return build_basic_portfolio(model, 0, t0, T, nodes_per_year)
+    return build_basic_portfolio(model, 0, t0, T, form)
 
 
 def build_deterministic_portfolio(
@@ -400,7 +404,7 @@ def build_deterministic_portfolio(
     schedule: CrossingSchedule | None,
     t0: float,
     T: float,
-    nodes_per_year: int = 48,
+    form: QuadraticForm,
 ) -> Portfolio:
     """
     Crossing-time strategy: short the interval-maximal bond via forwards.
@@ -409,7 +413,7 @@ def build_deterministic_portfolio(
     forward on the winner's bond delivered at S_k and long the offsetting
     forward delivered at S_{k+1} (none for the last interval), so after
     physical settlement the net holding is minus one unit of the currently
-    maximal currency's bond.
+    maximal currency's bond.  Cash from the prices of `form`, assembled over [t0, T].
     """
     if schedule is None:
         schedule = model_crossing_schedule(model, t0, T)
@@ -421,19 +425,16 @@ def build_deterministic_portfolio(
         positions.append(Position("forward", -1.0, currency=idx, delivery=start))
         if nxt is not None:
             positions.append(Position("forward", +1.0, currency=idx, delivery=nxt))
-    return _with_offsetting_cash("deterministic", model, T, positions, t0, nodes_per_year)
+    return _priced_portfolio("deterministic", T, positions, form, model.n_spreads + 1, t0,
+                             lambda S: zcb_domestic(model, t0, S))
 
 
 def build_stochastic_portfolio(form: QuadraticForm, weights: HedgeWeights, T: float) -> Portfolio:
     """Variance-minimizing strategy: alpha_i units of each bond, cash from the form's prices."""
-    if form.prices is None:
-        raise ModelValidationError("the stochastic portfolio needs the form's prices")
-    pc, *bonds = form.prices.tolist()
     positions = [Position("choice_bond", 1.0)] + [
         Position("bond", float(a), currency=i) for i, a in enumerate(weights.alpha) if a != 0.0
     ]
-    value = _leg_sum(positions, T, 0.0, lambda: pc, bonds.__getitem__, None)  # no forwards
-    return Portfolio("stochastic", T, tuple(positions), -value)
+    return _priced_portfolio("stochastic", T, positions, form, weights.alpha.size, T)  # no forwards
 
 
 def stochastic_strategy(

@@ -311,12 +311,12 @@ def _portfolio_suite(name: str, paths: int, sd_points_per_year: int = 4, seed: i
     cfg, model = _experiment_model(name)
     t0, T = 0.0, 10.0
     schedule = model_crossing_schedule(model, t0, T)
-    weights, _, stochastic = stochastic_strategy(model, t0, T)
+    weights, form, stochastic = stochastic_strategy(model, t0, T)
     portfolios = [
         stochastic,
-        build_deterministic_portfolio(model, schedule, t0, T),
-        build_none_portfolio(model, t0, T),
-        build_basic_portfolio(model, 1, t0, T),
+        build_deterministic_portfolio(model, schedule, t0, T, form),
+        build_none_portfolio(model, t0, T, form),
+        build_basic_portfolio(model, 1, t0, T, form),
     ]
     obs = np.linspace(t0, T, int(round((T - t0) * sd_points_per_year)) + 1)
     plan = SimulationPlan(paths, 12, T, seed=seed, t0=t0, observation_times=tuple(obs))

@@ -5,14 +5,18 @@ Usage: CTD_THREADS=2 python tests/cli_fuzz.py [--seed 1] [--runs 40]
 Each run draws a command and overrides that the config accepts (horizons
 inside the bundled curves, positive grid counts, payment dates on a
 tenth-of-a-year grid, half of the swaps starting at a `t0` before their
-first date) and executes it at `--paths 300` in a fresh interpreter on
-the `src/` tree next to this script.  Exit codes 0, 2 (configuration
-error) and 3 (numerical failure) are outcomes the CLI promises; any other
-code is a crash.  About a third of the runs then add one input outside
-the model: a maturity past the curves' end, a negative `t0` for `price`,
-a first payment date at the start or a `t0` at or after it, `--paths` of
--3 or 0, a hedge maturity at or before `t0`, or an empty hedge strategy
-list.  Such a run must exit exactly 2.
+first date, a quarter of the runs with a `rho_0_1` in [-0.5, 0.5]) and
+executes it at `--paths 300` in a fresh interpreter on the `src/` tree
+next to this script.  Exit codes 0, 2 (configuration error) and 3
+(numerical failure) are outcomes the CLI promises; any other code is a
+crash.  A run that exits 0 prints the note on the domestic-spread
+correlation exactly when its `rho_0_1` is nonzero and its domestic rate
+is stochastic, which among the drawn configs is swap_pnl's alone.  About
+a third of the runs then add one input outside the model: a maturity past
+the curves' end, a negative `t0` for `price`, a first payment date at the
+start or a `t0` at or after it, `--paths` of -3 or 0, a hedge maturity at
+or before `t0`, or an empty hedge strategy list.  Such a run must exit
+exactly 2.
 The valid draws come from their own stream, so they do not depend on the
 invalid ones.  The script prints every run that breaks its rule with the
 tail of its stderr, the exit codes of both kinds, and exits 1 if any run
@@ -66,6 +70,8 @@ def _draw(rng: random.Random) -> list[str]:
         config = rng.choice(["experiment1", "experiment2", "swap_pnl"])
         sets["horizon.maturity"] = _maturity(rng)
     sets["horizon.nodes_per_year"] = rng.randint(4, 48)
+    if rng.random() < 0.25:  # a domestic-spread correlation, which only the simulator sees
+        sets["correlation.rho_0_1"] = f"{rng.uniform(-0.5, 0.5):.2f}"
     args = [command, "--config", config, "--paths", "300"]
     for key, value in sets.items():
         args += ["--set", f"{key}={value}"]
@@ -119,7 +125,13 @@ def main(argv=None) -> int:
                 env=env, capture_output=True, text=True,
             )
             codes[invalid][proc.returncode] += 1
-            if proc.returncode not in ((2,) if invalid else (0, 2, 3)):
+            rho = next((a for a in args if a.startswith("correlation.rho_0_1=")), "=0")
+            noted = float(rho.partition("=")[2]) != 0.0 and "swap_pnl" in args
+            if proc.returncode == 0 and noted != ("only the simulator sees" in proc.stdout):
+                broken += 1
+                print(f"run {run}: the domestic-spread note is {'missing' if noted else 'unwanted'}"
+                      f"  ctd {' '.join(args)}")
+            elif proc.returncode not in ((2,) if invalid else (0, 2, 3)):
                 broken += 1
                 print(f"run {run}: exit {proc.returncode}  ctd {' '.join(args)}")
                 print("".join(proc.stderr.splitlines(keepends=True)[-3:]), end="")

@@ -1,9 +1,10 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
-from ctdhedge import cli, hedging
+from ctdhedge import cli, ctd, hedging
 from ctdhedge.cli import main
 from ctdhedge.config import (
     _FIELDS,
@@ -228,6 +229,33 @@ class TestCli:
                      "--set", f"hedge.strategies={strategies}"])
         assert code == 2
         assert "[hedge] strategies" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", ["experiment1", "three_spreads"])
+    def test_hedge_prices_its_inception_once(self, tmp_path, monkeypatch, config):
+        original = ctd._cf_pipeline
+        signature = inspect.signature(original)
+        inception = []  # passes at the model's state, not re-anchored at displacements
+
+        def spy(*args, **kwargs):
+            if signature.bind(*args, **kwargs).arguments.get("displacements") is None:
+                inception.append(args[1:3])
+            return original(*args, **kwargs)
+
+        for module in (ctd, hedging):
+            monkeypatch.setattr(module, "_cf_pipeline", spy)
+        assert main(["hedge", "--config", config, "--paths", "200", "--set", "horizon.maturity=1",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert inception == [(0.0, (1.0,))]
+
+    def test_domestic_spread_correlation_is_announced(self, tmp_path, capsys):
+        note = "note: only the simulator sees rho_0_1 = 0.5; the analytic prices treat the spreads"
+        for config, extra, shown in (("swap_pnl", ["--set", "correlation.rho_0_1=0.5"], True),
+                                     ("swap_pnl", [], False),  # its rho_0_i are zero
+                                     ("experiment1", ["--set", "correlation.rho_0_1=0.5"], False)):
+            assert main(["price", "--config", config, *extra, "--out", str(tmp_path / "o")]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(note) == shown, (config, extra)
+            assert ("only the simulator sees" in out) == shown, (config, extra)
 
     def test_seed_stays_exact_on_every_entry_path(self, tmp_path):
         big = 12345678901234567891

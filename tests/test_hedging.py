@@ -28,6 +28,7 @@ from ctdhedge.hedging import (
     build_basic_portfolio,
     build_deterministic_portfolio,
     build_none_portfolio,
+    build_stochastic_portfolio,
     crossing_schedule,
     evaluate_portfolio_paths,
     model_crossing_schedule,
@@ -298,11 +299,12 @@ class TestCrossingSchedule:
 class TestPortfolios:
     def test_zero_initial_value(self, crossing_model):
         sched = model_crossing_schedule(crossing_model, 0.0, 10.0)
+        form = assemble_quadratic(crossing_model, 0.0, 10.0)
         portfolios = [
-            build_none_portfolio(crossing_model, 0.0, 10.0),
-            build_basic_portfolio(crossing_model, 1, 0.0, 10.0),
-            build_basic_portfolio(crossing_model, 2, 0.0, 10.0),
-            build_deterministic_portfolio(crossing_model, sched, 0.0, 10.0),
+            build_none_portfolio(crossing_model, 0.0, 10.0, form),
+            build_basic_portfolio(crossing_model, 1, 0.0, 10.0, form),
+            build_basic_portfolio(crossing_model, 2, 0.0, 10.0, form),
+            build_deterministic_portfolio(crossing_model, sched, 0.0, 10.0, form),
         ]
         for pf in portfolios:
             value = pf.position_value(crossing_model, 0.0) + pf.cash
@@ -314,7 +316,9 @@ class TestPortfolios:
         # times, and the physically held bond after the final settlement is
         # minus one unit of the last winner
         sched = model_crossing_schedule(crossing_model, 0.0, 10.0)
-        pf = build_deterministic_portfolio(crossing_model, sched, 0.0, 10.0)
+        pf = build_deterministic_portfolio(
+            crossing_model, sched, 0.0, 10.0, assemble_quadratic(crossing_model, 0.0, 10.0)
+        )
         for t in (1.0, 7.0):
             value = pf.position_value(crossing_model, t)
             pc = ctd_common_factor(crossing_model, t, 10.0) * zcb_domestic(crossing_model, t, 10.0)
@@ -324,7 +328,7 @@ class TestPortfolios:
         # the unsettled offsetting forwards carry the discount-curve ratio
         model = small_spread_model
         sched = model_crossing_schedule(model, 0.0, 10.0)
-        pf = build_deterministic_portfolio(model, sched, 0.0, 10.0)
+        pf = build_deterministic_portfolio(model, sched, 0.0, 10.0, assemble_quadratic(model, 0.0, 10.0))
         t = 1.0
         value = pf.position_value(model, t)
         pc = ctd_common_factor(model, t, 10.0) * zcb_domestic(model, t, 10.0)
@@ -339,7 +343,8 @@ class TestPortfolios:
         assert value == pytest.approx(manual, rel=1e-12)
 
     def test_none_is_basic_zero(self, crossing_model):
-        assert build_none_portfolio(crossing_model, 0.0, 10.0).name == "none"
+        form = assemble_quadratic(crossing_model, 0.0, 10.0)
+        assert build_none_portfolio(crossing_model, 0.0, 10.0, form).name == "none"
 
     def test_zero_spread_basic_hedge_is_perfect(self):
         h = 12.0
@@ -348,9 +353,26 @@ class TestPortfolios:
             [HullWhiteSpec(0.01, 0.0, SpreadCurve.constant(0.0, 0.0, h))],
             CorrelationMatrix(np.eye(2)),
         )
-        pf = build_basic_portfolio(model, 1, 0.0, 10.0)
+        pf = build_basic_portfolio(model, 1, 0.0, 10.0, assemble_quadratic(model, 0.0, 10.0))
         for t in (0.0, 3.0, 8.0):
             assert abs(pf.position_value(model, t) + pf.cash) < 1e-9
+
+    @pytest.mark.parametrize("build", [
+        lambda model, form: build_basic_portfolio(model, 1, 0.0, 10.0, form),
+        lambda model, form: build_none_portfolio(model, 0.0, 10.0, form),
+        lambda model, form: build_deterministic_portfolio(model, None, 0.0, 10.0, form),
+        lambda model, form: build_stochastic_portfolio(
+            form, HedgeWeights(np.full(model.n_spreads + 1, -0.5), "zero", 0.0, False), 10.0
+        ),
+    ], ids=["basic", "none", "deterministic", "stochastic"])
+    def test_builders_need_a_priced_form_of_the_model_size(self, crossing_model, build):
+        form = assemble_quadratic(crossing_model, 0.0, 10.0)
+        unpriced = QuadraticForm(form.matrix, form.vector)
+        short = QuadraticForm(form.matrix[:2, :2], form.vector[:2], form.prices[:3])
+        for bad in (unpriced, short):
+            with pytest.raises(ModelValidationError, match="needs a form priced on 3 bonds"):
+                build(crossing_model, bad)
+        assert isinstance(build(crossing_model, form), Portfolio)
 
 
 class TestAssembledForm:
@@ -497,7 +519,8 @@ class TestPathEvaluation:
         )
         plan = SimulationPlan(100, 4, 10.0, seed=5, observation_times=(0.0, 5.0, 10.0))
         bundle = simulate(model, plan)
-        stats = evaluate_portfolio_paths(build_none_portfolio(model, 0.0, 10.0), bundle)
+        pf = build_none_portfolio(model, 0.0, 10.0, assemble_quadratic(model, 0.0, 10.0))
+        stats = evaluate_portfolio_paths(pf, bundle)
         assert np.allclose(stats[0].sd, 0.0, atol=1e-12)
 
     def test_endpoints_are_deterministic(self, crossing_model):
@@ -505,7 +528,7 @@ class TestPathEvaluation:
         plan = SimulationPlan(4_000, 8, 10.0, seed=6, observation_times=obs)
         bundle = simulate(crossing_model, plan)
         weights, form, pf = stochastic_strategy(crossing_model, 0.0, 10.0)
-        stats = evaluate_portfolio_paths([pf, build_none_portfolio(crossing_model, 0.0, 10.0)], bundle)
+        stats = evaluate_portfolio_paths([pf, build_none_portfolio(crossing_model, 0.0, 10.0, form)], bundle)
         for st in stats:
             assert st.sd[0] < 1e-10
             assert st.sd[-1] < 1e-10
@@ -546,7 +569,8 @@ class TestPathEvaluation:
     def test_same_named_portfolios_keep_their_own_values(self, crossing_model):
         plan = SimulationPlan(1_000, 4, 10.0, seed=3, observation_times=(0.0, 5.0, 10.0))
         bundle = simulate(crossing_model, plan)
-        q1, q2 = (build_basic_portfolio(crossing_model, i, 0.0, 10.0) for i in (1, 2))
+        form = assemble_quadratic(crossing_model, 0.0, 10.0)
+        q1, q2 = (build_basic_portfolio(crossing_model, i, 0.0, 10.0, form) for i in (1, 2))
         twin = dataclasses.replace(q2, name=q1.name)
         pair = evaluate_portfolio_paths([q1, twin], bundle)
         for got, pf in zip(pair, (q1, q2)):
@@ -558,18 +582,20 @@ class TestPathEvaluation:
     def test_observations_past_the_maturity_fail(self, crossing_model, monkeypatch):
         plan = SimulationPlan(200, 4, 6.0, seed=3, observation_times=(0.0, 2.0, 4.0, 6.0))
         bundle = simulate(crossing_model, plan)
+        pf = build_none_portfolio(crossing_model, 0.0, 4.0, assemble_quadratic(crossing_model, 0.0, 4.0))
         monkeypatch.setattr(hedging, "ConditionalCtdTable", None)  # fails before the table
         with pytest.raises(ModelValidationError,
                            match="observation time 6 is past the portfolios' maturity 4"):
-            evaluate_portfolio_paths(build_none_portfolio(crossing_model, 0.0, 4.0), bundle)
+            evaluate_portfolio_paths(pf, bundle)
 
     @pytest.mark.parametrize("n_samples", [-1, 201])
     def test_sample_count_outside_the_paths_fails(self, crossing_model, monkeypatch, n_samples):
         plan = SimulationPlan(200, 4, 4.0, seed=3, observation_times=(0.0, 2.0, 4.0))
         bundle = simulate(crossing_model, plan)
+        pf = build_none_portfolio(crossing_model, 0.0, 4.0, assemble_quadratic(crossing_model, 0.0, 4.0))
         monkeypatch.setattr(hedging, "ConditionalCtdTable", None)  # fails before the table
         with pytest.raises(ModelValidationError, match=f"n_samples {n_samples} is outside 0..200"):
-            evaluate_portfolio_paths(build_none_portfolio(crossing_model, 0.0, 4.0), bundle, n_samples)
+            evaluate_portfolio_paths(pf, bundle, n_samples)
 
     def test_cash_account_constant_without_rates(self, crossing_model):
         plan = SimulationPlan(500, 4, 10.0, seed=9, observation_times=(0.0, 5.0, 10.0))
@@ -579,10 +605,10 @@ class TestPathEvaluation:
 
 def _builder_portfolios(model, t0, T, npy):
     """One portfolio from every builder, on one model and horizon."""
-    _, _, stochastic = stochastic_strategy(model, t0, T, "cash_neutral", npy)
-    basics = [build_basic_portfolio(model, i, t0, T, npy) for i in range(1, model.n_spreads + 1)]
-    deterministic = build_deterministic_portfolio(model, None, t0, T, npy)
-    return [build_none_portfolio(model, t0, T, npy), *basics, deterministic, stochastic]
+    _, form, stochastic = stochastic_strategy(model, t0, T, "cash_neutral", npy)
+    basics = [build_basic_portfolio(model, i, t0, T, form) for i in range(1, model.n_spreads + 1)]
+    deterministic = build_deterministic_portfolio(model, None, t0, T, form)
+    return [build_none_portfolio(model, t0, T, form), *basics, deterministic, stochastic]
 
 
 class TestLegSum:

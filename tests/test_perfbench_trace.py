@@ -57,7 +57,8 @@ def test_trace_of_synthetic_replication(layers, market):
 
 
 def test_trace_of_portfolio_revaluation(layers, market):
-    portfolio = ctdhedge.hedging.build_none_portfolio(market, 0.0, 2.0)
+    form = ctdhedge.hedging.assemble_quadratic(market, 0.0, 2.0)
+    portfolio = ctdhedge.hedging.build_none_portfolio(market, 0.0, 2.0, form)
     plan = SimulationPlan(200, 12, 2.0, seed=4, observation_times=(0.0, 1.0, 2.0))
     bundle = simulate(market, plan)
     _, metrics, stats = _traced(

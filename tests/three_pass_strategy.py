@@ -3,7 +3,8 @@ that the one-pass routine replaced, verbatim but for the names of its parts and
 the never-set variance constant, which it no longer passes.  It runs the
 common-factor pipeline three times for one plain factor: in the quadratic form,
 for the cash-neutral prices and in the portfolio's cash account, which
-`Portfolio.position_value` prices."""
+`Portfolio.position_value` prices through `_with_offsetting_cash`, kept here
+verbatim now that every portfolio builder takes its cash from the form's prices."""
 
 from __future__ import annotations
 
@@ -20,10 +21,16 @@ from ctdhedge.hedging import (
     Position,
     QuadraticForm,
     _box_qp,
-    _with_offsetting_cash,
 )
 from ctdhedge.instruments import zcb_domestic, zcb_foreign
 from ctdhedge.spread_model import MarketModel, ModelValidationError, bond_moment, joint_bond_moment
+
+
+def _with_offsetting_cash(name, model, maturity, positions, t0, nodes_per_year) -> Portfolio:
+    draft = Portfolio(name, maturity, tuple(positions), 0.0)
+    return Portfolio(
+        name, maturity, tuple(positions), -draft.position_value(model, t0, nodes_per_year)
+    )
 
 
 def three_pass_assemble_quadratic(
