@@ -10,6 +10,7 @@ a close-match suggestion, so configs cannot silently drift.
 from __future__ import annotations
 
 import difflib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,8 +30,16 @@ def _joined(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
+def _finite(value) -> float:
+    """A float that is neither NaN nor infinite."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(value)
+    return x
+
+
 def _floats(value) -> tuple:
-    return tuple(float(v) for v in (value if isinstance(value, tuple) else (value,)))
+    return tuple(_finite(v) for v in (value if isinstance(value, tuple) else (value,)))
 
 
 def _strs(value) -> tuple:
@@ -38,7 +47,7 @@ def _strs(value) -> tuple:
 
 
 def _rate(value):
-    return value if value == "par" else float(value)
+    return value if value == "par" else _finite(value)
 
 
 def _whole(value) -> int:
@@ -60,21 +69,21 @@ def _count(value) -> int:
 # (ExperimentConfig attribute, conversion) per key, in the order
 # `serialize_config` writes them; the process sections [domestic] and
 # [spread.N] keep their keys in a dict per process
-_PROCESS_FIELDS = {"kappa": float, "xi": float, "curve.grid": _floats, "curve.values": _floats}
+_PROCESS_FIELDS = {"kappa": _finite, "xi": _finite, "curve.grid": _floats, "curve.values": _floats}
 _TOP_FIELDS = {"seed": ("seed", _whole), "command": ("command", str)}
 _FIELDS = {
-    "horizon": {"t0": ("t0", float), "maturity": ("maturity", float),
+    "horizon": {"t0": ("t0", _finite), "maturity": ("maturity", _finite),
                 "nodes_per_year": ("nodes_per_year", _count)},
     "mc": {"paths": ("mc_paths", _count), "steps_per_year": ("mc_steps_per_year", _count)},
     "hedge": {"strategies": ("hedge_strategies", _joined), "alpha0_policy": ("alpha0_policy", str),
               "sd_points_per_year": ("sd_points_per_year", _count),
               "sample_paths": ("sample_paths", _count)},
     "sensitivity": {"kind": ("sens_kind", str), "index": ("sens_index", _whole),
-                    "sweep_start": ("sweep_start", float), "sweep_stop": ("sweep_stop", float),
-                    "sweep_count": ("sweep_count", _count), "epsilon": ("epsilon", float)},
+                    "sweep_start": ("sweep_start", _finite), "sweep_stop": ("sweep_stop", _finite),
+                    "sweep_count": ("sweep_count", _count), "epsilon": ("epsilon", _finite)},
     "theta": {"intervals_per_year": ("theta_intervals_per_year", _count)},
     "pnl": {"payment_dates": ("pnl_payment_dates", _floats), "fixed_rate": ("pnl_fixed_rate", _rate),
-            "notional": ("pnl_notional", float),
+            "notional": ("pnl_notional", _finite),
             "rebalance_per_year": ("pnl_rebalance_per_year", _count),
             "schemes": ("pnl_schemes", _strs)},
     "acceptance": {"criteria": ("acceptance_criteria", _joined)},
@@ -193,7 +202,7 @@ def _assign(cfg: ExperimentConfig, section: str | None, key: str, parsed, where:
     """
     base = section and section.split(".", 1)[0]
     if base == "correlation":
-        cfg.correlations[_rho_key(key, where)] = _convert(float, parsed, where, key)
+        cfg.correlations[_rho_key(key, where)] = _convert(_finite, parsed, where, key)
         return
     fields = _TOP_FIELDS if base is None else _PROCESS_FIELDS if block is not None else _FIELDS[base]
     if key not in fields:

@@ -555,29 +555,25 @@ def max_moments(state: CommonFactorState) -> tuple[float, float]:
 # variance of the time integral
 # ---------------------------------------------------------------------------
 
-def _interp_rows(x: float, t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """
-    `np.interp(x, t, row)` for every row of v at once, bit for bit: the same
-    bracketing node, end values outside the grid and node values on nodes,
-    and the same slope * (x - t_j) + v_j in between.
-    """
-    j = int(np.searchsorted(t, x, side="right")) - 1
-    if j < 0:
-        return v[..., 0]
-    if j >= t.size - 1 or t[j] == x:
-        return v[..., j]
-    slope = (v[..., j + 1] - v[..., j]) / (t[j + 1] - t[j])
-    return slope * (x - t[j]) + v[..., j]
-
-
 def integral_variance_estimator(times, variances, t0: float, T: float):
     """
-    Diffusion-based proxy for Var[int_t0^T M(t) dt].
+    Diffusion-based proxy Psi for Var[int_t0^T M(t) dt].
 
-    Treats the marginal variance curve as that of a driftless diffusion, for
-    which Var[int X] = int_t0^T int_t0^s v(t) dt ds + int_t0^T (T-s) v(s) ds.
-    The curve is taken piecewise linear between grid nodes and both terms
-    are integrated exactly; batches of variance curves share the grid.
+    Treats the marginal variance curve v of M as that of a process with
+    independent increments, whose covariance kernel is v(min(s, s')):
+
+        Psi = int_t0^T int_t0^s v(r) dr ds + int_t0^T (T - s) v(s) ds.
+
+    The two terms are one integral, int int_{r < s} v(r) = int (T - s) v(s),
+    so Psi = 2 int (T - s) v(s) ds = int int v(min(s, s')) ds ds'; both are
+    summed as written, since the one-term form rounds differently.  For an
+    Ornstein-Uhlenbeck-driven spread the kernel exp(-kappa |s - s'|)
+    v(min(s, s')) lies below this one.
+
+    `times` is the grid of the curves, strictly increasing from exactly t0
+    to exactly T (the single node [t0] for T == t0, which gives 0).  The
+    curve is taken piecewise linear between nodes and both terms are
+    integrated exactly; a batch of curves [rows, n] shares the grid.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(variances, dtype=float)
@@ -587,26 +583,11 @@ def integral_variance_estimator(times, variances, t0: float, T: float):
         raise ModelValidationError("variance curve and grid have different lengths")
     if not (np.all(np.isfinite(v)) and np.all(v >= -1e-18)):
         raise ModelValidationError("variance curve must be finite and nonnegative")
-    if t[0] > t0 + 1e-12 or t[-1] < T - 1e-12:
-        raise ModelValidationError(
-            f"grid [{t[0]:g}, {t[-1]:g}] does not cover [{t0:g}, {T:g}]"
-        )
-    if T < t0:
-        raise ModelValidationError("need T >= t0")
-    if T == t0:
-        return np.zeros(v.shape[:-1]) if v.ndim > 1 else 0.0
-
-    # restrict to [t0, T], interpolating the end values if needed
-    single = v.ndim == 1
-    v2 = np.atleast_2d(v)
-    inside = (t > t0) & (t < T)
-    grid = np.concatenate(([t0], t[inside], [T]))
-    v_lo, v_hi = (_interp_rows(x, t, v2)[:, None] for x in (t0, T))
-    # C-ordered, so that every row sums along its own memory as a single row
-    # does: the column gather comes back F-ordered for a batch
-    vv = np.ascontiguousarray(np.hstack([v_lo, v2[:, inside], v_hi]))
-
-    h = np.diff(grid)  # [n-1]
+    if t.size == 0 or t[0] != t0 or t[-1] != T:
+        raise ModelValidationError(f"the grid must run from t0 = {t0:g} to T = {T:g}")
+    # C-ordered, so that every row sums along its own memory as a single row does
+    vv = np.ascontiguousarray(np.atleast_2d(v))
+    h = np.diff(t)  # [n-1]
     vk = vv[:, :-1]
     vk1 = vv[:, 1:]
     slope = (vk1 - vk) / h
@@ -617,16 +598,14 @@ def integral_variance_estimator(times, variances, t0: float, T: float):
     # term 1: int C(s) ds with C quadratic on each interval
     term1 = np.sum(ck * h + 0.5 * vk * h**2 + slope * h**3 / 6.0, axis=1)
     # term 2: int (T - s) v(s) ds, cubic-exact via Simpson on each interval
-    smid = 0.5 * (grid[:-1] + grid[1:])
+    smid = 0.5 * (t[:-1] + t[1:])
     vmid = 0.5 * (vk + vk1)
-    f_a = (T - grid[:-1]) * vk
+    f_a = (T - t[:-1]) * vk
     f_m = (T - smid) * vmid
-    f_b = (T - grid[1:]) * vk1
+    f_b = (T - t[1:]) * vk1
     term2 = np.sum(h / 6.0 * (f_a + 4.0 * f_m + f_b), axis=1)
     psi = term1 + term2
-    if single:
-        return float(psi[0])
-    return psi
+    return float(psi[0]) if v.ndim == 1 else psi
 
 
 # ---------------------------------------------------------------------------
@@ -668,13 +647,19 @@ def _model_time_grid(model: MarketModel, t0: float, T: float, nodes_per_year: in
 
 @dataclass(frozen=True)
 class CommonFactorResult:
-    """Detailed output of the stochastic CTD evaluation."""
+    """
+    One maturity of a common-factor pass (`_cf_pipeline`), with `shifted`
+    the shifted-maximum factor of each pivot.  `value` and `psi` are floats
+    at the anchor's forecasts, with a float `mean_integral`, and per-state
+    arrays for a pass at displaced states.
+    """
 
-    value: float
+    value: float | np.ndarray
     moments: MaxMoments
-    psi: float
+    psi: float | np.ndarray
     gamma: np.ndarray
     gamma_clamped: int
+    shifted: tuple = ()
 
     @property
     def mean_integral(self) -> float:
@@ -735,16 +720,11 @@ def _cf_pipeline(
     factor alone; from the panel kernel on `panel` for N >= 3.  The pivot
     covariances come from the panel at every N.  A state's values depend on
     that state alone, not on the batch around it.  Each maturity then
-    integrates on its own nodes, and the result holds one tuple per
-    maturity:
-
-        (value, psi, moments, gamma, gamma_clamped, shifted)
-
-    with value = exp(-int E[M]) (1 + Psi / 2), and 1 for T_k == t.  value
-    and psi are floats without displacements and per-state arrays with
-    them.  `shifted` holds the factor of the shifted maximum q_p + M for
-    each 1-based pivot p: its mean is E[q_p] + E[M] and its variance takes
-    the kernel's Cov[q_p, M].
+    integrates on its own nodes into one `CommonFactorResult`, with
+    value = exp(-int E[M]) (1 + Psi / 2), and 1 for T_k == t.  Its
+    `shifted` holds the factor of the shifted maximum q_p + M for each
+    1-based pivot p: its mean is E[q_p] + E[M] and its variance takes the
+    kernel's Cov[q_p, M].
     """
     mats = _check_maturities(maturities)
     if displacements is not None:
@@ -761,7 +741,8 @@ def _cf_pipeline(
     if live.size < mats.size:  # T_0 == t
         empty = MaxMoments(np.asarray([t]), np.zeros(1), np.zeros(1))
         value = 1.0 if displacements is None else np.ones(u.shape[0])
-        results.append((value, 0.0, empty, np.zeros(1), 0, [1.0] * len(pivots)))
+        results.append(CommonFactorResult(value, empty, 0.0 * value, np.zeros(1), 0,
+                                          (1.0,) * len(pivots)))
     if not live.size:
         return results
     grids = [_model_time_grid(model, t, float(T), nodes_per_year) for T in live]
@@ -807,9 +788,10 @@ def _cf_pipeline(
     for T, grid in zip(live, grids):
         idx = np.searchsorted(times, grid)
         value, psi, e, v = factor(*curves[0], float(T), grid, idx)
-        shifted = [factor(*curve, float(T), grid, idx)[0] for curve in curves[1:]]
+        shifted = tuple(factor(*curve, float(T), grid, idx)[0] for curve in curves[1:])
         n_clamped = int(np.count_nonzero(clamped[idx]))
-        results.append((value, psi, MaxMoments(grid, e, v), gamma[idx], n_clamped, shifted))
+        results.append(CommonFactorResult(value, MaxMoments(grid, e, v), psi, gamma[idx],
+                                          n_clamped, shifted))
     return results
 
 
@@ -820,8 +802,7 @@ def ctd_common_factor_detailed(
     nodes_per_year: int = 48,
 ) -> CommonFactorResult:
     """Stochastic CTD factor with its intermediate curves exposed."""
-    value, psi, moments, gamma, clamped, _ = _cf_pipeline(model, t0, (T,), nodes_per_year)[0]
-    return CommonFactorResult(value, moments, psi, gamma, clamped)
+    return _cf_pipeline(model, t0, (T,), nodes_per_year)[0]
 
 
 def ctd_common_factor(
@@ -844,7 +825,7 @@ def _ctd_factors(model: MarketModel, method: str, t: float, maturities: Sequence
         return [1.0] * len(maturities)
     if method == "deterministic":
         return [ctd_deterministic(model, t, T) for T in maturities]
-    return [r[0] for r in _cf_pipeline(model, t, maturities, nodes_per_year)] if len(maturities) else []
+    return [r.value for r in _cf_pipeline(model, t, maturities, nodes_per_year)] if len(maturities) else []
 
 
 def shifted_max_ctd(
@@ -865,7 +846,7 @@ def shifted_max_ctd(
     is then the usual second-order approximation with the diffusion-based
     integral variance.
     """
-    return _cf_pipeline(model, t0, (T,), nodes_per_year, pivots=(pivot,))[0][5][0]
+    return _cf_pipeline(model, t0, (T,), nodes_per_year, pivots=(pivot,))[0].shifted[0]
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +869,7 @@ def ctd_common_factor_conditional(
     speed; conditional variances restart from zero at t.  From three spreads
     on the moments are integrated on the 96-node panels.
     """
-    return _cf_pipeline(model, t, (T,), nodes_per_year, displacements)[0][0]
+    return _cf_pipeline(model, t, (T,), nodes_per_year, displacements)[0].value
 
 
 def _cell_spline(axes, values) -> np.ndarray:
@@ -994,7 +975,7 @@ class ConditionalCtdTable:
         n = model.n_spreads
         panel = (_PANEL_X64, _PANEL_W64)
         # per anchor: the settled rows, the displacement axes (None without a
-        # grid) and the live log factors (cell coefficients, or floats without a grid)
+        # grid) and the live log factors (cell coefficients, or [1, L] without a grid)
         self._anchors: list = []
         for t in self.anchor_times:
             t = float(t)
@@ -1002,18 +983,15 @@ class ConditionalCtdTable:
             axes = logs = None
             if live.size:
                 sds = [math.sqrt(model.spread(i).variance(t)) for i in range(1, n + 1)]
-                if max(sds) < 1e-10:
-                    # no dispersion yet: a single conditional value serves all states
-                    results = _cf_pipeline(model, t, live, nodes_per_year, np.zeros((1, n)), panel=panel)
-                    logs = [float(np.log(r[0][0])) for r in results]
-                else:
+                pts = np.zeros((1, n))  # no dispersion yet: one value serves all states
+                if max(sds) >= 1e-10:
                     edges = [half_width_sds * max(sd, 1e-12) for sd in sds]
                     axes = [np.linspace(-h, h, nodes_per_dim) for h in edges]
-                    mesh = np.meshgrid(*axes, indexing="ij")
-                    pts = np.stack([m.ravel() for m in mesh], axis=1)
-                    results = _cf_pipeline(model, t, live, nodes_per_year, pts, panel=panel)
-                    values = np.stack([np.log(r[0]) for r in results], axis=-1)
-                    logs = _cell_spline(axes, values.reshape([nodes_per_dim] * n + [live.size]))
+                    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+                results = _cf_pipeline(model, t, live, nodes_per_year, pts, panel=panel)
+                logs = np.stack([np.log(r.value) for r in results], axis=-1)
+                if axes is not None:
+                    logs = _cell_spline(axes, logs.reshape([nodes_per_dim] * n + [live.size]))
             self._anchors.append((self.maturities.size - live.size, axes, logs))
 
     def evaluate(self, anchor_index: int, displacements: np.ndarray) -> np.ndarray:
@@ -1024,5 +1002,5 @@ class ConditionalCtdTable:
         if axes is not None:
             rows.append(np.exp(_cell_spline_values(axes, logs, u)))  # on C-ordered [n_live, n_states] values
         elif logs is not None:
-            rows.append(np.repeat([[math.exp(log)] for log in logs], u.shape[0], axis=1))
+            rows.append(np.repeat([[math.exp(log)] for log in logs[0]], u.shape[0], axis=1))
         return np.concatenate(rows)

@@ -162,8 +162,9 @@ def assemble_quadratic(
                 joint = joint_bond_moment(model.spread(i), model.spread(j), model.rho(i, j), t0, T)
             q[i, j] = q[j, i] = joint * r2 - e[i] * e[j] * r1 * r1
     # the plain factor and every shifted factor from one pipeline pass
-    ctd, _, _, _, _, shifted = _cf_pipeline(model, t0, (T,), nodes_per_year, pivots=range(1, n + 1))[0]
-    b = np.array([ctd * (r2 - r1 * r1)] + [s * r2 - ctd * ei * r1 * r1 for s, ei in zip(shifted, e[1:])])
+    cf = _cf_pipeline(model, t0, (T,), nodes_per_year, pivots=range(1, n + 1))[0]
+    ctd = cf.value
+    b = np.array([ctd * (r2 - r1 * r1)] + [s * r2 - ctd * ei * r1 * r1 for s, ei in zip(cf.shifted, e[1:])])
     return QuadraticForm(q, b, np.concatenate(([ctd * r1], e * r1)))
 
 

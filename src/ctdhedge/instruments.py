@@ -10,6 +10,7 @@ comparisons); the analytic pricers here ignore them by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,8 +40,10 @@ class SwapSpec:
     start: float = 0.0
 
     def __init__(self, notional, fixed_rate, payment_dates, payer=True, start=0.0):
+        notional, fixed_rate, start = float(notional), float(fixed_rate), float(start)
         dates = tuple(float(t) for t in payment_dates)
-        start = float(start)
+        if not all(map(math.isfinite, (notional, fixed_rate, start, *dates))):
+            raise ModelValidationError("swap notional, fixed rate, start and dates must be finite")
         if len(dates) < 1:
             raise ModelValidationError("swap needs at least one payment date")
         if any(b <= a for a, b in zip(dates, dates[1:])):
@@ -49,8 +52,8 @@ class SwapSpec:
             raise ModelValidationError(
                 f"first payment date {dates[0]:g} must fall after the start {start:g}"
             )
-        object.__setattr__(self, "notional", float(notional))
-        object.__setattr__(self, "fixed_rate", float(fixed_rate))
+        object.__setattr__(self, "notional", notional)
+        object.__setattr__(self, "fixed_rate", fixed_rate)
         object.__setattr__(self, "payment_dates", dates)
         object.__setattr__(self, "payer", bool(payer))
         object.__setattr__(self, "start", start)

@@ -11,6 +11,7 @@ bump size fails with ModelValidationError rather than shrinking the bump.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,8 +34,8 @@ class BumpRequest:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ModelValidationError(f"bump kind must be one of {_KINDS}")
-        if self.epsilon <= 0.0:
-            raise ModelValidationError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ModelValidationError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.index < 1:
             raise ModelValidationError("bumps address spread indices >= 1")
 

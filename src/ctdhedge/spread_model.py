@@ -49,10 +49,10 @@ class HullWhiteSpec:
     Parameters
     ----------
     kappa : float
-        Speed of mean reversion (1/years), strictly positive.
+        Speed of mean reversion (1/years), strictly positive and finite.
     xi : float
-        Volatility (absolute rate per sqrt-year).  Zero is allowed and
-        collapses the process onto its forecast curve.
+        Volatility (absolute rate per sqrt-year), finite.  Zero is allowed
+        and collapses the process onto its forecast curve.
     mean_curve : SpreadCurve
         Deterministic forecast qhat(t); also the process mean, which
         starts at the read-only `initial_value`.
@@ -63,10 +63,10 @@ class HullWhiteSpec:
     mean_curve: SpreadCurve
 
     def __post_init__(self):
-        if not self.kappa > 0.0:
-            raise ModelValidationError(f"kappa must be positive, got {self.kappa}")
-        if self.xi < 0.0:
-            raise ModelValidationError(f"xi must be nonnegative, got {self.xi}")
+        if not 0.0 < self.kappa < math.inf:
+            raise ModelValidationError(f"kappa must be positive and finite, got {self.kappa}")
+        if not 0.0 <= self.xi < math.inf:
+            raise ModelValidationError(f"xi must be nonnegative and finite, got {self.xi}")
 
     @property
     def t0(self) -> float:

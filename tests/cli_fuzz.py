@@ -15,8 +15,9 @@ is stochastic, which among the drawn configs is swap_pnl's alone.  About
 a third of the runs then add one input outside the model: a maturity past
 the curves' end, a negative `t0` for `price`, a first payment date at the
 start or a `t0` at or after it, `--paths` of -3 or 0, a hedge maturity at
-or before `t0`, or an empty hedge strategy list.  Such a run must exit
-exactly 2.
+or before `t0`, an empty hedge strategy list, or NaN or an infinity for a
+process parameter, the maturity or a swap's notional or fixed rate.  Such
+a run must exit exactly 2.
 The valid draws come from their own stream, so they do not depend on the
 invalid ones.  The script prints every run that breaks its rule with the
 tail of its stderr, the exit codes of both kinds, and exits 1 if any run
@@ -81,7 +82,7 @@ def _draw(rng: random.Random) -> list[str]:
 def _invalid(rng: random.Random, args: list[str]) -> list[str]:
     """One override outside what the model accepts, appended after the valid ones."""
     command = args[0]
-    kind = rng.choice(["maturity", "paths", *{"price": ["t0"],
+    kind = rng.choice(["maturity", "paths", "non_finite", *{"price": ["t0"],
                                               "simulate-pnl": ["first_date", "late_start"],
                                               "hedge": ["empty_horizon", "no_strategies"]}[command]])
     if kind == "paths":
@@ -93,6 +94,11 @@ def _invalid(rng: random.Random, args: list[str]) -> list[str]:
         return ["--set", f"horizon.t0={t0:.1f}", "--set", f"horizon.maturity={rng.uniform(0.2, t0):.1f}"]
     if kind == "no_strategies":
         return ["--set", "hedge.strategies="]
+    if kind == "non_finite":
+        keys = ["domestic.xi", "spread.1.kappa", "spread.1.xi", "horizon.maturity"]
+        if command == "simulate-pnl":
+            keys += ["pnl.notional", "pnl.fixed_rate"]
+        return ["--set", f"{rng.choice(keys)}={rng.choice(['nan', 'inf', '-inf'])}"]
     if command != "simulate-pnl":
         return ["--set", f"horizon.maturity={_late(rng)}"]
     dates = next(a for a in args if a.startswith("pnl.payment_dates=")).partition("=")[2]

@@ -320,6 +320,32 @@ class TestCli:
         name = key.partition(".")[2]
         assert f"configuration error: --set {key}: invalid {name} {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, key, value", [
+        (["simulate-pnl", "--config", "swap_pnl", "--set", "pnl.payment_dates=1,2"], "pnl.notional", "nan"),
+        (["simulate-pnl", "--config", "swap_pnl", "--set", "pnl.payment_dates=1,2"], "pnl.fixed_rate", "inf"),
+        (["simulate-pnl", "--config", "swap_pnl", "--set", "pnl.payment_dates=1,2"], "domestic.xi", "nan"),
+        (["simulate-pnl", "--config", "swap_pnl"], "pnl.payment_dates", "1,nan"),
+        (["calibrate-theta", "--config", "experiment1"], "spread.1.kappa", "inf"),
+        (["price", "--config", "experiment1"], "spread.1.xi", "nan"),
+        (["price", "--config", "experiment1"], "spread.1.kappa", "inf"),
+        (["price", "--config", "experiment1"], "spread.1.xi", "inf"),
+        (["price", "--config", "experiment1"], "horizon.maturity", "nan"),
+        (["price", "--config", "experiment1"], "correlation.rho_1_2", "-inf"),
+        (["sensitivity", "--config", "fig2_sensitivity"], "sensitivity.epsilon", "nan"),
+    ])
+    def test_non_finite_values_exit_code(self, tmp_path, capsys, args, key, value):
+        out = tmp_path / "o"
+        assert main([*args, "--paths", "300", "--set", f"{key}={value}", "--out", str(out)]) == 2
+        name = key.rpartition(".")[2]
+        assert f"configuration error: --set {key}: invalid {name} " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_file_entry_names_its_line(self, tmp_path, capsys):
+        text = MINIMAL.replace("kappa = 0.0078", "kappa = nan")
+        code = main(["price", "--config", str(self._write(tmp_path, text)), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "run.cfg:17: invalid kappa nan" in capsys.readouterr().err
+
     def test_xi_sweep_below_the_bump_exit_code(self, tmp_path, capsys):
         code = main(["sensitivity", "--config", "fig2_sensitivity", "--out", str(tmp_path / "o"),
                      "--set", "sensitivity.sweep_start=0", "--set", "sensitivity.sweep_count=2"])

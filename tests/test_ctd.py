@@ -37,7 +37,6 @@ from ctdhedge.ctd import (
     _cell_spline,
     _cell_spline_values,
     _cf_pipeline,
-    _interp_rows,
     _model_time_grid,
     _moments,
     _panel_chunk,
@@ -540,16 +539,21 @@ class TestIntegralVarianceEstimator:
         got = integral_variance_estimator(t, t.copy(), 0.0, 1.0)
         assert got == pytest.approx(1.0 / 3.0, rel=1e-14)
 
-    def test_subinterval_extraction(self):
-        t = np.linspace(0.0, 10.0, 101)
-        v = np.full(101, 2e-4)
-        got = integral_variance_estimator(t, v, 2.0, 7.0)
-        assert got == pytest.approx(2e-4 * 25.0, rel=1e-13)
+    @pytest.mark.parametrize("t0, T", [(1.0, 5.0), (2.5, 5.0), (2.0, 5.5), (2.0, 4.0)],
+                             ids=["starts_late", "starts_early", "ends_short", "ends_long"])
+    def test_grid_must_run_from_t0_to_T(self, t0, T):
+        # the estimator integrates the grid it is handed, [2, 5] here
+        t = np.linspace(2.0, 5.0, 7)
+        with pytest.raises(ModelValidationError, match="must run from t0"):
+            integral_variance_estimator(t, np.full(7, 1e-4), t0, T)
+        with pytest.raises(ModelValidationError, match="must run from t0"):
+            integral_variance_estimator(t, np.full((2, 7), 1e-4), t0, T)
 
-    def test_grid_must_cover(self):
-        t = np.linspace(0.0, 5.0, 6)
-        with pytest.raises(ModelValidationError):
-            integral_variance_estimator(t, np.ones(6), 0.0, 10.0)
+    def test_one_node_grid_at_the_anchor(self):
+        assert integral_variance_estimator([3.0], [1e-4], 3.0, 3.0) == 0.0
+        assert integral_variance_estimator([3.0], [[1e-4], [2e-4]], 3.0, 3.0).tolist() == [0.0, 0.0]
+        with pytest.raises(ModelValidationError, match="must run from t0"):
+            integral_variance_estimator([2.0, 3.0], [1e-4, 1e-4], 3.0, 3.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-12])
     def test_rejects_nonfinite_or_negative_variance(self, bad):
@@ -558,6 +562,44 @@ class TestIntegralVarianceEstimator:
             integral_variance_estimator(t, [1e-4, bad, 1e-4, 1e-4, 1e-4], 0.0, 1.0)
         with pytest.raises(ModelValidationError):  # one bad curve in a batch
             integral_variance_estimator(t, [[1e-4] * 5, [1e-4, bad, 1e-4, 1e-4, 1e-4]], 0.0, 1.0)
+
+
+class TestPassGrid:
+    """
+    A pass's kink-aware grid runs from its anchor to its maturity exactly,
+    the precondition of the Psi estimator, at anchors on and between curve
+    nodes and with curves that cross each other, and the zero spread, close
+    to the maturity.
+    """
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 4),
+        node=st.floats(0.25, 11.75),
+        T=st.floats(0.05, 12.0),
+        on_node=st.booleans(),
+        frac=st.floats(0.0, 1.0, exclude_max=True),
+        levels=st.lists(st.floats(-0.02, 0.02), min_size=12, max_size=12),
+        gaps=st.lists(st.floats(-1e-12, 1e-3), min_size=2, max_size=2),
+        slopes=st.lists(st.floats(-0.01, 0.01).filter(bool), min_size=2, max_size=2),
+        npy=st.integers(1, 48),
+    )
+    def test_grid_runs_from_anchor_to_maturity(self, n, node, T, on_node, frac, levels, gaps,
+                                               slopes, npy):
+        grid = np.array([0.0, node, 12.0])
+        curves = [np.array(levels[3 * i:3 * i + 3]) for i in range(n)]
+        if n >= 2:  # spread 2 crosses spread 1 at T - gaps[0]
+            curves[1] = curves[0] + slopes[0] * (grid - (T - gaps[0]))
+        if n >= 3:  # spread 3 crosses the zero spread at T - gaps[1]
+            curves[2] = slopes[1] * (grid - (T - gaps[1]))
+        spreads = [HullWhiteSpec(0.1, 1e-3, SpreadCurve(grid, c)) for c in curves]
+        model = MarketModel(HullWhiteSpec(0.05, 0.0, SpreadCurve.constant(0.0, 0.0, 12.0)),
+                            spreads, CorrelationMatrix(np.eye(n + 1)))
+        t = (node if node < T else 0.0) if on_node else frac * T
+        times = _model_time_grid(model, t, T, npy)
+        assert times[0] == t and times[-1] == T
+        assert np.all(np.diff(times) > 0.0)
+        assert integral_variance_estimator(times, np.full(times.size, 1e-4), t, T) > 0.0
 
 
 class TestDeterministicCtd:
@@ -1081,13 +1123,13 @@ class TestClosedMoments:
         batch = _cf_pipeline(model, 1.5, maturities, 24, u)
         shuffled = _cf_pipeline(model, 1.5, maturities, 24, u[order])
         for b, s in zip(batch, shuffled):
-            assert s[0].tobytes() == b[0][order].tobytes()
-            assert s[1].tobytes() == b[1][order].tobytes()
+            assert s.value.tobytes() == b.value[order].tobytes()
+            assert s.psi.tobytes() == b.psi[order].tobytes()
         for r in (0, 7, 24):
             alone = _cf_pipeline(model, 1.5, maturities, 24, u[r:r + 1])
             for b, a in zip(batch, alone):
-                assert a[0].tobytes() == b[0][r:r + 1].tobytes()
-                assert a[1].tobytes() == b[1][r:r + 1].tobytes()
+                assert a.value.tobytes() == b.value[r:r + 1].tobytes()
+                assert a.psi.tobytes() == b.psi[r:r + 1].tobytes()
 
     def test_two_spreads_price_off_the_panel(self, monkeypatch):
         # the plain factor never reaches the panel at N <= 2; pivot passes
@@ -1098,51 +1140,18 @@ class TestClosedMoments:
         panel_chunk = ctd._panel_chunk
         monkeypatch.setattr(ctd, "_panel_chunk", lambda *a: seen.append(a) or panel_chunk(*a))
         assert ctd_common_factor(model, 0.0, 6.0) == plain and not seen
-        value = _cf_pipeline(model, 0.0, (6.0,), 48, pivots=(1, 2))[0][0]
+        value = _cf_pipeline(model, 0.0, (6.0,), 48, pivots=(1, 2))[0].value
         assert value == plain and seen
-
-
-class TestInterpRows:
-    """The end values of the Psi estimator: np.interp row by row, bit for bit."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_np_interp_bitwise(self, seed):
-        rng = np.random.default_rng(seed)
-        t = np.unique(rng.uniform(0.0, 12.0, 40))
-        v = rng.uniform(0.0, 1e-4, (6, t.size))
-        on_nodes = t[rng.integers(0, t.size, 4)]
-        inside = rng.uniform(t[0], t[-1], 4)
-        for x in np.concatenate([on_nodes, inside, t[[0, -1]], [t[0] - 1e-13, t[-1] + 1e-13]]):
-            want = np.array([np.interp(x, t, row) for row in v])
-            assert _interp_rows(x, t, v).tobytes() == want.tobytes(), x
-            assert _interp_rows(x, t, v[0]).tobytes() == np.interp(x, t, v[0]).tobytes(), x
-
-    @pytest.mark.parametrize("ends", ["nodes", "inside"])
-    def test_estimator_matches_row_loop_bitwise(self, monkeypatch, ends):
-        rng = np.random.default_rng(9)
-        t = np.unique(rng.uniform(0.0, 12.0, 30))
-        v = rng.uniform(0.0, 1e-4, (5, t.size))
-        if ends == "nodes":
-            t0, T = t[3], t[-4]
-        else:
-            t0, T = rng.uniform(t[1], t[2]), rng.uniform(t[-3], t[-2])
-        got = [integral_variance_estimator(t, curves, t0, T) for curves in (v, v[0])]
-        monkeypatch.setattr(
-            ctd, "_interp_rows", lambda x, t, v: np.array([np.interp(x, t, row) for row in v])
-        )
-        want = [integral_variance_estimator(t, curves, t0, T) for curves in (v, v[0])]
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1] == want[1]
 
 
 class TestPipeline:
     @pytest.mark.parametrize("n, negative", [(2, False), (3, False), (4, True)])
     def test_shared_pass_matches_single_pivot_calls_bitwise(self, n, negative):
         model = _random_model(n, negative, seed=n)
-        value, _, _, _, _, shifted = _cf_pipeline(model, 0.0, (6.0,), 48, pivots=range(1, n + 1))[0]
-        assert value == ctd_common_factor(model, 0.0, 6.0)
+        result = _cf_pipeline(model, 0.0, (6.0,), 48, pivots=range(1, n + 1))[0]
+        assert result.value == ctd_common_factor(model, 0.0, 6.0)
         for p in range(1, n + 1):
-            assert shifted[p - 1] == shifted_max_ctd(model, p, 0.0, 6.0)
+            assert result.shifted[p - 1] == shifted_max_ctd(model, p, 0.0, 6.0)
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     @pytest.mark.parametrize("negative", [False, True])
@@ -1205,26 +1214,27 @@ class TestMultiMaturity:
         ahead = [T for T in maturities if T >= t]
         multi = _cf_pipeline(model, t, ahead, 48, pivots=(1, 3))
         assert len(multi) == len(ahead)
-        for T, (value, psi, moments, gamma, clamped, shifted) in zip(ahead, multi):
-            assert value == ctd_common_factor(model, t, T)
+        for T, result in zip(ahead, multi):
+            assert result.value == ctd_common_factor(model, t, T)
             one = _cf_pipeline(model, t, (T,), 48, pivots=(1, 3))[0]
-            assert psi == one[1]
-            for a, b in ((moments.times, one[2].times), (moments.mean, one[2].mean),
-                         (moments.variance, one[2].variance), (gamma, one[3])):
+            assert result.psi == one.psi
+            for a, b in ((result.moments.times, one.moments.times),
+                         (result.moments.mean, one.moments.mean),
+                         (result.moments.variance, one.moments.variance), (result.gamma, one.gamma)):
                 assert a.tobytes() == b.tobytes()
-            assert clamped == one[4]
-            assert shifted == one[5] == [shifted_max_ctd(model, p, t, T) for p in (1, 3)]
+            assert result.gamma_clamped == one.gamma_clamped
+            assert result.shifted == one.shifted == tuple(shifted_max_ctd(model, p, t, T) for p in (1, 3))
         if t == 1.0:  # T_0 == t
-            assert multi[0][0] == 1.0 and multi[0][5] == [1.0, 1.0]
+            assert multi[0].value == 1.0 and multi[0].shifted == (1.0, 1.0)
 
     def test_pipeline_with_displacements_matches_conditional_bitwise(self):
         model = _random_model(2, True, seed=32)
         u = np.random.default_rng(3).normal(0.0, 2e-3, (30, 2))
         multi = _cf_pipeline(model, 1.5, (1.5, 2.7, 3.3, 5.0), 24, u, panel=(_PANEL_X64, _PANEL_W64))
-        assert np.all(multi[0][0] == 1.0)
+        assert np.all(multi[0].value == 1.0)
         for T, result in zip((2.7, 3.3, 5.0), multi[1:]):
             want = ctd_common_factor_conditional(model, 1.5, T, u, 24)
-            assert result[0].tobytes() == want.tobytes()
+            assert result.value.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("maturities", [(), (3.0, 2.0), (2.0, 2.0), [[2.0, 3.0]], 5.0])
     def test_bad_maturities_rejected(self, flat_pair_model, maturities):
@@ -1264,7 +1274,7 @@ class TestCellSpline:
         priced = _cf_pipeline(model, t, maturities, 24, pts, panel=(_PANEL_X64, _PANEL_W64))
         got = np.log(table.evaluate(1, pts))
         for row, result in zip(got, priced):
-            assert np.max(np.abs(row - np.log(result[0]))) <= 1e-12
+            assert np.max(np.abs(row - np.log(result.value))) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("columns", [1, 5])

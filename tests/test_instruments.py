@@ -104,6 +104,17 @@ class TestForwards:
 class TestSwaps:
     DATES = tuple(float(k) for k in range(1, 11))
 
+    @pytest.mark.parametrize("field", ["notional", "fixed_rate", "start", "date"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_terms_rejected(self, field, bad):
+        terms = {"notional": 1.0, "fixed_rate": 0.02, "payment_dates": self.DATES, "start": 0.0}
+        if field == "date":
+            terms["payment_dates"] = self.DATES[:-1] + (bad,)
+        else:
+            terms[field] = bad
+        with pytest.raises(ModelValidationError, match="must be finite"):
+            SwapSpec(**terms)
+
     def test_flat_forward_rate(self):
         swap = SwapSpec(1.0, 0.0, self.DATES)
         ell = forward_ibor(FLAT2, swap, 0.0, 1)

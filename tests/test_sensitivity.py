@@ -29,6 +29,11 @@ class TestBumpRequest:
         with pytest.raises(ModelValidationError):
             BumpRequest("xi", 0)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_epsilon_must_be_finite(self, epsilon):
+        with pytest.raises(ModelValidationError, match="epsilon must be positive and finite"):
+            BumpRequest("xi", 1, epsilon=epsilon)
+
     def test_method_restricted_to_the_priced_routes(self):
         message = "method must be one of ('deterministic', 'common_factor')"
         with pytest.raises(ModelValidationError, match=re.escape(message)):

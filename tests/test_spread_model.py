@@ -40,6 +40,13 @@ class TestValidation:
         with pytest.raises(ModelValidationError):
             HullWhiteSpec(0.1, -0.001, FLAT)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_kappa_and_xi_must_be_finite(self, bad):
+        with pytest.raises(ModelValidationError, match="kappa must be positive and finite"):
+            HullWhiteSpec(bad, 0.001, FLAT)
+        with pytest.raises(ModelValidationError, match="xi must be nonnegative and finite"):
+            HullWhiteSpec(0.1, bad, FLAT)
+
     def test_initial_value_is_the_curve_start(self):
         spec = HullWhiteSpec(0.1, 0.001, SpreadCurve([0.5, 10.0], [0.014, 0.02]))
         assert spec.initial_value == 0.014

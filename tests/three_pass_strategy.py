@@ -54,7 +54,8 @@ def three_pass_assemble_quadratic(
                 joint = joint_bond_moment(model.spread(i), model.spread(j), model.rho(i, j), t0, T)
             q[i, j] = q[j, i] = joint * r2 - e[i] * e[j] * r1 * r1
     # the plain factor and every shifted factor from one pipeline pass
-    ctd, _, _, _, _, shifted = _cf_pipeline(model, t0, (T,), nodes_per_year, pivots=range(1, n + 1))[0]
+    cf = _cf_pipeline(model, t0, (T,), nodes_per_year, pivots=range(1, n + 1))[0]
+    ctd, shifted = cf.value, cf.shifted
     b = np.empty(n + 1)
     b[0] = ctd * (r2 - r1 * r1)
     for i in range(1, n + 1):
