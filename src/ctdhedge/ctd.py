@@ -19,7 +19,10 @@ and variance are closed-form truncated-normal moments (`_closed_chunk`);
 from three spreads on the panel kernel (`_panel_chunk`) integrates them.
 The pivot covariances come from the panel at every N, with its known
 pivot-part defect (for j != p it counts Phi_p twice), so the panel size
-matters only at N >= 3 and for pivot covariances.  One pipeline
+matters only at N >= 3 and for pivot covariances.  The panel evaluates
+each Gaussian cdf once, and only where some row reads it: the pivot
+part reads Phi_p from the weights' own factors, and a chunk without a
+positive common variance skips every common-factor tail.  One pipeline
 (`_cf_pipeline`: grid, snapshots, gamma, moments, Psi, value) serves every
 stochastic factor, for every maturity of one anchor in one pass; the
 public pricers are thin wrappers around it.
@@ -253,23 +256,27 @@ def _floor_values(y, sc):
     return y, y * y, sc * pt - y * nt, (sc * sc + y * y) * nt - sc * y * pt, ndtr(t)
 
 
-def _floor_slopes(y, sc):
-    """h'(y) for the functions of `_floor_values`, one array at a time."""
+def _floor_slopes(y, sc, tails):
+    """h'(y) for the functions of `_floor_values`, one array at a time; the
+    first two alone without `tails`."""
+    yield np.ones_like(y)
+    yield 2.0 * y
+    if not tails:
+        return
     t = y / sc
     nt = ndtr(-t)
     pt = _phi(t)
-    yield np.ones_like(y)
-    yield 2.0 * y
     yield -nt
     yield 2.0 * y * nt - 2.0 * sc * pt
     yield pt / sc
 
 
-def _fold_floor(hard, m0, mu_cdf, sd_cdf, sc, px, pw):
+def _fold_floor(hard, m0, mu_cdf, sd_cdf, sc, px, pw, tails):
     """
     What the hard floor m0 of the `hard` rows adds to the expectations of
     the functions in `_floor_values` over the stochastic maximum D_S, and
-    their values at m0.
+    their values at m0.  Without `tails` the last three terms, which every
+    row then discards, take no quadrature.
 
     E[h(max(D_S, m0))] = E[h(D_S)] + int_{-inf}^{m0} h'(y) G_S(y) dy, with
     G_S the cdf of D_S: quadrature over the window where G_S rises, closed
@@ -291,7 +298,7 @@ def _fold_floor(hard, m0, mu_cdf, sd_cdf, sc, px, pw):
             gs *= ndtr((yf - mu_cdf[:, j][:, None]) / sd_cdf[:, j][:, None])
         wf = 0.5 * width * pw[None, :] * gs
         at_hi = _floor_values(y_hi, sc[:, 0])
-        for term, h0, h1, dh in zip(terms, at_m0, at_hi, _floor_slopes(yf, sc)):
+        for term, h0, h1, dh in zip(terms, at_m0, at_hi, _floor_slopes(yf, sc, tails)):
             term += np.where(fold, np.sum(wf * dh, axis=1) + (h0 - h1), 0.0)
     return terms, at_m0
 
@@ -310,12 +317,22 @@ def _panel_chunk(mu, idio_var, common_var, panel, pivots):
     floor m0 that is folded in exactly.  The pivot part decomposes over
     which component attains the maximum, with every conditional expectation
     a closed Gaussian form on the same panels.
+
+    Each Gaussian cdf is evaluated once, and only where some row reads it.
+    (a) The pivot part's Phi_p(y_i), for p != i, is bitwise the factor
+    already multiplied into the weights wherever p is stochastic (there
+    mu_cdf = mu and sd_cdf = sd), so that factor is kept and read.  Where p
+    has zero variance the kept factor is 1, not Phi_p, but there the
+    covariance is 0 whatever E[A_p M] holds.  (b) A chunk without a row of
+    positive common variance skips the lower tails, Phi(y / s_C) and the
+    fold's tail slopes: `np.where(sc_pos, ...)` would discard every term.
     """
     m, k = mu.shape
     px, pw = panel if panel is not None else (_PANEL_X, _PANEL_W)
     sd = np.sqrt(idio_var)
     stoch = sd > 0.0
     sc_pos = common_var > 0.0
+    tails = bool(sc_pos.any())  # (b); without them every row is hard-floored
     sc = np.where(sc_pos, np.sqrt(common_var), 1.0)[:, None]
     with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
         m0 = np.where(stoch, -np.inf, mu).max(axis=1)
@@ -331,41 +348,50 @@ def _panel_chunk(mu, idio_var, common_var, panel, pivots):
         acc = [np.zeros(m) for _ in range(5)]
         e_am = np.zeros((len(pivots), m))  # E[A_p M]
         if folds:  # before the panels, so the two never hold [m, g] arrays at once
-            floor_terms, at_m0 = _fold_floor(hard, m0f, mu_cdf, sd_cdf, sc, px, pw)
+            floor_terms, at_m0 = _fold_floor(hard, m0f, mu_cdf, sd_cdf, sc, px, pw, tails)
         x = px * _PANEL_HALF_WIDTH
         wx = pw * _PANEL_HALF_WIDTH * _phi(x)
         for i in np.flatnonzero(np.any(stoch, axis=0)):
             y = mu[:, i][:, None] + sd[:, i][:, None] * x[None, :]  # [m,g]
             w = np.empty((m, wx.size))
             w[...] = wx  # a broadcast copy; np.tile holds the interpreter lock
+            cdfs = {}  # (a): each pivot's factor of w, Phi_p(y) where p is stochastic
             for j in range(k):
                 if j != i:
-                    w *= ndtr((y - mu_cdf[:, j][:, None]) / sd_cdf[:, j][:, None])
+                    cdf = ndtr((y - mu_cdf[:, j][:, None]) / sd_cdf[:, j][:, None])
+                    w *= cdf
+                    if j in pivots:
+                        cdfs[j] = cdf
             if folds:
                 w[~stoch[:, i]] = 0.0
             acc[0] += np.sum(w * y, axis=1)
             acc[1] += np.sum(w * y * y, axis=1)
-            # the lower tails, as in _floor_values; inline, so that no more
-            # [m, g] temporaries are alive at once than the expressions need
-            t = y / sc
-            nt = ndtr(-t)
-            pt = _phi(t)
-            acc[2] += np.sum(w * (sc * pt - y * nt), axis=1)
-            acc[3] += np.sum(w * ((sc * sc + y * y) * nt - sc * y * pt), axis=1)
+            if tails:
+                # the lower tails, as in _floor_values; inline, so that no more
+                # [m, g] temporaries are alive at once than the expressions need
+                t = y / sc
+                nt = ndtr(-t)
+                pt = _phi(t)
+                acc[2] += np.sum(w * (sc * pt - y * nt), axis=1)
+                acc[3] += np.sum(w * ((sc * sc + y * y) * nt - sc * y * pt), axis=1)
             if not pivots:
                 continue
-            cdf_t = ndtr(t)
-            acc[4] += np.sum(w * cdf_t, axis=1)
-            g = y * cdf_t + sc * pt  # E[(C + y)^+]
+            if tails:
+                cdf_t = ndtr(t)
+                acc[4] += np.sum(w * cdf_t, axis=1)
+                g = y * cdf_t + sc * pt  # E[(C + y)^+]
+                if folds:
+                    g = np.where(sc_pos[:, None], g, np.maximum(y, 0.0))
+            else:
+                g = np.maximum(y, 0.0)
             if folds:
-                g = np.where(sc_pos[:, None], g, np.maximum(y, 0.0))
                 w = w * (y >= m0[:, None])  # below the hard floor i cannot attain D
             for n, p in enumerate(pivots):
                 if p == i:
                     e_am[n] += np.sum(w * (y * g), axis=1)
                 else:
                     zp = (y - mu[:, p][:, None]) / sd_cdf[:, p][:, None]
-                    lower = mu[:, p][:, None] * ndtr(zp) - sd_cdf[:, p][:, None] * _phi(zp)
+                    lower = mu[:, p][:, None] * cdfs[p] - sd_cdf[:, p][:, None] * _phi(zp)
                     e_am[n] += np.sum(w * (lower * g), axis=1)
 
         if folds:
@@ -579,6 +605,8 @@ def integral_variance_estimator(times, variances, t0: float, T: float):
     v = np.asarray(variances, dtype=float)
     if t.ndim != 1 or not np.all(np.diff(t) > 0.0):
         raise ModelValidationError("times must be strictly increasing")
+    if v.ndim > 2:
+        raise ModelValidationError("variances must be one curve or a batch of curves [rows, n]")
     if v.shape[-1] != t.size:
         raise ModelValidationError("variance curve and grid have different lengths")
     if not (np.all(np.isfinite(v)) and np.all(v >= -1e-18)):
@@ -662,9 +690,9 @@ class CommonFactorResult:
     shifted: tuple = ()
 
     @property
-    def mean_integral(self) -> float:
-        t, e = self.moments.times, self.moments.mean
-        return float(np.trapezoid(e, t))
+    def mean_integral(self) -> float | np.ndarray:
+        integral = np.trapezoid(self.moments.mean, self.moments.times)
+        return float(integral) if np.ndim(integral) == 0 else integral
 
 
 def _spread_snapshot_arrays(model: MarketModel, times: np.ndarray, anchor: float):

@@ -85,8 +85,10 @@ def _random_model(n, negative, seed):
 
 
 # ---------------------------------------------------------------------------
-# reference implementations: the two moment routines and the pivot
-# covariance that the single panel kernel replaced, verbatim
+# reference implementations, verbatim: the two moment routines and the pivot
+# covariance that the single panel kernel replaced, and that kernel's chunk
+# (with its floor fold) as it was while it evaluated every Gaussian cdf on
+# every row, its own names prefixed with _ref
 # ---------------------------------------------------------------------------
 
 def _moments_fast(mu, idio_var, common_var, floored, px, pw):
@@ -393,6 +395,159 @@ def _pivot_max_covariance(
     return cov_c + cov_a
 
 
+def _ref_floor_values(y, sc):
+    """
+    h(y) for the functions of D = max_i A_i whose expectations the kernel
+    accumulates: y, y^2, the lower tails E[(C + y)^-] and E[((C + y)^-)^2]
+    for C ~ N(0, s_C^2), and Phi(y / s_C).
+    """
+    t = y / sc
+    nt = ndtr(-t)
+    pt = _phi(t)
+    return y, y * y, sc * pt - y * nt, (sc * sc + y * y) * nt - sc * y * pt, ndtr(t)
+
+
+def _ref_floor_slopes(y, sc):
+    """h'(y) for the functions of `_floor_values`, one array at a time."""
+    t = y / sc
+    nt = ndtr(-t)
+    pt = _phi(t)
+    yield np.ones_like(y)
+    yield 2.0 * y
+    yield -nt
+    yield 2.0 * y * nt - 2.0 * sc * pt
+    yield pt / sc
+
+
+def _ref_fold_floor(hard, m0, mu_cdf, sd_cdf, sc, px, pw):
+    """
+    What the hard floor m0 of the `hard` rows adds to the expectations of
+    the functions in `_floor_values` over the stochastic maximum D_S, and
+    their values at m0.
+
+    E[h(max(D_S, m0))] = E[h(D_S)] + int_{-inf}^{m0} h'(y) G_S(y) dy, with
+    G_S the cdf of D_S: quadrature over the window where G_S rises, closed
+    form h(m0) - h(y_hi) above it.  A row without any stochastic component
+    has D == m0 exactly, so it adds h(m0) itself.
+    """
+    at_m0 = _ref_floor_values(m0, sc[:, 0])
+    lo = (mu_cdf - _PANEL_HALF_WIDTH * sd_cdf).max(axis=1)
+    fold = hard & (lo > -np.inf)
+    terms = [np.where(hard & ~fold, h0, 0.0) for h0 in at_m0]
+    if fold.any():
+        hi = (mu_cdf + _PANEL_HALF_WIDTH * sd_cdf).max(axis=1)
+        y_lo = np.where(fold, np.minimum(lo, m0), 0.0)
+        y_hi = np.where(fold, np.maximum(np.minimum(hi, m0), y_lo), 0.0)
+        width = (y_hi - y_lo)[:, None]
+        yf = y_lo[:, None] + width * 0.5 * (px[None, :] + 1.0)
+        gs = np.ones_like(yf)
+        for j in range(mu_cdf.shape[1]):
+            gs *= ndtr((yf - mu_cdf[:, j][:, None]) / sd_cdf[:, j][:, None])
+        wf = 0.5 * width * pw[None, :] * gs
+        at_hi = _ref_floor_values(y_hi, sc[:, 0])
+        for term, h0, h1, dh in zip(terms, at_m0, at_hi, _ref_floor_slopes(yf, sc)):
+            term += np.where(fold, np.sum(wf * dh, axis=1) + (h0 - h1), 0.0)
+    return terms, at_m0
+
+
+def _ref_panel_chunk(mu, idio_var, common_var, panel, pivots):
+    """
+    One chunk of `_moments` on the panels.
+
+    Conditioning on C, every expectation is integrated against each
+    stochastic component's own Gaussian panel y_i = mu_i + sigma_i x,
+    weighted by the other components' cdfs at y_i, so accuracy is uniform
+    down to the sigma -> 0 limit.  With C nondegenerate the zero floor
+    enters through closed-form lower-tail corrections, and conditioning on
+    the inner maximum gives E[C M] = s_C^2 E[Phi(D / s_C)].  Components with
+    zero variance, and the zero floor when C is degenerate, form a hard
+    floor m0 that is folded in exactly.  The pivot part decomposes over
+    which component attains the maximum, with every conditional expectation
+    a closed Gaussian form on the same panels.
+    """
+    m, k = mu.shape
+    px, pw = panel if panel is not None else (_PANEL_X, _PANEL_W)
+    sd = np.sqrt(idio_var)
+    stoch = sd > 0.0
+    sc_pos = common_var > 0.0
+    sc = np.where(sc_pos, np.sqrt(common_var), 1.0)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
+        m0 = np.where(stoch, -np.inf, mu).max(axis=1)
+        m0 = np.where(sc_pos, m0, np.maximum(m0, 0.0))
+        hard = np.isfinite(m0)
+        folds = bool(hard.any())
+        m0f = np.where(hard, m0, 0.0)
+        # a zero-variance component lives in m0, so its cdf factor is 1: mean -inf, sd 1
+        mu_cdf = np.where(stoch, mu, -np.inf)
+        sd_cdf = np.where(stoch, sd, 1.0)
+
+        # E[D], E[D^2], the two lower tails, E[Phi(D / s_C)]
+        acc = [np.zeros(m) for _ in range(5)]
+        e_am = np.zeros((len(pivots), m))  # E[A_p M]
+        if folds:  # before the panels, so the two never hold [m, g] arrays at once
+            floor_terms, at_m0 = _ref_fold_floor(hard, m0f, mu_cdf, sd_cdf, sc, px, pw)
+        x = px * _PANEL_HALF_WIDTH
+        wx = pw * _PANEL_HALF_WIDTH * _phi(x)
+        for i in np.flatnonzero(np.any(stoch, axis=0)):
+            y = mu[:, i][:, None] + sd[:, i][:, None] * x[None, :]  # [m,g]
+            w = np.empty((m, wx.size))
+            w[...] = wx  # a broadcast copy; np.tile holds the interpreter lock
+            for j in range(k):
+                if j != i:
+                    w *= ndtr((y - mu_cdf[:, j][:, None]) / sd_cdf[:, j][:, None])
+            if folds:
+                w[~stoch[:, i]] = 0.0
+            acc[0] += np.sum(w * y, axis=1)
+            acc[1] += np.sum(w * y * y, axis=1)
+            # the lower tails, as in _floor_values; inline, so that no more
+            # [m, g] temporaries are alive at once than the expressions need
+            t = y / sc
+            nt = ndtr(-t)
+            pt = _phi(t)
+            acc[2] += np.sum(w * (sc * pt - y * nt), axis=1)
+            acc[3] += np.sum(w * ((sc * sc + y * y) * nt - sc * y * pt), axis=1)
+            if not pivots:
+                continue
+            cdf_t = ndtr(t)
+            acc[4] += np.sum(w * cdf_t, axis=1)
+            g = y * cdf_t + sc * pt  # E[(C + y)^+]
+            if folds:
+                g = np.where(sc_pos[:, None], g, np.maximum(y, 0.0))
+                w = w * (y >= m0[:, None])  # below the hard floor i cannot attain D
+            for n, p in enumerate(pivots):
+                if p == i:
+                    e_am[n] += np.sum(w * (y * g), axis=1)
+                else:
+                    zp = (y - mu[:, p][:, None]) / sd_cdf[:, p][:, None]
+                    lower = mu[:, p][:, None] * ndtr(zp) - sd_cdf[:, p][:, None] * _phi(zp)
+                    e_am[n] += np.sum(w * (lower * g), axis=1)
+
+        if folds:
+            for a, term in zip(acc, floor_terms):
+                a += term
+            if pivots:  # the hard floor attains the maximum
+                cdf0 = ndtr((m0f[:, None] - mu_cdf) / sd_cdf)
+                g0 = np.where(
+                    sc_pos, m0f * at_m0[4] + sc[:, 0] * _phi(m0f / sc[:, 0]), np.maximum(m0f, 0.0)
+                )
+                for n, p in enumerate(pivots):
+                    z0 = (m0f - mu[:, p]) / sd_cdf[:, p]
+                    lower0 = mu[:, p] * ndtr(z0) - sd_cdf[:, p] * _phi(z0)
+                    others = np.prod(np.delete(cdf0, p, axis=1), axis=1)
+                    e_am[n] += np.where(hard, lower0 * others * g0, 0.0)
+
+        e1, e2, l1, l2, e_fd = acc
+        mean = np.maximum(e1 + np.where(sc_pos, l1, 0.0), 0.0)
+        second = common_var + e2 - np.where(sc_pos, l2, 0.0)
+        var = np.maximum(second - mean * mean, 0.0)
+        cov = np.empty((len(pivots), m))
+        for n, p in enumerate(pivots):
+            cov[n] = np.where(sc_pos, common_var * e_fd, 0.0) + np.where(
+                stoch[:, p], e_am[n] - mu[:, p] * mean, 0.0
+            )
+    return mean, var, cov
+
+
 class TestFitGamma:
     def test_single_spread_is_zero(self):
         snap = GaussianVectorSnapshot([0.01], [[1e-5]], time=1.0)
@@ -562,6 +717,11 @@ class TestIntegralVarianceEstimator:
             integral_variance_estimator(t, [1e-4, bad, 1e-4, 1e-4, 1e-4], 0.0, 1.0)
         with pytest.raises(ModelValidationError):  # one bad curve in a batch
             integral_variance_estimator(t, [[1e-4] * 5, [1e-4, bad, 1e-4, 1e-4, 1e-4]], 0.0, 1.0)
+
+    def test_rejects_batches_of_more_than_two_dimensions(self):
+        t = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ModelValidationError, match="batch of curves"):
+            integral_variance_estimator(t, np.full((2, 3, 5), 1e-4), 0.0, 1.0)
 
 
 class TestPassGrid:
@@ -822,6 +982,42 @@ class TestPanelKernel:
         for p in range(k):
             ref_cov = _pivot_max_covariance(mu, idio, common, ref_mean, p)
             np.testing.assert_allclose(cov[p], ref_cov, rtol=1e-10, atol=1e-18)
+
+
+    @staticmethod
+    def _chunk_reference_rows(rng, k, kind):
+        if kind == "regular_one_flat":  # one zero-variance component in a regular batch
+            mu, idio, common = _kernel_states(rng, 60, k, "regular")
+            idio[7, k - 1] = 0.0
+            return mu, idio, common
+        if kind == "mixed":  # every kind of row in one batch
+            kinds = ["regular", "zero_common", "pure", "pure_zero_common"] + ["partial"] * (k > 1)
+            parts = [_kernel_states(rng, 20, k, part) for part in kinds]
+            order = rng.permutation(20 * len(kinds))
+            return [np.concatenate(arrays)[order] for arrays in zip(*parts)]
+        return _kernel_states(rng, 60, k, kind)
+
+    @pytest.mark.parametrize("k, kind", [
+        (k, kind) for k in range(1, 9)
+        for kind in ("regular", "zero_common", "partial", "pure", "pure_zero_common",
+                     "regular_one_flat", "mixed")
+        if k > 1 or kind != "partial"  # a partial row needs two components
+    ])
+    def test_rows_match_the_chunk_reference_bitwise(self, monkeypatch, k, kind):
+        # each Gaussian cdf read once, and only where a row reads it: every byte
+        # of `_moments` and of the chunk itself as with every cdf evaluated
+        rng = np.random.default_rng(60 + k)
+        rows = self._chunk_reference_rows(rng, k, kind)
+        cases = [(panel, pivots) for panel in (None, (_PANEL_X64, _PANEL_W64))
+                 for pivots in (list(range(k)), [k - 1], [])]
+        got = [(_moments(*rows, panel, pivots), _panel_chunk(*rows, panel, pivots))
+               for panel, pivots in cases]
+        monkeypatch.setattr(ctd, "_panel_chunk", _ref_panel_chunk)
+        for (panel, pivots), outs in zip(cases, got):
+            want = (_moments(*rows, panel, pivots), _ref_panel_chunk(*rows, panel, pivots))
+            for out, ref in zip(outs, want):
+                for a, b in zip(out, ref):
+                    assert a.tobytes() == b.tobytes(), (panel is None, pivots)
 
 
 class TestKernelChunks:
@@ -1160,6 +1356,17 @@ class TestPipeline:
         cond = ctd_common_factor_conditional(model, 0.0, 5.0, np.zeros((1, n)), 48)
         uncond = ctd_common_factor(model, 0.0, 5.0, 48)
         assert abs(cond[0] - uncond) <= 1e-12 * abs(uncond)
+
+    def test_mean_integral_per_state_at_displaced_states(self):
+        model = load_config("experiment1").build_model()
+        result = _cf_pipeline(model, 1.0, (5.0,), 24, np.zeros((3, 2)))[0]
+        got = result.mean_integral
+        assert got.shape == (3,)
+        want = [np.trapezoid(e, result.moments.times) for e in result.moments.mean]
+        assert got.tolist() == want
+        plain = _cf_pipeline(model, 1.0, (5.0,), 24)[0].mean_integral
+        assert type(plain) is float
+        assert plain == pytest.approx(got[0], rel=1e-12)
 
 
 class TestMultiMaturity:
