@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -468,29 +467,17 @@ def _conditional_bond(spec, t, T, u):
 @dataclass(frozen=True)
 class PortfolioPathStats:
     """
-    Per-time summary of a portfolio's simulated values.
-
-    `values` holds the [paths, times] value array the summary is taken
-    from.  `sd_se`, the standard error of `sd`, is computed from it on
-    first read and cached: its fourth moment costs more than the rest of
-    the summary, and `ctd hedge` never reads it.
+    Per-time summary of a portfolio's simulated values: the mean, the sd
+    (ddof 1) and its standard error `sd_se` over the paths, and the values
+    of the first paths as `samples`.  The values themselves are not kept.
     """
 
     name: str
     times: np.ndarray
     mean: np.ndarray
     sd: np.ndarray
-    values: np.ndarray  # [paths, times]
+    sd_se: np.ndarray
     samples: np.ndarray  # [n_samples, times]
-
-    @cached_property
-    def sd_se(self) -> np.ndarray:
-        mean, sd, n_paths = self.mean, self.sd, self.values.shape[0]
-        centered = self.values - mean[None, :]
-        m4 = np.mean(centered**4, axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sd_se = np.sqrt(np.maximum(m4 - sd**4, 0.0) / (4.0 * np.maximum(sd, 1e-300) ** 2 * n_paths))
-        return np.where(sd > 1e-14, sd_se, 0.0)
 
 
 def evaluate_portfolio_paths(
@@ -506,7 +493,11 @@ def evaluate_portfolio_paths(
     all portfolios); plain bonds and forwards are repriced with the
     Hull-White closed forms; cash accrues at the realized domestic rate.
     The legs of every portfolio add up in the same leg sum that prices it
-    at inception, on per-path arrays.
+    at inception, on per-path arrays.  Each time's values are reduced to
+    their statistics and first `n_samples` values as soon as they are
+    formed: the mean is np.mean and the sd np.std(ddof=1) of the values,
+    both pairwise sums over the paths, and the fourth moment of `sd_se` is
+    the mean of the squares of the squared deviations the sd sums.
     """
     if isinstance(portfolios, Portfolio):
         portfolios = [portfolios]
@@ -524,9 +515,8 @@ def evaluate_portfolio_paths(
     if not 0 <= n_samples <= n_paths:
         raise ModelValidationError(f"n_samples {n_samples} is outside 0..{n_paths}, the simulated paths")
     table = ConditionalCtdTable(model, times, (maturity,))
-    # one contiguous row per time while the values are filled in, turned
-    # into the C-ordered [paths, times] array of the statistics at the end
-    rows = [np.empty((times.size, n_paths)) for _ in portfolios]
+    mean, sd, m4 = (np.empty((len(portfolios), times.size)) for _ in range(3))
+    samples = np.empty((len(portfolios), n_samples, times.size))
     for k, t in enumerate(times):
         t = float(t)
         u = bundle.displacements(t)
@@ -539,25 +529,22 @@ def evaluate_portfolio_paths(
         for i in range(1, model.n_spreads + 1):
             bonds[i] = _conditional_bond(model.spread(i), t, maturity, u[:, i - 1]) * pdom
         bank = bundle.bank_factor(bundle.plan.t0, t)
-        for p, r in zip(portfolios, rows):
-            r[k] = _leg_sum(
+        for j, p in enumerate(portfolios):
+            row = _leg_sum(
                 p.positions, t, p.cash * bank, lambda: choice, bonds.__getitem__,
                 lambda S: _conditional_bond(model.domestic, t, S, u0),
             )
-    # each portfolio's [paths, times] array takes the memory of the previous
-    # portfolio's rows, so the transposes hold one more array, not one per portfolio
-    spare = np.empty(times.size * n_paths)
-    values = []
-    for r in rows:
-        v = spare.reshape(n_paths, times.size)
-        v[...] = r.T
-        values.append(v)
-        spare = r.reshape(-1)
-    del rows, r, spare  # the last rows, before the statistics' temporaries
+            mean[j, k] = m = np.mean(row)
+            c2 = np.square(row - m)
+            sd[j, k] = np.sqrt(np.sum(c2) / (n_paths - 1))  # np.std(row, ddof=1) to the bit
+            m4[j, k] = np.mean(np.square(c2, out=c2))
+            samples[j, :, k] = row[:n_samples]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sd_se = np.sqrt(np.maximum(m4 - sd**4, 0.0) / (4.0 * np.maximum(sd, 1e-300) ** 2 * n_paths))
+    sd_se = np.where(sd > 1e-14, sd_se, 0.0)
     return [
-        PortfolioPathStats(p.name, times.copy(), v.mean(axis=0), v.std(axis=0, ddof=1), v,
-                           v[:n_samples].copy())
-        for p, v in zip(portfolios, values)
+        PortfolioPathStats(p.name, times.copy(), mean[j], sd[j], sd_se[j], samples[j])
+        for j, p in enumerate(portfolios)
     ]
 
 

@@ -1,10 +1,13 @@
 """Reference for the leg-sum tests: `Portfolio.position_value` and
 `evaluate_portfolio_paths` as they were before one leg sum served both,
 verbatim but for their names (`position_value` takes the portfolio as its
-first argument).  Each prices the legs with its own per-position loop, the
-first through `forward_bond` and the second with the forward's
-(units * Q) / P.  The second returns its statistics, `sd_se` included, as
-eager records, since `PortfolioPathStats` computes `sd_se` on first read."""
+first argument) and for the path statistics.  Each prices the legs with its
+own per-position loop, the first through `forward_bond` and the second with
+the forward's (units * Q) / P.  The second keeps every value in a
+[paths, times] array and takes the statistics from each time's column by
+their definition: np.mean, np.std(ddof=1), and for `sd_se` the fourth
+moment as the mean of the squared squared deviations.  It returns them as
+plain records."""
 
 from __future__ import annotations
 
@@ -92,10 +95,12 @@ def evaluate_portfolio_paths(
             values[p.name][:, k] = acc
     for p in portfolios:
         v = values[p.name]
-        mean = v.mean(axis=0)
-        sd = v.std(axis=0, ddof=1)
-        centered = v - mean[None, :]
-        m4 = np.mean(centered**4, axis=0)
+        mean, sd, m4 = (np.empty(times.size) for _ in range(3))
+        for k in range(times.size):
+            col = np.ascontiguousarray(v[:, k])
+            mean[k] = np.mean(col)
+            sd[k] = np.std(col, ddof=1)
+            m4[k] = np.mean(np.square(np.square(col - mean[k])))
         with np.errstate(divide="ignore", invalid="ignore"):
             sd_se = np.sqrt(np.maximum(m4 - sd**4, 0.0) / (4.0 * np.maximum(sd, 1e-300) ** 2 * n_paths))
         sd_se = np.where(sd > 1e-14, sd_se, 0.0)

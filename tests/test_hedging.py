@@ -597,6 +597,28 @@ class TestPathEvaluation:
         with pytest.raises(ModelValidationError, match=f"n_samples {n_samples} is outside 0..200"):
             evaluate_portfolio_paths(pf, bundle, n_samples)
 
+    def test_mean_and_sd_match_exactly_rounded_sums(self, crossing_model):
+        # values about 1.04 + 1e-3 N(0, 1) at the interior times.  numpy sums
+        # a row of 1e5 pairwise: blocks of about 98 values on 8 accumulators,
+        # then 10 levels of halves, so with the division each value passes
+        # at most 27 roundings of the row's magnitude, and the mean and sd
+        # stay within 32 u of their fsum values.  The reference sd is taken
+        # about the computed mean, whose error enters the sd only squared
+        # on a spread row and linearly on the constant rows at t0 and T.
+        plan = SimulationPlan(100_000, 1, 10.0, seed=11, observation_times=(0.0, 2.5, 5.0, 7.5, 10.0))
+        bundle = simulate(crossing_model, plan)
+        pf = Portfolio("offset", 10.0, (hedging.Position("bond", 0.05, currency=1),), 1.0)
+        (stats,) = evaluate_portfolio_paths(pf, bundle, n_samples=bundle.n_paths)
+        bound = 32 * 2.0**-53
+        spread = stats.samples.std(axis=0)
+        assert np.all(spread[1:-1] > 5e-4) and np.all(spread[1:-1] < 2e-3)
+        for k in range(stats.times.size):
+            x = stats.samples[:, k]
+            mean = math.fsum(x) / x.size
+            sd = math.sqrt(math.fsum((x - stats.mean[k]) ** 2) / (x.size - 1))
+            assert abs(stats.mean[k] - mean) <= bound * mean, k
+            assert abs(stats.sd[k] - sd) <= bound * sd, k
+
     def test_cash_account_constant_without_rates(self, crossing_model):
         plan = SimulationPlan(500, 4, 10.0, seed=9, observation_times=(0.0, 5.0, 10.0))
         bundle = simulate(crossing_model, plan)
@@ -643,26 +665,31 @@ class TestLegSum:
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), (pf.name, t)
 
     def test_path_statistics_bitwise(self, market):
+        # every value is a sample, so the samples pin every leg sum
         model, portfolios = market
         plan = SimulationPlan(1_000, 8, 10.0, seed=3, observation_times=self.OBSERVATIONS)
         bundle = simulate(model, plan)
-        got = evaluate_portfolio_paths(portfolios, bundle)
-        want = per_position.evaluate_portfolio_paths(portfolios, bundle)
+        got = evaluate_portfolio_paths(portfolios, bundle, n_samples=bundle.n_paths)
+        want = per_position.evaluate_portfolio_paths(portfolios, bundle, n_samples=bundle.n_paths)
         assert [s.name for s in got] == [s.name for s in want]
         for a, b in zip(got, want):
             for field in ("times", "mean", "sd", "sd_se", "samples"):
                 assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), (a.name, field)
 
-    def test_sd_se_is_computed_on_first_read(self, market):
-        model, portfolios = market
-        plan = SimulationPlan(1_000, 8, 10.0, seed=3, observation_times=self.OBSERVATIONS)
-        bundle = simulate(model, plan)
-        got = evaluate_portfolio_paths(portfolios, bundle)
-        want = per_position.evaluate_portfolio_paths(portfolios, bundle)
-        for a, b in zip(got, want):
-            assert "sd_se" not in vars(a), a.name
-            assert a.sd_se.tobytes() == b.sd_se.tobytes(), a.name
-            assert vars(a)["sd_se"] is a.sd_se, a.name
+
+@pytest.mark.parametrize("config", ["experiment1", "experiment2"])
+def test_builder_portfolios_are_flat_at_inception(config):
+    # `ctd hedge`'s own check: at t0 every path holds the same value, whose
+    # sd and sd_se must be exactly 0.0 over the bundled 1e5 paths
+    cfg = load_config(config)
+    model = cfg.build_model()
+    portfolios = _builder_portfolios(model, cfg.t0, cfg.maturity, cfg.nodes_per_year)
+    plan = SimulationPlan(cfg.mc_paths, 1, cfg.maturity, seed=cfg.seed, t0=cfg.t0)
+    assert plan.n_paths == 100_000
+    for st in evaluate_portfolio_paths(portfolios, simulate(model, plan)):
+        assert st.times.tolist() == [cfg.t0, cfg.maturity]
+        assert st.sd[0] == 0.0 and st.sd_se[0] == 0.0, st.name
+        assert abs(st.mean[0]) < 1e-6, st.name
 
 
 def test_constructors_copy_the_arrays_they_freeze():
