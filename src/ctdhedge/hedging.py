@@ -520,7 +520,7 @@ def evaluate_portfolio_paths(
     for k, t in enumerate(times):
         t = float(t)
         u = bundle.displacements(t)
-        u0 = bundle.values[:, k, 0] - model.domestic.mean_curve(t)
+        u0 = bundle.values[0, k] - model.domestic.mean_curve(t)
         pdom = _conditional_bond(model.domestic, t, maturity, u0)
         # the anchors are the observation times; at the maturity
         # the table's row and pdom are exactly 1
@@ -601,7 +601,7 @@ def synthetic_replication_pnl(
     for k, t in enumerate(times):
         t = float(t)
         u = bundle.displacements(t)
-        u0 = bundle.values[:, k, 0] - model.domestic.mean_curve(t)
+        u0 = bundle.values[0, k] - model.domestic.mean_curve(t)
         # P(t, d) once per period bound d not yet passed; P(t, t) = 1 on d's own row
         bond = {d: 1.0 if k_d == k else _conditional_bond(model.domestic, t, d, u0)
                 for d, k_d in edges if k_d >= k}

@@ -13,8 +13,9 @@ through `PathBundle.observation_index`, the one 1e-9 tolerance.
 
 Paths advance in fixed-size blocks, each with its own counter-based random
 stream.  A block keeps its state process-major ([process, path]) in buffers
-reused across steps and is transposed into the (path, observation, process)
-bundle layout only at observation nodes.  Blocks run concurrently on
+reused across steps and copies its rows into its own path columns of the
+[process, observation, path] bundle at observation nodes, so every reader
+takes contiguous rows.  Blocks run concurrently on
 `CTD_THREADS` worker threads (default: the CPUs this process may use);
 numpy releases the interpreter lock inside the random fills and array
 loops, and the results do not depend on the worker count.  These blocks
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +63,11 @@ class SimulationPlan:
             raise ModelValidationError("need at least two paths")
         if self.steps_per_year < 1:
             raise ModelValidationError("steps_per_year must be at least 1")
+        obs = () if self.observation_times is None else tuple(self.observation_times)
+        if not all(map(math.isfinite, (self.t0, self.horizon, *obs))):
+            raise ModelValidationError("t0, horizon and observation times must be finite")
+        if self.observation_times is not None and not obs:
+            raise ModelValidationError("observation_times is empty; None records t0 and the horizon")
         if self.horizon <= self.t0:
             raise ModelValidationError("horizon must exceed the start time")
 
@@ -87,11 +94,11 @@ class PathBundle:
     """
     Simulated market states and running integrals at observation times.
 
-    values[p, k, j] is process j on path p at observation k, with process 0
-    the domestic rate and processes 1..N the collateral spreads.  integrals
-    holds the trapezoidal running integrals of the same processes on the
-    fine step grid; max_integral the running integral of
-    max(0, q_1, ..., q_N).
+    values[j, k, p] is process j at observation k on path p: process 0 is the
+    domestic rate, 1..N are the collateral spreads, and each (j, k) is one
+    contiguous row of paths.  integrals[j, k, p] holds the trapezoidal running
+    integrals of the same processes on the fine step grid and max_integral[k, p]
+    that of max(0, q_1, ..., q_N), as views of one [N + 2, obs, paths] array.
     """
 
     model: MarketModel
@@ -103,7 +110,7 @@ class PathBundle:
 
     @property
     def n_paths(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
     def observation_index(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -112,15 +119,15 @@ class PathBundle:
         return idx
 
     def displacements(self, t: float) -> np.ndarray:
-        """Centred OU offsets u_i(t) of the spread processes, [paths, N]."""
+        """Centred OU offsets u_i(t) of the spread processes, [paths, N] (a transposed view)."""
         k = self.observation_index(t)
         means = [s.mean_curve(float(t)) for s in self.model.spreads]
-        return self.values[:, k, 1:] - np.array(means)
+        return (self.values[1:, k] - np.array(means)[:, None]).T
 
     def bank_factor(self, t0: float, t1: float) -> np.ndarray:
         """Pathwise accrual exp(int_t0^t1 r_0) between observation nodes."""
         k0, k1 = self.observation_index(t0), self.observation_index(t1)
-        return np.exp(self.integrals[:, k1, 0] - self.integrals[:, k0, 0])
+        return np.exp(self.integrals[0, k1] - self.integrals[0, k0])
 
 
 def _step_covariance(model: MarketModel, dt: float, idx: np.ndarray) -> np.ndarray:
@@ -177,19 +184,19 @@ def simulate(model: MarketModel, plan: SimulationPlan) -> PathBundle:
             cache[key] = (decay, chol)
     record_step = np.isin(grid, obs)  # the observation times are members of the grid
 
-    out_values = np.empty((n_paths, obs.size, n_proc))
-    out_integrals = np.empty((n_paths, obs.size, n_proc))
-    out_max = np.empty((n_paths, obs.size))
+    # the floored maximum's running integral is the integrals' last row
+    out_values = np.empty((n_proc, obs.size, n_paths))
+    out_integrals = np.empty((n_proc + 1, obs.size, n_paths))
 
     # paths advance in fixed-size blocks, each with its own counter-based
-    # stream keyed on (seed, block) and its own output rows, so the blocks
+    # stream keyed on (seed, block) and its own output columns, so the blocks
     # run concurrently and results are independent of scheduling
     def run(block: int) -> None:
         lo = block * _PATH_BLOCK
         hi = min(lo + _PATH_BLOCK, n_paths)
         _simulate_block(
-            plan, grid, obs.size, record_step, means_grid, cache, stoch_idx, block,
-            out_values[lo:hi], out_integrals[lo:hi], out_max[lo:hi],
+            plan, grid, record_step, means_grid, cache, stoch_idx, block,
+            out_values[..., lo:hi], out_integrals[..., lo:hi],
         )
 
     from concurrent.futures import ThreadPoolExecutor
@@ -197,7 +204,7 @@ def simulate(model: MarketModel, plan: SimulationPlan) -> PathBundle:
     blocks = range((n_paths + _PATH_BLOCK - 1) // _PATH_BLOCK)
     with ThreadPoolExecutor(min(len(blocks), workers)) as pool:
         list(pool.map(run, blocks))
-    return PathBundle(model, plan, obs, out_values, out_integrals, out_max)
+    return PathBundle(model, plan, obs, out_values, out_integrals[:n_proc], out_integrals[n_proc])
 
 
 _PATH_BLOCK = 16384
@@ -223,73 +230,57 @@ def block_workers() -> int:
 
 
 def _simulate_block(
-    plan, grid, n_obs, record_step, means_grid, cache, stoch_idx, block,
-    out_values, out_integrals, out_max,
+    plan, grid, record_step, means_grid, cache, stoch_idx, block, out_values, out_integrals,
 ):
-    # State is process-major ([proc, paths]) in buffers reused across steps;
-    # every update is the row-major scheme's arithmetic, element for element,
-    # so the paths are bitwise those of a (paths, proc) layout.
-    n = out_values.shape[0]
-    n_proc = means_grid.shape[1]
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([plan.seed % 2**64, block], dtype=np.uint64))
-    )
+    # State is process-major ([proc, paths]) in buffers reused across steps,
+    # with max(0, q_1..q_N) as one more row after the processes; every update
+    # is the row-major scheme's arithmetic, element for element, so the paths
+    # are bitwise those of a (paths, proc) layout.
+    n_proc, n_obs, n = out_values.shape
+    key = np.array([plan.seed % 2**64, block], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     n_stoch = stoch_idx.size
 
     u = np.zeros((n_stoch, n))
     z = np.empty((n, n_stoch))
     shock = np.empty((n, n_stoch))
-    level = np.empty((n_proc, n))
-    prev_level = np.empty((n_proc, n))
-    integrals = np.zeros((n_proc, n))
-    scaled = np.empty((n_proc, n))
-    max_int = np.zeros(n)
-    cur_max = np.empty(n)
-    prev_max = np.empty(n)
+    level = np.empty((n_proc + 1, n))
+    prev_level = np.empty((n_proc + 1, n))
+    integrals = np.zeros((n_proc + 1, n))
+    scaled = np.empty((n_proc + 1, n))
 
-    def floored_max(lv, out):
+    def floored_max(lv):
+        out = lv[n_proc]
         np.copyto(out, lv[1])
         for j in range(2, n_proc):
             np.maximum(out, lv[j], out=out)
         np.maximum(0.0, out, out=out)
 
-    prev_level[:] = means_grid[0][:, None]
-    floored_max(prev_level, prev_max)
+    level[:n_proc] = means_grid[0][:, None]
+    floored_max(level)
     cursor = 0
-    if record_step[0]:
-        out_values[:, 0] = prev_level.T
-        out_integrals[:, 0] = integrals.T
-        out_max[:, 0] = max_int
-        cursor = 1
-
-    for k in range(grid.size - 1):
-        dt = float(grid[k + 1] - grid[k])
-        half = 0.5 * dt
-        decay, chol = cache[round(dt, 12)]
-        if n_stoch:
-            rng.standard_normal(out=z)
-        np.multiply(half, prev_level, out=scaled)
-        integrals += scaled
-        np.multiply(half, prev_max, out=scaled[0])
-        max_int += scaled[0]
-        if n_stoch:
-            u *= decay[:, None]
-            np.matmul(z, chol.T, out=shock)
-            u += shock.T
-        level[:] = means_grid[k + 1][:, None]
-        for r, j in enumerate(stoch_idx):
-            level[j] += u[r]
-        floored_max(level, cur_max)
-        np.multiply(half, level, out=scaled)
-        integrals += scaled
-        np.multiply(half, cur_max, out=scaled[0])
-        max_int += scaled[0]
-        level, prev_level = prev_level, level
-        prev_max, cur_max = cur_max, prev_max
-        if record_step[k + 1]:
-            out_values[:, cursor] = prev_level.T
-            out_integrals[:, cursor] = integrals.T
-            out_max[:, cursor] = max_int
+    for k, record in enumerate(record_step):
+        if k:
+            dt = float(grid[k] - grid[k - 1])
+            half = 0.5 * dt
+            decay, chol = cache[round(dt, 12)]
+            level, prev_level = prev_level, level
+            np.multiply(half, prev_level, out=scaled)
+            integrals += scaled
+            if n_stoch:
+                rng.standard_normal(out=z)
+                u *= decay[:, None]
+                np.matmul(z, chol.T, out=shock)
+                u += shock.T
+            level[:n_proc] = means_grid[k][:, None]
+            for r, j in enumerate(stoch_idx):
+                level[j] += u[r]
+            floored_max(level)
+            np.multiply(half, level, out=scaled)
+            integrals += scaled
+        if record:
+            out_values[:, cursor] = level[:n_proc]
+            out_integrals[:, cursor] = integrals
             cursor += 1
     if cursor != n_obs:
         raise RuntimeError("observation bookkeeping failed")
@@ -311,34 +302,40 @@ def mc_ctd(bundle: PathBundle, t0: float, T: float) -> tuple[float, float]:
     return mc_expectation(bundle, "ctd", t0, T)
 
 
+_PAYOFF_ARITY = {"bond": 1, "bond_squared": 1, "joint_bond": 2, "shifted_max": 1,
+                 "collateral_bond_pc": 0, "ctd": 0}
+
+
 def _payoff_samples(bundle: PathBundle, payoff: str, k0: int, k1: int) -> np.ndarray:
+    m = re.fullmatch(r"(\w+)(?:\((.*)\))?", payoff)
+    if not m or m[1] not in _PAYOFF_ARITY:
+        raise ModelValidationError(f"unknown payoff {payoff!r}; expected bond(i), bond_squared(i), "
+                                   "joint_bond(i,j), shifted_max(i), collateral_bond_pc or ctd")
+    name, hi = m[1], bundle.values.shape[0] - 1
+    lo = 1 if name == "shifted_max" else 0
+    try:
+        args = [int(a) for a in m[2].split(",")] if m[2] else []
+    except ValueError:
+        args = None
+    if args is None or len(args) != _PAYOFF_ARITY[name] or not all(lo <= i <= hi for i in args):
+        raise ModelValidationError(
+            f"{name} takes {_PAYOFF_ARITY[name]} integer {'spread' if lo else 'process'} "
+            f"index(es) in {lo}..{hi}, got {payoff!r}"
+        )
     ints = bundle.integrals
-    name, _, arg = payoff.partition("(")
-    args = [int(a) for a in arg.rstrip(")").split(",") if a.strip()] if arg else []
-    seg = lambda j: ints[:, k1, j] - ints[:, k0, j]  # noqa: E731
-    max_seg = bundle.max_integral[:, k1] - bundle.max_integral[:, k0]
+    seg = lambda j: ints[j, k1] - ints[j, k0]  # noqa: E731
+    max_seg = bundle.max_integral[k1] - bundle.max_integral[k0]
     if name == "bond":
-        (i,) = args
-        return np.exp(-seg(i))
+        return np.exp(-seg(*args))
     if name == "bond_squared":
-        (i,) = args
-        return np.exp(-2.0 * seg(i))
+        return np.exp(-2.0 * seg(*args))
     if name == "joint_bond":
-        i, j = args
-        return np.exp(-(seg(i) + seg(j)))
+        return np.exp(-(seg(args[0]) + seg(args[1])))
     if name == "shifted_max":
-        (i,) = args
-        if i < 1:
-            raise ModelValidationError("shifted_max needs a spread index >= 1")
-        return np.exp(-(max_seg + seg(i)))
+        return np.exp(-(max_seg + seg(*args)))
     if name == "collateral_bond_pc":
         return np.exp(-(max_seg + seg(0)))
-    if name == "ctd":
-        return np.exp(-max_seg)
-    raise ModelValidationError(
-        f"unknown payoff {payoff!r}; expected bond(i), bond_squared(i), "
-        "joint_bond(i,j), shifted_max(i), collateral_bond_pc or ctd"
-    )
+    return np.exp(-max_seg)
 
 
 def mc_expectation(
@@ -358,6 +355,8 @@ def mc_expectation(
     t0 = bundle.plan.t0 if t0 is None else t0
     T = bundle.plan.horizon if T is None else T
     k0, k1 = bundle.observation_index(t0), bundle.observation_index(T)
+    if k1 < k0:
+        raise ModelValidationError(f"T {T:g} is before t0 {t0:g}")
     return _estimate(_payoff_samples(bundle, payoff, k0, k1))
 
 
@@ -372,8 +371,8 @@ def mc_covariance(bundle: PathBundle, payoff_a: str, payoff_b: str) -> tuple[flo
     n = xa.size
     da = xa - xa.mean()
     db = xb - xb.mean()
-    cov = float(np.sum(da * db) / (n - 1))
-    # SE of the sample covariance via the variance of the product terms
     prod = da * db
+    cov = float(np.sum(prod) / (n - 1))
+    # SE of the sample covariance via the variance of the product terms
     se = float(np.std(prod, ddof=1) / math.sqrt(n))
     return cov, se

@@ -634,8 +634,8 @@ def _x4() -> tuple[bool, str]:
         msgs.append(f"{payoff} {dev:+.1f}se")
     cov_cf = spread_cross_covariance(model.spread(1), model.spread(2), model.rho(1, 2),
                                      10.0, 10.0)
-    q1 = bundle.values[:, -1, 1]
-    q2 = bundle.values[:, -1, 2]
+    q1 = bundle.values[1, -1]
+    q2 = bundle.values[2, -1]
     emp = float(np.cov(q1, q2)[0, 1])
     prod = (q1 - q1.mean()) * (q2 - q2.mean())
     dev = (cov_cf - emp) / (float(np.std(prod, ddof=1)) / math.sqrt(q1.size))

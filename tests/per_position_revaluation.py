@@ -69,7 +69,7 @@ def evaluate_portfolio_paths(
     for k, t in enumerate(times):
         t = float(t)
         u = bundle.displacements(t)
-        u0 = bundle.values[:, k, 0] - model.domestic.mean_curve(t)
+        u0 = bundle.values[0, k] - model.domestic.mean_curve(t)
         pdom = _conditional_bond(model.domestic, t, maturity, u0)
         if t < maturity:  # the anchors are a prefix of the observation times
             choice = table.evaluate(k, u)[0] * pdom

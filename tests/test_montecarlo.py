@@ -107,9 +107,14 @@ def _row_major_simulate(model, plan, antithetic):
     return values, integrals_out, max_out
 
 
+def _process_major(values, integrals, max_integral):
+    """The reference's [paths, obs, proc] arrays in the bundle's [proc, obs, paths] order."""
+    return values.transpose(2, 1, 0), integrals.transpose(2, 1, 0), max_integral.T
+
+
 def _same_bytes(bundle, reference):
     got = (bundle.values, bundle.integrals, bundle.max_integral)
-    return all(a.tobytes() == b.tobytes() for a, b in zip(got, reference))
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, reference))
 
 
 class TestPlan:
@@ -120,6 +125,15 @@ class TestPlan:
             SimulationPlan(100, 0, 10.0, seed=1)
         with pytest.raises(ModelValidationError):
             SimulationPlan(100, 10, 0.0, seed=1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"horizon": math.nan}, {"horizon": math.inf}, {"t0": math.nan}, {"t0": -math.inf},
+        {"observation_times": (math.nan,)}, {"observation_times": (1.0, math.inf)},
+        {"observation_times": ()},
+    ])
+    def test_non_finite_or_empty_times_rejected(self, kwargs):
+        with pytest.raises(ModelValidationError):
+            SimulationPlan(100, 10, **{"horizon": 10.0, "seed": 1, **kwargs})
 
     def test_observation_grid_includes_endpoints(self):
         plan = SimulationPlan(100, 10, 10.0, seed=1, observation_times=(2.0, 5.0))
@@ -172,7 +186,7 @@ class TestSimulate:
             CorrelationMatrix(np.eye(2)),
         )
         bundle = simulate(model, SimulationPlan(4, 12, 10.0, seed=1))
-        assert np.allclose(bundle.values[:, -1, 1], model.spread(1).mean_curve(10.0), atol=1e-16)
+        assert np.allclose(bundle.values[1, -1], model.spread(1).mean_curve(10.0), atol=1e-16)
         est, se = mc_ctd(bundle, 0.0, 10.0)
         assert se == 0.0
         assert est == pytest.approx(ctd_deterministic(model, 0.0, 10.0), rel=1e-6)
@@ -184,13 +198,13 @@ class TestSimulate:
         bundle = simulate(model, plan)
         specs = [model.domestic, model.spread(1), model.spread(2)]
         for j, spec in enumerate(specs):
-            sample = bundle.values[:, -1, j]
+            sample = bundle.values[j, -1]
             var = spec.variance(10.0)
             se_var = var * math.sqrt(2.0 / (sample.size - 1))
             assert abs(sample.var(ddof=1) - var) < 4 * se_var
             assert abs(sample.mean() - spec.mean_curve(10.0)) < 4 * math.sqrt(var / sample.size)
         cov = spread_cross_covariance(model.spread(1), model.spread(2), 0.3, 10.0, 10.0)
-        q1, q2 = bundle.values[:, -1, 1], bundle.values[:, -1, 2]
+        q1, q2 = bundle.values[1, -1], bundle.values[2, -1]
         prod = (q1 - q1.mean()) * (q2 - q2.mean())
         assert abs(float(np.cov(q1, q2)[0, 1]) - cov) < 4 * np.std(prod, ddof=1) / math.sqrt(q1.size)
 
@@ -205,7 +219,37 @@ class TestProcessMajorLayout:
         plan = SimulationPlan(montecarlo._PATH_BLOCK + 600, 4, 3.0, seed=2024,
                               observation_times=(0.3, 1.1, 2.55))
         assert len({round(float(d), 12) for d in np.diff(plan.step_grid())}) > 1
-        assert _same_bytes(simulate(model, plan), _row_major_simulate(model, plan, False))
+        reference = _process_major(*_row_major_simulate(model, plan, False))
+        assert _same_bytes(simulate(model, plan), reference)
+
+    def test_readers_match_row_major_expressions(self):
+        model = _wide_model(2, 0.006)
+        plan = SimulationPlan(montecarlo._PATH_BLOCK + 600, 4, 3.0, seed=2024,
+                              observation_times=(0.3, 1.1, 2.55))
+        bundle = simulate(model, plan)
+        values, ints, max_int = _row_major_simulate(model, plan, False)
+        n_proc, n_obs = model.n_spreads + 1, bundle.times.size
+        assert bundle.values.shape == bundle.integrals.shape == (n_proc, n_obs, plan.n_paths)
+        assert bundle.max_integral.shape == (n_obs, plan.n_paths)
+        for k, t in enumerate(bundle.times):
+            means = [s.mean_curve(float(t)) for s in model.spreads]
+            assert bundle.displacements(t).shape == (plan.n_paths, model.n_spreads)
+            assert bundle.displacements(t).tobytes() == (values[:, k, 1:] - np.array(means)).tobytes()
+        for k0, k1 in ((0, n_obs - 1), (1, 3), (2, 2)):
+            seg = lambda j: ints[:, k1, j] - ints[:, k0, j]  # noqa: E731
+            max_seg = max_int[:, k1] - max_int[:, k0]
+            bank = bundle.bank_factor(bundle.times[k0], bundle.times[k1])
+            assert bank.tobytes() == np.exp(ints[:, k1, 0] - ints[:, k0, 0]).tobytes()
+            want = {"ctd": np.exp(-max_seg), "collateral_bond_pc": np.exp(-(max_seg + seg(0)))}
+            for i in range(n_proc):
+                want[f"bond({i})"] = np.exp(-seg(i))
+                want[f"bond_squared({i})"] = np.exp(-2.0 * seg(i))
+                want[f"joint_bond({i},{n_proc - 1 - i})"] = np.exp(-(seg(i) + seg(n_proc - 1 - i)))
+                if i:
+                    want[f"shifted_max({i})"] = np.exp(-(max_seg + seg(i)))
+            for payoff, samples in want.items():
+                got = montecarlo._payoff_samples(bundle, payoff, k0, k1)
+                assert got.tobytes() == samples.tobytes(), (payoff, k0, k1)
 
     def test_zero_volatility_model_matches_reference(self):
         model = MarketModel(
@@ -214,7 +258,8 @@ class TestProcessMajorLayout:
             CorrelationMatrix(np.eye(2)),
         )
         plan = SimulationPlan(64, 12, 10.0, seed=1, observation_times=(2.5,))
-        assert _same_bytes(simulate(model, plan), _row_major_simulate(model, plan, False))
+        reference = _process_major(*_row_major_simulate(model, plan, False))
+        assert _same_bytes(simulate(model, plan), reference)
 
     def test_independent_of_worker_count(self, monkeypatch):
         model = _wide_model(2, 0.006)
@@ -277,11 +322,33 @@ class TestEstimators:
         with pytest.raises(ModelValidationError):
             mc_expectation(bundle, "swaption(1)")
 
+    @pytest.mark.parametrize("payoff", [
+        # process indices outside 0..N (N = 2), 1..N for shifted_max
+        "bond(-1)", "bond(3)", "bond_squared(3)", "joint_bond(-1,0)", "joint_bond(0,3)",
+        "shifted_max(3)", "shifted_max(-1)",
+        # wrong argument counts and non-integer arguments
+        "bond()", "bond", "bond(1,2)", "joint_bond(1)", "joint_bond(1,)", "ctd(1)",
+        "collateral_bond_pc(0)", "bond(1.5)", "bond(x)", "bond(1", "bond((1))",
+    ])
+    def test_malformed_payoff_rejected(self, payoff):
+        bundle = simulate(_model(), SimulationPlan(100, 2, 1.0, seed=1))
+        with pytest.raises(ModelValidationError):
+            mc_expectation(bundle, payoff)
+
+    @pytest.mark.parametrize("estimate", [
+        lambda bundle: mc_ctd(bundle, 1.0, 0.0),
+        lambda bundle: mc_expectation(bundle, "bond(1)", 1.0, 0.0),
+    ], ids=["mc_ctd", "mc_expectation"])
+    def test_horizon_before_start_rejected(self, estimate):
+        bundle = simulate(_model(), SimulationPlan(100, 2, 1.0, seed=1))
+        with pytest.raises(ModelValidationError, match="before t0"):
+            estimate(bundle)
+
     def test_covariance_estimator_self_consistency(self):
         bundle = simulate(_model(), SimulationPlan(50_000, 12, 5.0, seed=13))
         cov, se = mc_covariance(bundle, "bond(1)", "bond(1)")
         est, _ = mc_expectation(bundle, "bond(1)")
-        samples = np.exp(-(bundle.integrals[:, -1, 1] - bundle.integrals[:, 0, 1]))
+        samples = np.exp(-(bundle.integrals[1, -1] - bundle.integrals[1, 0]))
         assert cov == pytest.approx(float(np.var(samples, ddof=1)), rel=1e-10)
         assert se > 0
 
