@@ -13,9 +13,12 @@ through `PathBundle.observation_index`, the one 1e-9 tolerance.
 
 Paths advance in fixed-size blocks, each with its own counter-based random
 stream.  A block keeps its state process-major ([process, path]) in buffers
-reused across steps and copies its rows into its own path columns of the
-[process, observation, path] bundle at observation nodes, so every reader
-takes contiguous rows.  Blocks run concurrently on
+reused across steps and copies its stochastic rows into its own path columns
+of the [process, observation, path] bundle at observation nodes, so every
+reader takes contiguous rows.  A zero-volatility process is the same on
+every path, so the bundle holds it as one [observation] curve, copied from
+the first path of block 0; `PathBundle.value` and `PathBundle.integral`
+return any process's row either way.  Blocks run concurrently on
 `CTD_THREADS` worker threads (default: the CPUs this process may use);
 numpy releases the interpreter lock inside the random fills and array
 loops, and the results do not depend on the worker count.  These blocks
@@ -59,6 +62,9 @@ class SimulationPlan:
     observation_times: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for name in ("n_paths", "steps_per_year"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ModelValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_paths < 2:
             raise ModelValidationError("need at least two paths")
         if self.steps_per_year < 1:
@@ -70,6 +76,8 @@ class SimulationPlan:
             raise ModelValidationError("observation_times is empty; None records t0 and the horizon")
         if self.horizon <= self.t0:
             raise ModelValidationError("horizon must exceed the start time")
+        if obs and (min(obs) < self.t0 - 1e-12 or max(obs) > self.horizon + 1e-12):
+            raise ModelValidationError("observation times outside [t0, horizon]")
 
     def step_grid(self) -> np.ndarray:
         n = max(1, int(round((self.horizon - self.t0) * self.steps_per_year)))
@@ -80,8 +88,6 @@ class SimulationPlan:
         if self.observation_times is None:
             return np.asarray([self.t0, self.horizon])
         obs = np.unique(np.asarray(self.observation_times, dtype=float))
-        if obs[0] < self.t0 - 1e-12 or obs[-1] > self.horizon + 1e-12:
-            raise ModelValidationError("observation times outside [t0, horizon]")
         if abs(obs[0] - self.t0) > 1e-12:
             obs = np.concatenate(([self.t0], obs))
         if abs(obs[-1] - self.horizon) > 1e-12:
@@ -94,11 +100,16 @@ class PathBundle:
     """
     Simulated market states and running integrals at observation times.
 
-    values[j, k, p] is process j at observation k on path p: process 0 is the
-    domestic rate, 1..N are the collateral spreads, and each (j, k) is one
-    contiguous row of paths.  integrals[j, k, p] holds the trapezoidal running
-    integrals of the same processes on the fine step grid and max_integral[k, p]
-    that of max(0, q_1, ..., q_N), as views of one [N + 2, obs, paths] array.
+    Process 0 is the domestic rate and 1..N are the collateral spreads;
+    `value(j, k)` and `integral(j, k)` return process j's row of paths at
+    observation k, its state and its trapezoidal running integral on the
+    fine step grid.  The stochastic processes (xi > 0), in process order, are
+    the rows of values[r, k, p] and integrals[r, k, p], each (r, k) one
+    contiguous row of paths; max_integral[k, p] is the running integral of
+    max(0, q_1, ..., q_N), and integrals and max_integral are views of one
+    [S + 1, obs, paths] array.  A zero-volatility process is one row of
+    curve_values[d, k] and curve_integrals[d, k], in process order, and
+    its accessor rows are read-only broadcasts of those curves.
     """
 
     model: MarketModel
@@ -107,10 +118,29 @@ class PathBundle:
     values: np.ndarray
     integrals: np.ndarray
     max_integral: np.ndarray
+    curve_values: np.ndarray
+    curve_integrals: np.ndarray
 
     @property
     def n_paths(self) -> int:
-        return self.values.shape[-1]
+        return self.plan.n_paths
+
+    def value(self, j: int, k: int) -> np.ndarray:
+        """Process j at observation k, [paths]."""
+        return self._row(self.values, self.curve_values, j, k)
+
+    def integral(self, j: int, k: int) -> np.ndarray:
+        """Running integral of process j from t0 to observation k, [paths]."""
+        return self._row(self.integrals, self.curve_integrals, j, k)
+
+    def _row(self, paths: np.ndarray, curves: np.ndarray, j: int, k: int) -> np.ndarray:
+        if not 0 <= j <= self.model.n_spreads:
+            raise IndexError(f"process index {j} is outside 0..{self.model.n_spreads}")
+        stochastic = _stochastic(self.model)
+        row = sum(stochastic[:j])  # stochastic processes before j
+        if stochastic[j]:
+            return paths[row, k]
+        return np.broadcast_to(curves[j - row, k], (self.n_paths,))
 
     def observation_index(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -121,13 +151,20 @@ class PathBundle:
     def displacements(self, t: float) -> np.ndarray:
         """Centred OU offsets u_i(t) of the spread processes, [paths, N] (a transposed view)."""
         k = self.observation_index(t)
-        means = [s.mean_curve(float(t)) for s in self.model.spreads]
-        return (self.values[1:, k] - np.array(means)[:, None]).T
+        out = np.empty((self.model.n_spreads, self.n_paths))
+        for i, s in enumerate(self.model.spreads):
+            np.subtract(self.value(i + 1, k), s.mean_curve(float(t)), out=out[i])
+        return out.T
 
     def bank_factor(self, t0: float, t1: float) -> np.ndarray:
         """Pathwise accrual exp(int_t0^t1 r_0) between observation nodes."""
         k0, k1 = self.observation_index(t0), self.observation_index(t1)
-        return np.exp(self.integrals[0, k1] - self.integrals[0, k0])
+        return np.exp(self.integral(0, k1) - self.integral(0, k0))
+
+
+def _stochastic(model: MarketModel) -> list[bool]:
+    """Per process, in process order: does it move (xi > 0)?"""
+    return [s.xi > 0.0 for s in (model.domestic, *model.spreads)]
 
 
 def _step_covariance(model: MarketModel, dt: float, idx: np.ndarray) -> np.ndarray:
@@ -171,7 +208,8 @@ def simulate(model: MarketModel, plan: SimulationPlan) -> PathBundle:
     means_grid = np.stack([s.mean_curve(grid) for s in specs], axis=1)
 
     # zero-volatility processes never leave their forecast curve
-    stoch_idx = np.array([j for j, s in enumerate(specs) if s.xi > 0.0], dtype=int)
+    stochastic = _stochastic(model)
+    stoch_idx = np.flatnonzero(stochastic)
 
     # transition coefficients per distinct step size
     cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
@@ -184,9 +222,12 @@ def simulate(model: MarketModel, plan: SimulationPlan) -> PathBundle:
             cache[key] = (decay, chol)
     record_step = np.isin(grid, obs)  # the observation times are members of the grid
 
-    # the floored maximum's running integral is the integrals' last row
-    out_values = np.empty((n_proc, obs.size, n_paths))
-    out_integrals = np.empty((n_proc + 1, obs.size, n_paths))
+    # the stochastic rows, then the floored maximum's running integral as
+    # the integrals' last row; each zero-volatility process is one curve
+    n_stoch = stoch_idx.size
+    out_values = np.empty((n_stoch, obs.size, n_paths))
+    out_integrals = np.empty((n_stoch + 1, obs.size, n_paths))
+    curves = np.empty((2, n_proc - n_stoch, obs.size))
 
     # paths advance in fixed-size blocks, each with its own counter-based
     # stream keyed on (seed, block) and its own output columns, so the blocks
@@ -195,8 +236,8 @@ def simulate(model: MarketModel, plan: SimulationPlan) -> PathBundle:
         lo = block * _PATH_BLOCK
         hi = min(lo + _PATH_BLOCK, n_paths)
         _simulate_block(
-            plan, grid, record_step, means_grid, cache, stoch_idx, block,
-            out_values[..., lo:hi], out_integrals[..., lo:hi],
+            plan, grid, record_step, means_grid, cache, stochastic, block,
+            out_values[..., lo:hi], out_integrals[..., lo:hi], curves,
         )
 
     from concurrent.futures import ThreadPoolExecutor
@@ -204,7 +245,8 @@ def simulate(model: MarketModel, plan: SimulationPlan) -> PathBundle:
     blocks = range((n_paths + _PATH_BLOCK - 1) // _PATH_BLOCK)
     with ThreadPoolExecutor(min(len(blocks), workers)) as pool:
         list(pool.map(run, blocks))
-    return PathBundle(model, plan, obs, out_values, out_integrals[:n_proc], out_integrals[n_proc])
+    return PathBundle(model, plan, obs, out_values, out_integrals[:n_stoch], out_integrals[n_stoch],
+                      curves[0], curves[1])
 
 
 _PATH_BLOCK = 16384
@@ -230,15 +272,23 @@ def block_workers() -> int:
 
 
 def _simulate_block(
-    plan, grid, record_step, means_grid, cache, stoch_idx, block, out_values, out_integrals,
+    plan, grid, record_step, means_grid, cache, stochastic, block, out_values, out_integrals,
+    curves,
 ):
     # State is process-major ([proc, paths]) in buffers reused across steps,
     # with max(0, q_1..q_N) as one more row after the processes; every update
     # is the row-major scheme's arithmetic, element for element, so the paths
-    # are bitwise those of a (paths, proc) layout.
-    n_proc, n_obs, n = out_values.shape
+    # are bitwise those of a (paths, proc) layout.  A zero-volatility row
+    # equals its first path everywhere: only the stochastic rows and the
+    # maximum are recorded, and block 0 copies the others' first paths into
+    # the curves.
+    n_proc = len(stochastic)
+    _, n_obs, n = out_integrals.shape
     key = np.array([plan.seed % 2**64, block], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
+    stoch_idx = np.flatnonzero(stochastic)
+    det_idx = np.flatnonzero(np.logical_not(stochastic))
+    kept = np.append(stoch_idx, n_proc)
     n_stoch = stoch_idx.size
 
     u = np.zeros((n_stoch, n))
@@ -279,8 +329,10 @@ def _simulate_block(
             np.multiply(half, level, out=scaled)
             integrals += scaled
         if record:
-            out_values[:, cursor] = level[:n_proc]
-            out_integrals[:, cursor] = integrals
+            out_values[:, cursor] = level[stoch_idx]
+            out_integrals[:, cursor] = integrals[kept]
+            if block == 0:
+                curves[:, :, cursor] = level[det_idx, 0], integrals[det_idx, 0]
             cursor += 1
     if cursor != n_obs:
         raise RuntimeError("observation bookkeeping failed")
@@ -311,7 +363,7 @@ def _payoff_samples(bundle: PathBundle, payoff: str, k0: int, k1: int) -> np.nda
     if not m or m[1] not in _PAYOFF_ARITY:
         raise ModelValidationError(f"unknown payoff {payoff!r}; expected bond(i), bond_squared(i), "
                                    "joint_bond(i,j), shifted_max(i), collateral_bond_pc or ctd")
-    name, hi = m[1], bundle.values.shape[0] - 1
+    name, hi = m[1], bundle.model.n_spreads
     lo = 1 if name == "shifted_max" else 0
     try:
         args = [int(a) for a in m[2].split(",")] if m[2] else []
@@ -322,8 +374,7 @@ def _payoff_samples(bundle: PathBundle, payoff: str, k0: int, k1: int) -> np.nda
             f"{name} takes {_PAYOFF_ARITY[name]} integer {'spread' if lo else 'process'} "
             f"index(es) in {lo}..{hi}, got {payoff!r}"
         )
-    ints = bundle.integrals
-    seg = lambda j: ints[j, k1] - ints[j, k0]  # noqa: E731
+    seg = lambda j: bundle.integral(j, k1) - bundle.integral(j, k0)  # noqa: E731
     max_seg = bundle.max_integral[k1] - bundle.max_integral[k0]
     if name == "bond":
         return np.exp(-seg(*args))

@@ -545,11 +545,11 @@ class TestPathEvaluation:
         bundle = simulate(model, plan)
         k1 = bundle.observation_index(10.0)
         k0 = bundle.observation_index(0.0)
-        q0 = np.exp(-(bundle.integrals[0, k1] - bundle.integrals[0, k0]))
+        q0 = np.exp(-(bundle.integral(0, k1) - bundle.integral(0, k0)))
         pc = np.exp(-bundle.max_integral[k1]) * q0
         hedge = weights.alpha[0] * q0
         for i in (1, 2):
-            qi = np.exp(-(bundle.integrals[i, k1] - bundle.integrals[i, k0])) * q0
+            qi = np.exp(-(bundle.integral(i, k1) - bundle.integral(i, k0))) * q0
             hedge = hedge + weights.alpha[i] * qi
         pi = pc + hedge
         # exact block at 4 standard errors
@@ -763,7 +763,7 @@ def _single_scheme_pnl(model, swap, scheme, bundle, nodes_per_year=24, tables=No
     for k, t in enumerate(times):
         t = float(t)
         u = bundle.displacements(t)
-        u0 = bundle.values[0, k] - model.domestic.mean_curve(t)
+        u0 = bundle.value(0, k) - model.domestic.mean_curve(t)
         # record fixings at period starts
         for s, e_, tau in periods:
             if abs(t - s) < 1e-9:

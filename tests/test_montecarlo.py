@@ -112,8 +112,15 @@ def _process_major(values, integrals, max_integral):
     return values.transpose(2, 1, 0), integrals.transpose(2, 1, 0), max_integral.T
 
 
+def _through_accessors(bundle):
+    """Every process's rows, read through `value` and `integral`, as [proc, obs, paths] arrays."""
+    rows = lambda read: np.array([[read(j, k) for k in range(bundle.times.size)]  # noqa: E731
+                                  for j in range(bundle.model.n_spreads + 1)])
+    return rows(bundle.value), rows(bundle.integral), bundle.max_integral
+
+
 def _same_bytes(bundle, reference):
-    got = (bundle.values, bundle.integrals, bundle.max_integral)
+    got = _through_accessors(bundle)
     return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, reference))
 
 
@@ -134,6 +141,21 @@ class TestPlan:
     def test_non_finite_or_empty_times_rejected(self, kwargs):
         with pytest.raises(ModelValidationError):
             SimulationPlan(100, 10, **{"horizon": 10.0, "seed": 1, **kwargs})
+
+    @pytest.mark.parametrize("n_paths, steps_per_year", [(100.5, 10), (100.0, 10), (100, 10.0),
+                                                          (100, "10")])
+    def test_non_integer_counts_rejected(self, n_paths, steps_per_year):
+        with pytest.raises(ModelValidationError, match="must be an integer"):
+            SimulationPlan(n_paths, steps_per_year, 1.0, seed=1)
+
+    def test_numpy_integer_counts_accepted(self):
+        plan = SimulationPlan(np.int64(100), np.int32(10), 1.0, seed=1)
+        assert simulate(_model(), plan).max_integral.shape == (2, 100)
+
+    @pytest.mark.parametrize("obs", [(5.0,), (-0.5, 0.5), (0.5, 1.5)])
+    def test_observation_times_outside_the_horizon_rejected(self, obs):
+        with pytest.raises(ModelValidationError, match=r"outside \[t0, horizon\]"):
+            SimulationPlan(100, 10, 1.0, seed=1, observation_times=obs)
 
     def test_observation_grid_includes_endpoints(self):
         plan = SimulationPlan(100, 10, 10.0, seed=1, observation_times=(2.0, 5.0))
@@ -186,7 +208,7 @@ class TestSimulate:
             CorrelationMatrix(np.eye(2)),
         )
         bundle = simulate(model, SimulationPlan(4, 12, 10.0, seed=1))
-        assert np.allclose(bundle.values[1, -1], model.spread(1).mean_curve(10.0), atol=1e-16)
+        assert np.allclose(bundle.value(1, -1), model.spread(1).mean_curve(10.0), atol=1e-16)
         est, se = mc_ctd(bundle, 0.0, 10.0)
         assert se == 0.0
         assert est == pytest.approx(ctd_deterministic(model, 0.0, 10.0), rel=1e-6)
@@ -198,13 +220,13 @@ class TestSimulate:
         bundle = simulate(model, plan)
         specs = [model.domestic, model.spread(1), model.spread(2)]
         for j, spec in enumerate(specs):
-            sample = bundle.values[j, -1]
+            sample = bundle.value(j, -1)
             var = spec.variance(10.0)
             se_var = var * math.sqrt(2.0 / (sample.size - 1))
             assert abs(sample.var(ddof=1) - var) < 4 * se_var
             assert abs(sample.mean() - spec.mean_curve(10.0)) < 4 * math.sqrt(var / sample.size)
         cov = spread_cross_covariance(model.spread(1), model.spread(2), 0.3, 10.0, 10.0)
-        q1, q2 = bundle.values[1, -1], bundle.values[2, -1]
+        q1, q2 = bundle.value(1, -1), bundle.value(2, -1)
         prod = (q1 - q1.mean()) * (q2 - q2.mean())
         assert abs(float(np.cov(q1, q2)[0, 1]) - cov) < 4 * np.std(prod, ddof=1) / math.sqrt(q1.size)
 
@@ -222,14 +244,16 @@ class TestProcessMajorLayout:
         reference = _process_major(*_row_major_simulate(model, plan, False))
         assert _same_bytes(simulate(model, plan), reference)
 
-    def test_readers_match_row_major_expressions(self):
-        model = _wide_model(2, 0.006)
+    @pytest.mark.parametrize("xi0", [0.0, 0.006])
+    def test_readers_match_row_major_expressions(self, xi0):
+        model = _wide_model(2, xi0)
         plan = SimulationPlan(montecarlo._PATH_BLOCK + 600, 4, 3.0, seed=2024,
                               observation_times=(0.3, 1.1, 2.55))
         bundle = simulate(model, plan)
         values, ints, max_int = _row_major_simulate(model, plan, False)
         n_proc, n_obs = model.n_spreads + 1, bundle.times.size
-        assert bundle.values.shape == bundle.integrals.shape == (n_proc, n_obs, plan.n_paths)
+        n_stoch = n_proc if xi0 else n_proc - 1
+        assert bundle.values.shape == bundle.integrals.shape == (n_stoch, n_obs, plan.n_paths)
         assert bundle.max_integral.shape == (n_obs, plan.n_paths)
         for k, t in enumerate(bundle.times):
             means = [s.mean_curve(float(t)) for s in model.spreads]
@@ -259,7 +283,50 @@ class TestProcessMajorLayout:
         )
         plan = SimulationPlan(64, 12, 10.0, seed=1, observation_times=(2.5,))
         reference = _process_major(*_row_major_simulate(model, plan, False))
-        assert _same_bytes(simulate(model, plan), reference)
+        bundle = simulate(model, plan)
+        assert _same_bytes(bundle, reference)
+        # no process moves: every row is a curve, and only the maximum is a plane
+        assert bundle.values.shape[0] == bundle.integrals.shape[0] == 0
+        assert bundle.curve_values.shape == bundle.curve_integrals.shape == (2, 3)
+        assert bundle.max_integral.shape == (3, 64)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_mixed_zero_volatility_model_matches_reference(self, monkeypatch, workers):
+        # a zero-volatility domestic rate and middle spread among stochastic
+        # spreads; the still spread starts highest, so the floored maximum
+        # reads its row
+        base = _wide_model(3, 0.0)
+        still = HullWhiteSpec(0.01, 0.0, SpreadCurve.linear(0.0, 12.0, 0.02, 0.008))
+        model = base.with_spread(2, still)
+        assert still.mean_curve(0.0) > max(model.spread(i).mean_curve(0.0) for i in (1, 3))
+        plan = SimulationPlan(montecarlo._PATH_BLOCK + 600, 4, 3.0, seed=2024,
+                              observation_times=(0.3, 1.1, 2.55))
+        monkeypatch.setenv("CTD_THREADS", workers)
+        bundle = simulate(model, plan)
+        assert bundle.values.shape == (2, 5, plan.n_paths)
+        assert bundle.curve_values.shape == (2, 5)
+        reference = _process_major(*_row_major_simulate(model, plan, False))
+        assert _same_bytes(bundle, reference)
+
+    def test_curve_rows_are_read_only(self):
+        bundle = simulate(_model(xi0=0.0), SimulationPlan(100, 4, 2.0, seed=1))
+        for row in (bundle.value(0, 1), bundle.integral(0, 1)):
+            assert row.shape == (100,) and not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 1.0
+        assert bundle.value(1, 1).flags.writeable
+        with pytest.raises(IndexError):
+            bundle.value(3, 1)
+
+    def test_experiment1_bundle_holds_five_planes(self):
+        # experiment1's domestic rate has xi = 0: two spreads' values and
+        # integrals plus the maximum, not the domestic rate's two planes
+        model = load_config("experiment1").build_model()
+        plan = SimulationPlan(500, 4, 10.0, seed=1, observation_times=(2.5, 5.0))
+        bundle = simulate(model, plan)
+        plane = bundle.times.size * plan.n_paths * 8
+        held = bundle.values.nbytes + bundle.integrals.nbytes + bundle.max_integral.nbytes
+        assert held == 5 * plane
 
     def test_independent_of_worker_count(self, monkeypatch):
         model = _wide_model(2, 0.006)
@@ -269,7 +336,7 @@ class TestProcessMajorLayout:
         one = simulate(model, plan)
         for workers in ("2", "4"):  # four blocks: one worker each, more workers than cores
             monkeypatch.setenv("CTD_THREADS", workers)
-            assert _same_bytes(simulate(model, plan), (one.values, one.integrals, one.max_integral))
+            assert _same_bytes(simulate(model, plan), _through_accessors(one))
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", ""])
     def test_malformed_thread_count_rejected(self, monkeypatch, raw):
@@ -285,8 +352,7 @@ class TestProcessMajorLayout:
                               observation_times=tuple(np.linspace(cfg.t0, cfg.maturity, 9)))
         kernel = simulate(model, plan)
         monkeypatch.setattr(montecarlo, "_step_covariance", scalar_step_covariance)
-        assert _same_bytes(simulate(model, plan),
-                           (kernel.values, kernel.integrals, kernel.max_integral))
+        assert _same_bytes(simulate(model, plan), _through_accessors(kernel))
 
 
 class TestEstimators:
@@ -348,7 +414,7 @@ class TestEstimators:
         bundle = simulate(_model(), SimulationPlan(50_000, 12, 5.0, seed=13))
         cov, se = mc_covariance(bundle, "bond(1)", "bond(1)")
         est, _ = mc_expectation(bundle, "bond(1)")
-        samples = np.exp(-(bundle.integrals[1, -1] - bundle.integrals[1, 0]))
+        samples = np.exp(-(bundle.integral(1, -1) - bundle.integral(1, 0)))
         assert cov == pytest.approx(float(np.var(samples, ddof=1)), rel=1e-10)
         assert se > 0
 
