@@ -238,9 +238,11 @@ def max_cdf(state: CommonFactorState, x) -> float | np.ndarray:
 # moments of the maximum
 # ---------------------------------------------------------------------------
 
-# rows per chunk at most: a chunk's [m, g] temporaries, g panel nodes per row,
-# grow with its rows
+# rows per closed-form chunk, and row x panel-node elements per panel chunk,
+# at most: a panel chunk's [m, g] temporaries, g panel nodes per row, grow
+# with both
 _MOMENT_CHUNK = 1024
+_PANEL_CHUNK_ELEMENTS = 12288
 _PANEL_X64, _PANEL_W64 = np.polynomial.legendre.leggauss(64)
 
 
@@ -533,11 +535,12 @@ def _moments(mu, idio_var, common_var, panel=None, pivots: Sequence[int] = ()):
     (`_panel_chunk`), which also give the pivot covariances at every k.
     Regular rows (every component stochastic and a nondegenerate common
     factor) and the rest run in separate chunks, so regular chunks skip
-    the panel's hard-floor work.  Each kind splits into equal chunks of at
-    most `_MOMENT_CHUNK` rows, run in turn on the calling thread; each
-    chunk writes only its own rows, and every row is evaluated elementwise
-    or reduced along its own panel, so the results do not depend on the
-    chunking.
+    the panel's hard-floor work.  Each kind splits into equal chunks, of
+    at most `_MOMENT_CHUNK` rows for the closed form and of at most
+    `_PANEL_CHUNK_ELEMENTS` rows x panel nodes for the panel, run in turn on
+    the calling thread; each chunk writes only its own rows, and every row
+    is evaluated elementwise or reduced along its own panel, so the results
+    do not depend on the chunking.
     """
     mu = np.asarray(mu, dtype=float)
     idio_var = np.asarray(idio_var, dtype=float)
@@ -546,16 +549,24 @@ def _moments(mu, idio_var, common_var, panel=None, pivots: Sequence[int] = ()):
     mean = np.empty(m)
     var = np.empty(m)
     cov = np.empty((len(pivots), m))
+    nodes = (_PANEL_X if panel is None else panel[0]).size
+    panel_rows = max(1, _PANEL_CHUNK_ELEMENTS // nodes)
     regular = np.all(idio_var > 0.0, axis=1) & (common_var > 0.0)
     for rows in (np.flatnonzero(regular), np.flatnonzero(~regular)):
-        n = -(-rows.size // _MOMENT_CHUNK)
-        for sel in np.array_split(rows, n) if n else []:
-            args = mu[sel], idio_var[sel], common_var[sel]
-            if k > 2 or pivots:
+        if k > 2 or pivots:
+            for sel in _even_chunks(rows, panel_rows):
+                args = mu[sel], idio_var[sel], common_var[sel]
                 mean[sel], var[sel], cov[:, sel] = _panel_chunk(*args, panel, pivots)
-            if k <= 2:
-                mean[sel], var[sel] = _closed_chunk(*args)
+        if k <= 2:
+            for sel in _even_chunks(rows, _MOMENT_CHUNK):
+                mean[sel], var[sel] = _closed_chunk(mu[sel], idio_var[sel], common_var[sel])
     return mean, var, cov
+
+
+def _even_chunks(rows: np.ndarray, most: int) -> list[np.ndarray]:
+    """`rows` in the fewest equal chunks of at most `most` rows."""
+    n = -(-rows.size // most)
+    return np.array_split(rows, n) if n else []
 
 
 def max_moments(state: CommonFactorState) -> tuple[float, float]:

@@ -13,15 +13,18 @@ through `PathBundle.observation_index`, the one 1e-9 tolerance.
 
 Paths advance in fixed-size blocks, each with its own counter-based random
 stream.  A block keeps its state process-major ([process, path]) in buffers
-reused across steps and copies its stochastic rows into its own path columns
-of the [process, observation, path] bundle at observation nodes, so every
-reader takes contiguous rows.  A zero-volatility process is the same on
-every path, so the bundle holds it as one [observation] curve, copied from
-the first path of block 0; `PathBundle.value` and `PathBundle.integral`
-return any process's row either way.  Blocks run concurrently on
-`CTD_THREADS` worker threads (default: the CPUs this process may use);
-numpy releases the interpreter lock inside the random fills and array
-loops, and the results do not depend on the worker count.  These blocks
+reused across steps and copies into its own path columns of the bundle only
+what some reader takes there: at every observation node the stochastic
+states and the domestic running integral (the bank account), and at the
+horizon the running integrals of the spreads and of the floored maximum,
+which every payoff reads over the whole [t0, horizon] and which are 0.0 at
+t0.  A zero-volatility process is the same on every path, so the bundle
+holds it as one [observation] curve, copied from the first path of block 0;
+`PathBundle.value` and `PathBundle.integral` return any process's row
+either way.  Blocks run concurrently on `CTD_THREADS` worker threads
+(default: the CPUs this process may use); numpy releases the interpreter
+lock inside the random fills and array loops, and the results do not
+depend on the worker count.  These blocks
 are the package's only threads; the pricing kernels run on the calling
 thread.
 """
@@ -48,10 +51,11 @@ class SimulationPlan:
     The transition scheme is fixed to the exact Ornstein-Uhlenbeck step;
     `steps_per_year` only controls the resolution of pathwise integrals.
     `observation_times`, joined with {t0, T}, are the times at which states
-    and running integrals are stored on the bundle; `step_grid` is the
-    uniform grid united with them, so each is a step node exactly.  Every
-    path draws its own shocks, so the paths are independent and the
-    estimators' standard errors are the plain sample ones.
+    and the domestic running integral are stored on the bundle; a time
+    within 1e-12 of t0 or T is that end.  `step_grid` is the uniform grid
+    united with them, so each is a step node exactly.  Every path draws
+    its own shocks, so the paths are independent and the estimators'
+    standard errors are the plain sample ones.
     """
 
     n_paths: int
@@ -87,10 +91,15 @@ class SimulationPlan:
     def observation_grid(self) -> np.ndarray:
         if self.observation_times is None:
             return np.asarray([self.t0, self.horizon])
-        obs = np.unique(np.asarray(self.observation_times, dtype=float))
-        if abs(obs[0] - self.t0) > 1e-12:
+        obs = np.asarray(self.observation_times, dtype=float)
+        # snapped onto the ends, so no sliver step starts the grid and the
+        # running integrals are exactly 0.0 at t0
+        for end in (self.t0, self.horizon):
+            obs = np.where(np.abs(obs - end) <= 1e-12, end, obs)
+        obs = np.unique(obs)
+        if obs[0] != self.t0:
             obs = np.concatenate(([self.t0], obs))
-        if abs(obs[-1] - self.horizon) > 1e-12:
+        if obs[-1] != self.horizon:
             obs = np.concatenate((obs, [self.horizon]))
         return obs
 
@@ -102,14 +111,21 @@ class PathBundle:
 
     Process 0 is the domestic rate and 1..N are the collateral spreads;
     `value(j, k)` and `integral(j, k)` return process j's row of paths at
-    observation k, its state and its trapezoidal running integral on the
-    fine step grid.  The stochastic processes (xi > 0), in process order, are
-    the rows of values[r, k, p] and integrals[r, k, p], each (r, k) one
-    contiguous row of paths; max_integral[k, p] is the running integral of
-    max(0, q_1, ..., q_N), and integrals and max_integral are views of one
-    [S + 1, obs, paths] array.  A zero-volatility process is one row of
-    curve_values[d, k] and curve_integrals[d, k], in process order, and
-    its accessor rows are read-only broadcasts of those curves.
+    observation k, its state and its trapezoidal running integral from t0
+    on the fine step grid.  States and the domestic integral are kept at
+    every observation.  A spread's integral, and max_integral[p], that of
+    max(0, q_1, ..., q_N), are kept at the horizon only: every payoff reads
+    them over the whole [t0, horizon], and they are 0.0 at t0.  Asking for
+    one at an interior observation raises `ModelValidationError`.
+
+    The stochastic processes' (xi > 0) states, in process order, are
+    values[r, k, p], each (r, k) one contiguous row of paths.  Each row
+    integrals[i, p] is one kept running integral: first the domestic rate's
+    at every observation when it moves, then each stochastic spread's at
+    the horizon, in process order; integrals and max_integral are views of
+    one array.  A zero-volatility process is one row of curve_values[d, k]
+    and curve_integrals[d, k], in process order, and its accessor rows are
+    read-only broadcasts of those curves.
     """
 
     model: MarketModel
@@ -127,20 +143,42 @@ class PathBundle:
 
     def value(self, j: int, k: int) -> np.ndarray:
         """Process j at observation k, [paths]."""
-        return self._row(self.values, self.curve_values, j, k)
+        row, moves = self._rank(j)
+        if moves:
+            return self.values[row, k]
+        return np.broadcast_to(self.curve_values[j - row, k], (self.n_paths,))
 
     def integral(self, j: int, k: int) -> np.ndarray:
-        """Running integral of process j from t0 to observation k, [paths]."""
-        return self._row(self.integrals, self.curve_integrals, j, k)
+        """
+        Running integral of process j from t0 to observation k, [paths].
 
-    def _row(self, paths: np.ndarray, curves: np.ndarray, j: int, k: int) -> np.ndarray:
+        A spread's (j >= 1) is kept at t0 and the horizon only; at any
+        other observation this raises `ModelValidationError`.
+        """
+        last = self.times.size - 1
+        k = range(last + 1)[k]  # a negative k counts from the end, as in the arrays
+        if j and 0 < k < last:
+            raise ModelValidationError(
+                f"the integral of spread {j} is kept at t0 and the horizon only, "
+                f"not at t = {float(self.times[k]):g}")
+        row, moves = self._rank(j)
+        if not moves:
+            return np.broadcast_to(self.curve_integrals[j - row, k], (self.n_paths,))
+        if j == 0:
+            return self.integrals[k]
+        if k == 0:
+            return np.broadcast_to(0.0, (self.n_paths,))
+        # the domestic rate's rows, when it moves, come before the spreads' horizon rows
+        domestic = _stochastic(self.model)[0]
+        bank_rows = self.times.size if domestic else 0
+        return self.integrals[bank_rows + row - domestic]
+
+    def _rank(self, j: int) -> tuple[int, bool]:
+        """(stochastic processes before j, whether j is stochastic)."""
         if not 0 <= j <= self.model.n_spreads:
             raise IndexError(f"process index {j} is outside 0..{self.model.n_spreads}")
         stochastic = _stochastic(self.model)
-        row = sum(stochastic[:j])  # stochastic processes before j
-        if stochastic[j]:
-            return paths[row, k]
-        return np.broadcast_to(curves[j - row, k], (self.n_paths,))
+        return sum(stochastic[:j]), stochastic[j]
 
     def observation_index(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -157,8 +195,10 @@ class PathBundle:
         return out.T
 
     def bank_factor(self, t0: float, t1: float) -> np.ndarray:
-        """Pathwise accrual exp(int_t0^t1 r_0) between observation nodes."""
+        """Pathwise accrual exp(int_t0^t1 r_0) between observation nodes, t0 <= t1."""
         k0, k1 = self.observation_index(t0), self.observation_index(t1)
+        if k1 < k0:
+            raise ModelValidationError(f"t1 {t1:g} is before t0 {t0:g}")
         return np.exp(self.integral(0, k1) - self.integral(0, k0))
 
 
@@ -193,9 +233,10 @@ def simulate(model: MarketModel, plan: SimulationPlan) -> PathBundle:
     """
     Simulate (r_0, q_1, ..., q_N) under the exact OU transition.
 
-    Returns a bundle with states and running integrals at the plan's
-    observation times.  Identical plans (same seed) give bitwise-identical
-    results at any `CTD_THREADS`.  Paths advance in blocks of 16384.
+    Returns a bundle with states and the domestic running integral at the
+    plan's observation times, and the spreads' and the floored maximum's
+    running integrals at its horizon.  Identical plans (same seed) give
+    bitwise-identical results at any `CTD_THREADS`.  Paths advance in blocks of 16384.
     """
     workers = block_workers()
     grid = plan.step_grid()
@@ -222,11 +263,14 @@ def simulate(model: MarketModel, plan: SimulationPlan) -> PathBundle:
             cache[key] = (decay, chol)
     record_step = np.isin(grid, obs)  # the observation times are members of the grid
 
-    # the stochastic rows, then the floored maximum's running integral as
-    # the integrals' last row; each zero-volatility process is one curve
+    # the stochastic states at every observation; the domestic integral at
+    # every observation when it moves, then the stochastic spreads' and the
+    # floored maximum's at the horizon; each zero-volatility process is one
+    # curve
     n_stoch = stoch_idx.size
+    n_bank = obs.size if stochastic[0] else 0
     out_values = np.empty((n_stoch, obs.size, n_paths))
-    out_integrals = np.empty((n_stoch + 1, obs.size, n_paths))
+    out_integrals = np.empty((n_bank + n_stoch - stochastic[0] + 1, n_paths))
     curves = np.empty((2, n_proc - n_stoch, obs.size))
 
     # paths advance in fixed-size blocks, each with its own counter-based
@@ -237,7 +281,7 @@ def simulate(model: MarketModel, plan: SimulationPlan) -> PathBundle:
         hi = min(lo + _PATH_BLOCK, n_paths)
         _simulate_block(
             plan, grid, record_step, means_grid, cache, stochastic, block,
-            out_values[..., lo:hi], out_integrals[..., lo:hi], curves,
+            out_values[..., lo:hi], out_integrals[:, lo:hi], curves,
         )
 
     from concurrent.futures import ThreadPoolExecutor
@@ -245,7 +289,7 @@ def simulate(model: MarketModel, plan: SimulationPlan) -> PathBundle:
     blocks = range((n_paths + _PATH_BLOCK - 1) // _PATH_BLOCK)
     with ThreadPoolExecutor(min(len(blocks), workers)) as pool:
         list(pool.map(run, blocks))
-    return PathBundle(model, plan, obs, out_values, out_integrals[:n_stoch], out_integrals[n_stoch],
+    return PathBundle(model, plan, obs, out_values, out_integrals[:-1], out_integrals[-1],
                       curves[0], curves[1])
 
 
@@ -279,16 +323,18 @@ def _simulate_block(
     # with max(0, q_1..q_N) as one more row after the processes; every update
     # is the row-major scheme's arithmetic, element for element, so the paths
     # are bitwise those of a (paths, proc) layout.  A zero-volatility row
-    # equals its first path everywhere: only the stochastic rows and the
-    # maximum are recorded, and block 0 copies the others' first paths into
-    # the curves.
+    # equals its first path everywhere: only the stochastic rows are
+    # recorded, and block 0 copies the others' first paths into the curves.
+    # The domestic integral is recorded at every observation when it moves,
+    # the spreads' and the maximum's at the last one, the horizon.
     n_proc = len(stochastic)
-    _, n_obs, n = out_integrals.shape
+    _, n_obs, n = out_values.shape
     key = np.array([plan.seed % 2**64, block], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     stoch_idx = np.flatnonzero(stochastic)
     det_idx = np.flatnonzero(np.logical_not(stochastic))
-    kept = np.append(stoch_idx, n_proc)
+    at_horizon = np.append(stoch_idx[stoch_idx > 0], n_proc)
+    n_bank = out_integrals.shape[0] - at_horizon.size
     n_stoch = stoch_idx.size
 
     u = np.zeros((n_stoch, n))
@@ -330,7 +376,10 @@ def _simulate_block(
             integrals += scaled
         if record:
             out_values[:, cursor] = level[stoch_idx]
-            out_integrals[:, cursor] = integrals[kept]
+            if n_bank:
+                out_integrals[cursor] = integrals[0]
+            if cursor == n_obs - 1:
+                out_integrals[n_bank:] = integrals[at_horizon]
             if block == 0:
                 curves[:, :, cursor] = level[det_idx, 0], integrals[det_idx, 0]
             cursor += 1
@@ -348,8 +397,9 @@ def mc_ctd(bundle: PathBundle, t0: float, T: float) -> tuple[float, float]:
     """
     Monte Carlo CTD factor: mean of exp(-int_t0^T max(0, q_1..q_N)).
 
-    Returns (estimate, standard error); both t0 and T must be observation
-    nodes of the bundle.
+    Returns (estimate, standard error).  The bundle keeps the maximum's
+    integral at its horizon only, so [t0, T] must be the bundle's own
+    [t0, horizon]; any other pair raises `ModelValidationError`.
     """
     return mc_expectation(bundle, "ctd", t0, T)
 
@@ -374,8 +424,13 @@ def _payoff_samples(bundle: PathBundle, payoff: str, k0: int, k1: int) -> np.nda
             f"{name} takes {_PAYOFF_ARITY[name]} integer {'spread' if lo else 'process'} "
             f"index(es) in {lo}..{hi}, got {payoff!r}"
         )
+    reads_max = name in ("shifted_max", "collateral_bond_pc", "ctd")
+    if (reads_max or any(args)) and (k0, k1) != (0, bundle.times.size - 1):
+        raise ModelValidationError(
+            f"{payoff} reads integrals that the bundle keeps over [t0, horizon] only, "
+            f"not over [{bundle.times[k0]:g}, {bundle.times[k1]:g}]")
     seg = lambda j: bundle.integral(j, k1) - bundle.integral(j, k0)  # noqa: E731
-    max_seg = bundle.max_integral[k1] - bundle.max_integral[k0]
+    max_seg = bundle.max_integral  # the running integral at the horizon; 0.0 at t0
     if name == "bond":
         return np.exp(-seg(*args))
     if name == "bond_squared":
@@ -401,7 +456,12 @@ def mc_expectation(
     Payoffs: ``bond(i)`` = exp(-int q_i) (i = 0 gives the domestic bond),
     ``bond_squared(i)``, ``joint_bond(i,j)``, ``shifted_max(i)`` =
     exp(-int (max + q_i)), ``collateral_bond_pc`` = exp(-int (max + r_0)),
-    and ``ctd``.  Returns (estimate, standard error).
+    and ``ctd``.  Returns (estimate, standard error).  t0 and T default to
+    the plan's t0 and horizon.  The bundle keeps the spreads' and the
+    maximum's integrals at those two times only, so only payoffs of the
+    domestic rate alone (``bond(0)``, ``bond_squared(0)``,
+    ``joint_bond(0,0)``) take other observation times; for the rest any
+    other pair raises `ModelValidationError`, as does T before t0.
     """
     t0 = bundle.plan.t0 if t0 is None else t0
     T = bundle.plan.horizon if T is None else T

@@ -1,6 +1,7 @@
 import gc
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1035,18 +1036,34 @@ class TestKernelChunks:
         return [np.concatenate(arrays)[order] for arrays in zip(*parts)]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_bytes_independent_of_chunk(self, monkeypatch, k):
+    @pytest.mark.parametrize("panel", [None, (ctd._PANEL_X64, ctd._PANEL_W64)], ids=["96", "64"])
+    def test_bytes_independent_of_chunk(self, monkeypatch, k, panel):
         mu, idio, common = self._mixed_rows(k)
         for pivots in (range(k), ()):
             ref = None
-            for chunk in (4096, 1024, 512, 7, 1):
+            # (closed-form rows, panel elements); the defaults second
+            for chunk, elements in ((4096, 4096 * 96), (1024, 12288), (512, 512 * 96), (7, 7 * 96),
+                                    (1, 1)):
                 monkeypatch.setattr(ctd, "_MOMENT_CHUNK", chunk)
+                monkeypatch.setattr(ctd, "_PANEL_CHUNK_ELEMENTS", elements)
                 # rows are independent, so the small chunks run on a prefix of the rows
                 rows = slice(None) if chunk > 7 else slice(0, 150)
-                out = _moments(mu[rows], idio[rows], common[rows], pivots=pivots)
+                out = _moments(mu[rows], idio[rows], common[rows], panel, pivots)
                 ref = out if ref is None else ref
                 for got, want in zip(out, ref):
                     assert got.tobytes() == want[..., rows].tobytes(), (len(pivots), chunk)
+
+    def test_panel_chunk_memory_is_capped(self):
+        # 1024 rows at k = 3 with every pivot: one 1024-row panel chunk
+        # peaked at 10.8 MiB, chunks of 128 rows (12288 elements) at 1.5 MiB
+        mu, idio, common = _kernel_states(np.random.default_rng(3), 1024, 3, "regular")
+        tracemalloc.start()
+        try:
+            _moments(mu, idio, common, pivots=range(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, peak
 
     @staticmethod
     def _record_chunks(monkeypatch):
@@ -1062,23 +1079,26 @@ class TestKernelChunks:
         return calls
 
     def test_short_passes_run_inline(self, monkeypatch):
-        # a pass of at most _MOMENT_CHUNK rows per kind is one chunk per kind
+        # a pass that fits one panel chunk per kind is one chunk per kind
+        monkeypatch.setattr(ctd, "_PANEL_CHUNK_ELEMENTS", 1024 * 96)
         calls = self._record_chunks(monkeypatch)
         mu, idio, common = self._mixed_rows(2)  # 900 regular rows, 300 others
         _moments(mu, idio, common, pivots=range(2))
         main = threading.main_thread()
         assert sorted(calls, key=lambda c: not c[0]) == [(True, 900, main), (False, 300, main)]
 
-    @pytest.mark.parametrize("chunk", [256, 128])
-    def test_long_pass_splits_evenly_on_caller(self, monkeypatch, chunk):
-        monkeypatch.setattr(ctd, "_MOMENT_CHUNK", chunk)
+    @pytest.mark.parametrize("panel, most", [
+        (None, 128), ((ctd._PANEL_X64, ctd._PANEL_W64), 192),
+    ], ids=["96", "64"])
+    def test_long_pass_splits_evenly_on_caller(self, monkeypatch, panel, most):
+        # panel chunks hold at most 12288 rows x nodes
         calls = self._record_chunks(monkeypatch)
         mu, idio, common = self._mixed_rows(2)
-        _moments(mu, idio, common, pivots=range(2))
+        _moments(mu, idio, common, panel, pivots=range(2))
         for regular, rows in ((True, 900), (False, 300)):
             kind = [n for r, n, _ in calls if r == regular]
-            assert sum(kind) == rows and len(kind) == -(-rows // chunk), (regular, kind)
-            assert max(kind) <= chunk and max(kind) - min(kind) <= 1, (regular, kind)
+            assert sum(kind) == rows and len(kind) == -(-rows // most), (regular, kind)
+            assert max(kind) <= most and max(kind) - min(kind) <= 1, (regular, kind)
         assert {c[2] for c in calls} == {threading.main_thread()}
 
     @staticmethod

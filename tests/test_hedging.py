@@ -546,7 +546,7 @@ class TestPathEvaluation:
         k1 = bundle.observation_index(10.0)
         k0 = bundle.observation_index(0.0)
         q0 = np.exp(-(bundle.integral(0, k1) - bundle.integral(0, k0)))
-        pc = np.exp(-bundle.max_integral[k1]) * q0
+        pc = np.exp(-bundle.max_integral) * q0
         hedge = weights.alpha[0] * q0
         for i in (1, 2):
             qi = np.exp(-(bundle.integral(i, k1) - bundle.integral(i, k0))) * q0

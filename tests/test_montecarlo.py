@@ -108,15 +108,23 @@ def _row_major_simulate(model, plan, antithetic):
 
 
 def _process_major(values, integrals, max_integral):
-    """The reference's [paths, obs, proc] arrays in the bundle's [proc, obs, paths] order."""
-    return values.transpose(2, 1, 0), integrals.transpose(2, 1, 0), max_integral.T
+    """
+    What the bundle keeps of the reference's [paths, obs, proc] arrays, in
+    its [proc, obs, paths] order: every state, the domestic integral at every
+    observation, the spreads' integrals at t0 and the horizon, and the
+    maximum's at the horizon.
+    """
+    return (values.transpose(2, 1, 0), integrals[:, :, 0].T,
+            integrals[:, [0, -1], 1:].transpose(2, 1, 0), max_integral[:, -1])
 
 
 def _through_accessors(bundle):
-    """Every process's rows, read through `value` and `integral`, as [proc, obs, paths] arrays."""
-    rows = lambda read: np.array([[read(j, k) for k in range(bundle.times.size)]  # noqa: E731
-                                  for j in range(bundle.model.n_spreads + 1)])
-    return rows(bundle.value), rows(bundle.integral), bundle.max_integral
+    """Every kept row, read through `value` and `integral`, in `_process_major`'s order."""
+    n_obs, n_proc = bundle.times.size, bundle.model.n_spreads + 1
+    values = np.array([[bundle.value(j, k) for k in range(n_obs)] for j in range(n_proc)])
+    domestic = np.array([bundle.integral(0, k) for k in range(n_obs)])
+    spreads = np.array([[bundle.integral(j, k) for k in (0, n_obs - 1)] for j in range(1, n_proc)])
+    return values, domestic, spreads, bundle.max_integral
 
 
 def _same_bytes(bundle, reference):
@@ -150,7 +158,7 @@ class TestPlan:
 
     def test_numpy_integer_counts_accepted(self):
         plan = SimulationPlan(np.int64(100), np.int32(10), 1.0, seed=1)
-        assert simulate(_model(), plan).max_integral.shape == (2, 100)
+        assert simulate(_model(), plan).max_integral.shape == (100,)
 
     @pytest.mark.parametrize("obs", [(5.0,), (-0.5, 0.5), (0.5, 1.5)])
     def test_observation_times_outside_the_horizon_rejected(self, obs):
@@ -161,6 +169,15 @@ class TestPlan:
         plan = SimulationPlan(100, 10, 10.0, seed=1, observation_times=(2.0, 5.0))
         assert plan.observation_grid()[0] == 0.0
         assert plan.observation_grid()[-1] == 10.0
+
+    @pytest.mark.parametrize("obs", [(1e-13, 1.0), (1.0, 2.0 - 1e-13), (-1e-13, 1.0, 2.0 + 1e-13)])
+    def test_times_beside_an_end_snap_onto_it(self, obs):
+        plan = SimulationPlan(200, 4, 2.0, seed=1, observation_times=obs)
+        assert plan.observation_grid().tolist() == [0.0, 1.0, 2.0]
+        assert np.diff(plan.step_grid()).min() == 0.25  # no sliver step beside an end
+        bundle = simulate(_model(), plan)
+        assert bundle.times.tolist() == [0.0, 1.0, 2.0]
+        assert not np.any(bundle.integral(0, 0))
 
     def test_records_exactly_the_requested_nodes(self):
         # linspace's 0.30000000000000004 sits on the step grid beside the requested 0.3
@@ -253,27 +270,37 @@ class TestProcessMajorLayout:
         values, ints, max_int = _row_major_simulate(model, plan, False)
         n_proc, n_obs = model.n_spreads + 1, bundle.times.size
         n_stoch = n_proc if xi0 else n_proc - 1
-        assert bundle.values.shape == bundle.integrals.shape == (n_stoch, n_obs, plan.n_paths)
-        assert bundle.max_integral.shape == (n_obs, plan.n_paths)
+        assert bundle.values.shape == (n_stoch, n_obs, plan.n_paths)
+        assert bundle.integrals.shape == ((n_obs if xi0 else 0) + model.n_spreads, plan.n_paths)
+        assert bundle.max_integral.shape == (plan.n_paths,)
         for k, t in enumerate(bundle.times):
             means = [s.mean_curve(float(t)) for s in model.spreads]
             assert bundle.displacements(t).shape == (plan.n_paths, model.n_spreads)
             assert bundle.displacements(t).tobytes() == (values[:, k, 1:] - np.array(means)).tobytes()
-        for k0, k1 in ((0, n_obs - 1), (1, 3), (2, 2)):
-            seg = lambda j: ints[:, k1, j] - ints[:, k0, j]  # noqa: E731
-            max_seg = max_int[:, k1] - max_int[:, k0]
-            bank = bundle.bank_factor(bundle.times[k0], bundle.times[k1])
-            assert bank.tobytes() == np.exp(ints[:, k1, 0] - ints[:, k0, 0]).tobytes()
-            want = {"ctd": np.exp(-max_seg), "collateral_bond_pc": np.exp(-(max_seg + seg(0)))}
-            for i in range(n_proc):
-                want[f"bond({i})"] = np.exp(-seg(i))
-                want[f"bond_squared({i})"] = np.exp(-2.0 * seg(i))
-                want[f"joint_bond({i},{n_proc - 1 - i})"] = np.exp(-(seg(i) + seg(n_proc - 1 - i)))
-                if i:
-                    want[f"shifted_max({i})"] = np.exp(-(max_seg + seg(i)))
-            for payoff, samples in want.items():
-                got = montecarlo._payoff_samples(bundle, payoff, k0, k1)
-                assert got.tobytes() == samples.tobytes(), (payoff, k0, k1)
+        seg = lambda j: ints[:, k1, j] - ints[:, k0, j]  # noqa: E731
+        # the domestic rate's integral is kept at every observation
+        for k0 in range(n_obs):
+            for k1 in range(k0, n_obs):
+                bank = bundle.bank_factor(bundle.times[k0], bundle.times[k1])
+                assert bank.tobytes() == np.exp(ints[:, k1, 0] - ints[:, k0, 0]).tobytes()
+                want = {"bond(0)": np.exp(-seg(0)), "bond_squared(0)": np.exp(-2.0 * seg(0)),
+                        "joint_bond(0,0)": np.exp(-(seg(0) + seg(0)))}
+                for payoff, samples in want.items():
+                    got = montecarlo._payoff_samples(bundle, payoff, k0, k1)
+                    assert got.tobytes() == samples.tobytes(), (payoff, k0, k1)
+        # the spreads' and the maximum's over [t0, horizon] only
+        k0, k1 = 0, n_obs - 1
+        max_seg = max_int[:, k1] - max_int[:, k0]
+        want = {"ctd": np.exp(-max_seg), "collateral_bond_pc": np.exp(-(max_seg + seg(0)))}
+        for i in range(n_proc):
+            want[f"bond({i})"] = np.exp(-seg(i))
+            want[f"bond_squared({i})"] = np.exp(-2.0 * seg(i))
+            want[f"joint_bond({i},{n_proc - 1 - i})"] = np.exp(-(seg(i) + seg(n_proc - 1 - i)))
+            if i:
+                want[f"shifted_max({i})"] = np.exp(-(max_seg + seg(i)))
+        for payoff, samples in want.items():
+            got = montecarlo._payoff_samples(bundle, payoff, k0, k1)
+            assert got.tobytes() == samples.tobytes(), payoff
 
     def test_zero_volatility_model_matches_reference(self):
         model = MarketModel(
@@ -285,10 +312,10 @@ class TestProcessMajorLayout:
         reference = _process_major(*_row_major_simulate(model, plan, False))
         bundle = simulate(model, plan)
         assert _same_bytes(bundle, reference)
-        # no process moves: every row is a curve, and only the maximum is a plane
-        assert bundle.values.shape[0] == bundle.integrals.shape[0] == 0
+        # no process moves: every row is a curve, and only the maximum is held per path
+        assert bundle.values.shape == (0, 3, 64) and bundle.integrals.shape == (0, 64)
         assert bundle.curve_values.shape == bundle.curve_integrals.shape == (2, 3)
-        assert bundle.max_integral.shape == (3, 64)
+        assert bundle.max_integral.shape == (64,)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_mixed_zero_volatility_model_matches_reference(self, monkeypatch, workers):
@@ -318,15 +345,19 @@ class TestProcessMajorLayout:
         with pytest.raises(IndexError):
             bundle.value(3, 1)
 
-    def test_experiment1_bundle_holds_five_planes(self):
-        # experiment1's domestic rate has xi = 0: two spreads' values and
-        # integrals plus the maximum, not the domestic rate's two planes
-        model = load_config("experiment1").build_model()
+    @pytest.mark.parametrize("build, planes", [
+        (lambda: load_config("experiment1").build_model(), 2),
+        (lambda: _wide_model(2, 0.006), 4),
+    ], ids=["experiment1", "moving_domestic"])
+    def test_bundle_holds_states_bank_and_horizon_rows(self, build, planes):
+        # experiment1's domestic rate has xi = 0: its two spreads' value
+        # planes, plus the spreads' and the maximum's horizon rows.  A moving
+        # domestic rate adds its value plane and its integral plane.
         plan = SimulationPlan(500, 4, 10.0, seed=1, observation_times=(2.5, 5.0))
-        bundle = simulate(model, plan)
-        plane = bundle.times.size * plan.n_paths * 8
+        bundle = simulate(build(), plan)
+        row = plan.n_paths * 8
         held = bundle.values.nbytes + bundle.integrals.nbytes + bundle.max_integral.nbytes
-        assert held == 5 * plane
+        assert held == (planes * bundle.times.size + 3) * row
 
     def test_independent_of_worker_count(self, monkeypatch):
         model = _wide_model(2, 0.006)
@@ -420,9 +451,38 @@ class TestEstimators:
 
     def test_ctd_is_the_ctd_payoff_bitwise(self):
         bundle = simulate(_model(), SimulationPlan(2_000, 12, 5.0, seed=3, observation_times=(2.0,)))
-        for t0, T in ((0.0, 5.0), (2.0, 5.0), (0.0, 2.0)):
-            got = np.array(mc_ctd(bundle, t0, T))
-            assert got.tobytes() == np.array(mc_expectation(bundle, "ctd", t0, T)).tobytes(), (t0, T)
+        got = np.array(mc_ctd(bundle, 0.0, 5.0))
+        assert got.tobytes() == np.array(mc_expectation(bundle, "ctd", 0.0, 5.0)).tobytes()
+        assert got.tobytes() == np.array(mc_expectation(bundle, "ctd")).tobytes()
+
+    @pytest.mark.parametrize("xi0", [0.0, 0.006])
+    def test_interior_spread_and_maximum_reads_are_loud(self, xi0):
+        # spreads' and the maximum's integrals are kept at t0 and the horizon only
+        bundle = simulate(_model(xi0), SimulationPlan(200, 12, 5.0, seed=3, observation_times=(2.0,)))
+        for j in (1, 2):
+            with pytest.raises(ModelValidationError, match=f"spread {j} is kept at t0 and the horizon"):
+                bundle.integral(j, 1)
+        for t0, T in ((2.0, 5.0), (0.0, 2.0), (0.0, 0.0), (5.0, 5.0)):
+            with pytest.raises(ModelValidationError, match=r"\[t0, horizon\] only"):
+                mc_ctd(bundle, t0, T)
+            for payoff in ("bond(1)", "bond_squared(2)", "joint_bond(0,1)", "shifted_max(1)",
+                           "collateral_bond_pc"):
+                with pytest.raises(ModelValidationError, match=r"\[t0, horizon\] only"):
+                    mc_expectation(bundle, payoff, t0, T)
+            # the domestic rate's integral is kept at every observation
+            mc_expectation(bundle, "bond(0)", t0, T)
+        assert bundle.integral(0, 1).shape == (200,)
+        # a negative k counts observations, not the kept rows
+        for j in (0, 1):
+            assert bundle.integral(j, -1).tobytes() == bundle.integral(j, 2).tobytes()
+        with pytest.raises(IndexError):
+            bundle.integral(1, 3)
+
+    def test_bank_factor_refuses_a_reversed_interval(self):
+        bundle = simulate(_model(), SimulationPlan(100, 4, 2.0, seed=1, observation_times=(1.0,)))
+        assert bundle.bank_factor(1.0, 1.0).tobytes() == np.ones(100).tobytes()
+        with pytest.raises(ModelValidationError, match="t1 1 is before t0 2"):
+            bundle.bank_factor(2.0, 1.0)
 
     def test_requested_time_must_be_observed(self):
         bundle = simulate(_model(), SimulationPlan(100, 2, 1.0, seed=1))
